@@ -86,20 +86,31 @@ class SupersetExample:
     gold_set: tuple
 
 
+def zero_one_cost(gold, other) -> float:
+    return float(other != gold)
+
+
 class ExhaustiveDecoder:
-    """Argmax by scoring every candidate; ties keep the earliest candidate."""
+    """Argmax by scoring every candidate; ties keep the earliest candidate.
 
-    def __init__(self, candidates_fn, feature_fn):
+    The learner's decoder protocol, shared by CkyDecoder: `decode(x,
+    weights, gold=None)` returns the best output, adding `cost_fn(gold, y)`
+    to each score given a gold output; `features(x, y)` is an output's
+    feature vector; `contains(x, y)` says whether y is in the search space.
+    """
+
+    def __init__(self, candidates_fn, feature_fn, cost_fn=zero_one_cost):
         self.candidates_fn = candidates_fn
-        self.feature_fn = feature_fn
+        self.features = feature_fn
+        self.cost_fn = cost_fn
 
-    def decode(self, x, weights, gold=None, cost_fn=None):
+    def decode(self, x, weights, gold=None):
         best = None
         best_score = None
         for y in self.candidates_fn(x):
-            score = dot(weights, self.feature_fn(x, y))
+            score = dot(weights, self.features(x, y))
             if gold is not None:
-                score += cost_fn(gold, y) if cost_fn else float(y != gold)
+                score += self.cost_fn(gold, y)
             if best_score is None or score > best_score:
                 best, best_score = y, score
         if best is None:
@@ -110,20 +121,14 @@ class ExhaustiveDecoder:
         return any(candidate == y for candidate in self.candidates_fn(x))
 
 
-def predict(model: LinearModel, x, decoder):
-    """Max-scoring candidate under the model; first-in-order wins ties."""
-    return decoder.decode(x, model.weights)
-
-
-def train_structured(examples, decoder, feature_fn, config: TrainConfig,
-                     cost_fn=None) -> LinearModel:
+def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     """Averaged cost-augmented online margin training from zero weights.
 
     Each epoch visits examples in a seed-shuffled order; an update moves the
     weights toward the gold features and away from the cost-augmented argmax.
     """
     for x, gold in examples:
-        if hasattr(decoder, "contains") and not decoder.contains(x, gold):
+        if not decoder.contains(x, gold):
             raise ValueError(f"gold output outside the candidate space: {gold!r}")
     weights: FeatureVector = {}
     lagged: FeatureVector = {}  # sum of updates scaled by (step - 1), for averaging
@@ -134,9 +139,10 @@ def train_structured(examples, decoder, feature_fn, config: TrainConfig,
         rng.shuffle(order)
         for i in order:
             x, gold = examples[i]
-            guess = decoder.decode(x, weights, gold=gold, cost_fn=cost_fn)
+            guess = decoder.decode(x, weights, gold=gold)
             if guess != gold:
-                delta = subtract(feature_fn(x, gold), feature_fn(x, guess))
+                delta = subtract(decoder.features(x, gold),
+                                 decoder.features(x, guess))
                 add_scaled(weights, delta, config.learning_rate)
                 add_scaled(lagged, delta, config.learning_rate * (step - 1))
             step += 1
@@ -148,8 +154,7 @@ def train_structured(examples, decoder, feature_fn, config: TrainConfig,
     return LinearModel(weights, config)
 
 
-def train_superset(examples, decoder, feature_fn, config: TrainConfig,
-                   cost_fn=None) -> LinearModel:
+def train_superset(examples, decoder, config: TrainConfig) -> LinearModel:
     """Train when each example admits a set of valid outputs.
 
     Repeatedly pick the best-scoring valid output per example under the
@@ -167,7 +172,7 @@ def train_superset(examples, decoder, feature_fn, config: TrainConfig,
         for ex in examples:
             best, best_score = None, None
             for y in ex.gold_set:
-                score = model.score(feature_fn(ex.x, y))
+                score = model.score(decoder.features(ex.x, y))
                 if best_score is None or score > best_score:
                     best, best_score = y, score
             selected.append(best)
@@ -175,6 +180,6 @@ def train_superset(examples, decoder, feature_fn, config: TrainConfig,
             break
         model = train_structured(
             [(ex.x, y) for ex, y in zip(examples, selected)],
-            decoder, feature_fn, config, cost_fn=cost_fn)
+            decoder, config)
         previous = selected
     return model

@@ -37,18 +37,14 @@ from .quantities import sentence_quantities
 from .relevance import (
     RelevanceAssignment,
     derive_gold_relevance,
-    hamming_cost,
     predict_relevance,
     relevance_decoder,
-    relevance_features,
 )
 from .treeparse import CkyDecoder
 from .variables import (
-    candidate_cost,
     candidate_from_grounding,
     predict_variable_triggers,
     variable_decoder,
-    variable_features,
 )
 
 
@@ -66,6 +62,11 @@ class PipelineConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
                            seed=self.seed, max_outer_iters=self.outer_iters)
+
+    def tree_decoder(self) -> CkyDecoder:
+        return CkyDecoder(window=self.window, use_lexicon=self.use_lexicon,
+                          lexicon_as_features=self.lexicon_as_features,
+                          conform_syntactic=self.conform_syntactic)
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,7 @@ class ModelBundle:
     config: PipelineConfig
 
     def __post_init__(self):
-        self._decoder = CkyDecoder(
-            window=self.config.window,
-            use_lexicon=self.config.use_lexicon,
-            lexicon_as_features=self.config.lexicon_as_features,
-            conform_syntactic=self.config.conform_syntactic)
+        self._decoder = self.config.tree_decoder()
 
     # prediction ---------------------------------------------------------
 
@@ -244,19 +241,11 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
     window = config.window
 
     rel_model = train_structured(
-        _relevance_instances(examples), relevance_decoder(window),
-        lambda x, y: relevance_features(x[0], x[1], y, window),
-        tcfg, cost_fn=hamming_cost)
-
+        _relevance_instances(examples), relevance_decoder(window), tcfg)
     var_model = train_superset(
-        _variable_instances(examples), variable_decoder(window),
-        lambda sentence, cand: variable_features(sentence, cand, window),
-        tcfg, cost_fn=candidate_cost)
-
-    decoder = CkyDecoder(window=window, use_lexicon=config.use_lexicon,
-                         lexicon_as_features=config.lexicon_as_features,
-                         conform_syntactic=config.conform_syntactic)
+        _variable_instances(examples), variable_decoder(window), tcfg)
+    decoder = config.tree_decoder()
     tree_model = train_structured(
-        _tree_instances(examples, decoder), decoder, decoder.features, tcfg)
+        _tree_instances(examples, decoder), decoder, tcfg)
 
     return ModelBundle(rel_model, var_model, tree_model, config)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .core import QuantityTrigger
 from .corpus import AnnotatedSentence
-from .learning import ExhaustiveDecoder, FeatureVector, LinearModel, predict
+from .learning import ExhaustiveDecoder, FeatureVector, LinearModel
 
 RelevanceAssignment = tuple[bool, ...]
 
@@ -82,13 +82,14 @@ def relevance_decoder(window: int = 3) -> ExhaustiveDecoder:
         sentence, quantities = x
         return relevance_features(sentence, quantities, assignment, window)
 
-    return ExhaustiveDecoder(candidates, features)
+    return ExhaustiveDecoder(candidates, features, hamming_cost)
 
 
 def predict_relevance(model: LinearModel, sentence: AnnotatedSentence,
                       quantities, window: int = 3) -> RelevanceAssignment:
     """Best joint assignment; ties resolve toward earlier enumeration."""
-    return predict(model, (sentence, tuple(quantities)), relevance_decoder(window))
+    return relevance_decoder(window).decode((sentence, tuple(quantities)),
+                                            model.weights)
 
 
 def hamming_cost(gold: RelevanceAssignment, other: RelevanceAssignment) -> float:

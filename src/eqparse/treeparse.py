@@ -21,11 +21,10 @@ from .core import (
     QuantityTrigger,
     Span,
     location,
-    tree_leaves,
-    trigger_sort_key,
+    validate_trigger_list,
 )
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, dot
+from .learning import FeatureVector, add_scaled, dot
 
 
 @dataclass(frozen=True)
@@ -159,11 +158,6 @@ def parse_lexicon(text: str) -> tuple[LexiconRule, ...]:
     return tuple(rules)
 
 
-def load_lexicon(path) -> tuple[LexiconRule, ...]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_lexicon(fh.read())
-
-
 DEFAULT_LEXICON = parse_lexicon(_LEXICON_TABLE)
 
 
@@ -221,47 +215,43 @@ def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
     return feats
 
 
+def tree_nodes(tree: EquationTree):
+    """(leaf triggers in order, internal nodes children first), each node as
+    (i, k, j, node): it joins the leaf intervals [i, k) and [k, j)."""
+    leaves = []
+    nodes = []
+
+    def walk(node: EquationTree) -> None:
+        if isinstance(node, Leaf):
+            leaves.append(node.trigger)
+            return
+        i = len(leaves)
+        walk(node.left)
+        k = len(leaves)
+        walk(node.right)
+        nodes.append((i, k, len(leaves), node))
+
+    walk(tree)
+    return leaves, nodes
+
+
 def tree_features(sentence: AnnotatedSentence, triggers, tree: EquationTree,
                   window: int = 3) -> FeatureVector:
     """Whole-tree feature vector: the sum over all internal nodes."""
-    if len(tree_leaves(tree)) != len(triggers):
+    leaves, nodes = tree_nodes(tree)
+    if len(leaves) != len(triggers):
         raise ValueError("tree leaves do not match the trigger list")
     feats: FeatureVector = {}
-
-    def walk(node: EquationTree, i: int) -> int:
-        if isinstance(node, Leaf):
-            return i + 1
-        k = walk(node.left, i)
-        j = walk(node.right, k)
-        for name, value in tree_node_features(
-                sentence, triggers, i, k, j, node.op, node.order, window).items():
-            feats[name] = feats.get(name, 0.0) + value
-        return j
-
-    walk(tree, 0)
+    for i, k, j, node in nodes:
+        add_scaled(feats, tree_node_features(
+            sentence, triggers, i, k, j, node.op, node.order, window), 1.0)
     return feats
 
 
 def gold_node_set(tree: EquationTree) -> frozenset:
     """(i, j, op, order) for each internal node, by in-order leaf position."""
-    nodes = set()
-
-    def walk(node: EquationTree, i: int) -> int:
-        if isinstance(node, Leaf):
-            return i + 1
-        k = walk(node.left, i)
-        j = walk(node.right, k)
-        nodes.add((i, j, node.op, node.order))
-        return j
-
-    walk(tree, 0)
-    return frozenset(nodes)
-
-
-def tree_cost(gold: EquationTree, other: EquationTree) -> float:
-    """Number of the other tree's internal nodes absent from the gold tree."""
-    gold_nodes = gold_node_set(gold)
-    return float(sum(1 for node in gold_node_set(other) if node not in gold_nodes))
+    return frozenset((i, j, node.op, node.order)
+                     for i, _, j, node in tree_nodes(tree)[1])
 
 
 class CkyDecoder:
@@ -310,7 +300,9 @@ class CkyDecoder:
                 return False
         return True
 
-    def decode(self, x, weights, gold=None, cost_fn=None):
+    def decode(self, x, weights, gold=None):
+        """Best tree; with a gold tree, each node absent from it scores +1."""
+        validate_trigger_list(x[1])
         tree = self._decode(x, weights, gold, strict=self.conform_syntactic)
         if tree is None:
             # syntactic conformance can exhaust the space; fall back
@@ -320,11 +312,6 @@ class CkyDecoder:
     def _decode(self, x, weights, gold, strict):
         sentence, triggers = x
         n = len(triggers)
-        if n < 2:
-            raise ValueError("trigger list needs at least 2 triggers")
-        keys = [trigger_sort_key(t) for t in triggers]
-        if keys != sorted(keys):
-            raise ValueError("trigger list out of order")
         gold_nodes = gold_node_set(gold) if gold is not None else None
 
         def node_score(i, k, j, op, order, extra):
@@ -379,51 +366,33 @@ class CkyDecoder:
         feats = tree_features(sentence, triggers, tree, self.window)
         if not (self.use_lexicon and self.lexicon_as_features):
             return feats
-
-        def walk(node, i):
-            if isinstance(node, Leaf):
-                return i + 1
-            k = walk(node.left, i)
-            j = walk(node.right, k)
-            if node.op is not Op.EQ:
-                match = lexicon_match(
-                    node_context_spans(sentence, triggers, i, k, j), self.rules)
-                if match is not None:
-                    name = (f"lex_agree={int((node.op, node.order) == match)}"
-                            + _op_tag(node.op, node.order))
-                    feats[name] = feats.get(name, 0.0) + 1.0
-            return j
-
-        walk(tree, 0)
+        for i, k, j, node in tree_nodes(tree)[1]:
+            if node.op is Op.EQ:
+                continue
+            for op, order, extra in self._candidate_ops(
+                    sentence, triggers, i, k, j):
+                if extra and (op, order) == (node.op, node.order):
+                    add_scaled(feats, extra, 1.0)
         return feats
 
     def contains(self, x, tree) -> bool:
         """Whether the decoder's search space includes this exact tree."""
         sentence, triggers = x
-        leaves = []
-
-        def walk(node) -> bool:
-            if isinstance(node, Leaf):
-                leaves.append(node.trigger)
-                return True
-            i = len(leaves)
-            if not walk(node.left):
-                return False
-            k = len(leaves)
-            if not walk(node.right):
-                return False
-            j = len(leaves)
-            if node.op is Op.EQ:
-                return (i, j) == (0, len(triggers))
-            allowed = [(op, order) for op, order, _ in
-                       self._candidate_ops(sentence, triggers, i, k, j)]
-            return (node.op, node.order) in allowed
-
         if not isinstance(tree, Node) or tree.op is not Op.EQ:
             return False
-        if not walk(tree):
+        leaves, nodes = tree_nodes(tree)
+        if leaves != list(triggers):
             return False
-        return leaves == list(triggers)
+        for i, k, j, node in nodes:
+            if node.op is Op.EQ:
+                allowed = (i, j) == (0, len(triggers))
+            else:
+                allowed = (node.op, node.order) in [
+                    (op, order) for op, order, _ in
+                    self._candidate_ops(sentence, triggers, i, k, j)]
+            if not allowed:
+                return False
+        return True
 
 
 def enumerate_projective_trees(sentence: AnnotatedSentence, triggers,

@@ -12,7 +12,7 @@ from enum import Enum
 
 from .core import Span, VariableTrigger
 from .corpus import AnnotatedSentence
-from .learning import ExhaustiveDecoder, FeatureVector, LinearModel, predict
+from .learning import ExhaustiveDecoder, FeatureVector, LinearModel
 
 
 class Coref(Enum):
@@ -115,7 +115,8 @@ def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
 def variable_decoder(window: int = 3) -> ExhaustiveDecoder:
     return ExhaustiveDecoder(
         lambda sentence: enumerate_variable_candidates(sentence),
-        lambda sentence, cand: variable_features(sentence, cand, window))
+        lambda sentence, cand: variable_features(sentence, cand, window),
+        candidate_cost)
 
 
 def assign_labels(sentence: AnnotatedSentence,
@@ -137,7 +138,7 @@ def predict_variable_triggers(model: LinearModel, sentence: AnnotatedSentence,
                               window: int = 3) -> tuple[VariableTrigger, ...]:
     if not sentence.np_chunks:
         raise ValueError("sentence has no NP chunks")
-    candidate = predict(model, sentence, variable_decoder(window))
+    candidate = variable_decoder(window).decode(sentence, model.weights)
     return assign_labels(sentence, candidate)
 
 

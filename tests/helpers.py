@@ -17,6 +17,7 @@ from eqparse.core import (
     make_apply,
 )
 from eqparse.corpus import AnnotatedSentence
+from eqparse.treeparse import gold_node_set
 
 
 class HashWeights(dict):
@@ -34,6 +35,12 @@ class HashWeights(dict):
     def get(self, key, default=0.0):
         h = zlib.crc32(f"{self.salt}:{key}".encode("utf-8"))
         return (h / 0xFFFFFFFF) * 2.0 - 1.0
+
+
+def tree_cost(gold, other) -> float:
+    """Number of the other tree's internal nodes absent from the gold tree:
+    the whole-tree form of the CKY decoder's per-node training cost."""
+    return float(len(gold_node_set(other) - gold_node_set(gold)))
 
 
 # word pool skews toward lexicon trigger terms so rule constraints fire often
@@ -97,6 +104,25 @@ def random_relevance_instance(rng: random.Random, k: int) -> AnnotatedSentence:
             tokens.append(rng.choice(FILLER + NOUNS))
             pos.append(rng.choice(FILLER_POS + ("NN",)))
     return AnnotatedSentence(" ".join(tokens), tuple(tokens), tuple(pos), ())
+
+
+def random_np_instance(rng: random.Random, m: int) -> AnnotatedSentence:
+    """A sentence with m NP chunks, each a noun after an optional "two"."""
+    tokens, pos, extents = [], [], []
+    for _ in range(m):
+        tokens.append(rng.choice(FILLER))
+        pos.append(rng.choice(FILLER_POS))
+        first = len(tokens)
+        if rng.random() < 0.3:
+            tokens.append("two")
+            pos.append("CD")
+        tokens.append(rng.choice(NOUNS))
+        pos.append("NN")
+        extents.append((first, len(tokens) - 1))
+    bare = AnnotatedSentence(" ".join(tokens), tuple(tokens), tuple(pos), ())
+    chunks = tuple(Span(bare.token_spans[a].start, bare.token_spans[b].end)
+                   for a, b in extents)
+    return AnnotatedSentence(bare.text, bare.tokens, bare.pos, chunks)
 
 
 def random_arith(rng: random.Random, depth: int = 0):

@@ -214,9 +214,9 @@ def test_c05_superset_training_toy_task():
     examples = [SupersetExample(0, (1, 5)), SupersetExample(1, (1, 6)),
                 SupersetExample(2, (1, 7))]
     config = TrainConfig()  # max_outer_iters=10
-    model = train_superset(examples, decoder, indicator_features, config)
+    model = train_superset(examples, decoder, config)
     # converged within the 10-iteration cap: more headroom changes nothing
-    roomier = train_superset(examples, decoder, indicator_features,
+    roomier = train_superset(examples, decoder,
                              TrainConfig(max_outer_iters=25))
     assert model.weights == roomier.weights
     for ex in examples:
@@ -234,10 +234,8 @@ def test_c05_singleton_gold_degenerates_to_structured():
     for seed in (0, 7):
         config = TrainConfig(seed=seed)
         superset = train_superset(
-            [SupersetExample(x, (y,)) for x, y in pairs], decoder,
-            indicator_features, config)
-        structured = train_structured(pairs, decoder, indicator_features,
-                                      config)
+            [SupersetExample(x, (y,)) for x, y in pairs], decoder, config)
+        structured = train_structured(pairs, decoder, config)
         assert superset.weights == structured.weights
 
 

@@ -15,7 +15,6 @@ from eqparse.learning import (
     dot,
     model_from_text,
     model_to_text,
-    predict,
     subtract,
     train_structured,
     train_superset,
@@ -76,12 +75,12 @@ class TestModelSerialization:
 class TestExhaustiveDecoder:
     def test_zero_model_picks_first(self):
         decoder = toy_decoder(["a", "b", "c"])
-        assert predict(LinearModel({}), 0, decoder) == "a"
+        assert decoder.decode(0, {}) == "a"
 
     def test_unique_positive_indicator_dominates(self):
         decoder = toy_decoder(["a", "b", "c"])
         model = LinearModel({"y=c": 1.0})
-        assert predict(model, 0, decoder) == "c"
+        assert decoder.decode(0, model.weights) == "c"
 
     def test_scores_match_exhaustive_dot_products(self):
         space = [(i, j) for i in range(8) for j in range(8)]  # 64 candidates
@@ -91,10 +90,10 @@ class TestExhaustiveDecoder:
         rng = random.Random(5)
         weights = {f"i={i}": rng.uniform(-1, 1) for i in range(8)}
         weights.update({f"j={j}": rng.uniform(-1, 1) for j in range(8)})
-        best = max(space, key=lambda y: dot(weights, decoder.feature_fn(0, y)))
+        best = max(space, key=lambda y: dot(weights, decoder.features(0, y)))
         got = decoder.decode(0, weights)
-        assert dot(weights, decoder.feature_fn(0, got)) == pytest.approx(
-            dot(weights, decoder.feature_fn(0, best)), abs=0)
+        assert dot(weights, decoder.features(0, got)) == pytest.approx(
+            dot(weights, decoder.features(0, best)), abs=0)
 
     def test_cost_augmentation_shifts_argmax(self):
         decoder = toy_decoder(["a", "b"])
@@ -118,8 +117,7 @@ class TestTrainStructured:
     def test_separable_toy_set(self):
         examples = [(0, "a"), (1, "b")]
         decoder = toy_decoder(["a", "b"])
-        model = train_structured(examples, decoder, indicator_features,
-                                 TrainConfig())
+        model = train_structured(examples, decoder, TrainConfig())
         for x, gold in examples:
             other = "b" if gold == "a" else "a"
             assert (model.score(indicator_features(x, gold))
@@ -127,39 +125,36 @@ class TestTrainStructured:
 
     def test_zero_epochs_zero_model(self):
         model = train_structured([(0, "a")], toy_decoder(["a", "b"]),
-                                 indicator_features, TrainConfig(epochs=0))
+                                 TrainConfig(epochs=0))
         assert model.weights == {}
 
     def test_same_seed_bitwise_identical(self):
         examples = [(0, "a"), (1, "b"), (2, "a")]
         decoder = toy_decoder(["a", "b"])
-        m1 = train_structured(examples, decoder, indicator_features,
-                              TrainConfig(seed=3))
-        m2 = train_structured(examples, decoder, indicator_features,
-                              TrainConfig(seed=3))
+        m1 = train_structured(examples, decoder, TrainConfig(seed=3))
+        m2 = train_structured(examples, decoder, TrainConfig(seed=3))
         assert m1.weights == m2.weights
         assert model_to_text(m1) == model_to_text(m2)
 
     def test_gold_outside_space_rejected(self):
         with pytest.raises(ValueError, match="candidate space"):
             train_structured([(0, "z")], toy_decoder(["a", "b"]),
-                             indicator_features, TrainConfig())
+                             TrainConfig())
 
 
 class TestTrainSuperset:
     def test_empty_gold_set_rejected(self):
         with pytest.raises(ValueError):
             train_superset([SupersetExample(0, ())], toy_decoder(["a"]),
-                           indicator_features, TrainConfig())
+                           TrainConfig())
 
     def test_singleton_golds_match_structured_training(self):
         pairs = [(0, "a"), (1, "b"), (2, "a")]
         decoder = toy_decoder(["a", "b"])
-        structured = train_structured(pairs, decoder, indicator_features,
-                                      TrainConfig())
+        structured = train_structured(pairs, decoder, TrainConfig())
         superset = train_superset(
             [SupersetExample(x, (y,)) for x, y in pairs], decoder,
-            indicator_features, TrainConfig())
+            TrainConfig())
         assert superset.weights == structured.weights
 
     def test_toy_task_converges_and_separates(self):
@@ -168,9 +163,8 @@ class TestTrainSuperset:
         decoder = toy_decoder(space)
         examples = [SupersetExample(0, (1, 3)), SupersetExample(1, (1, 2)),
                     SupersetExample(2, (1, 0))]
-        model = train_superset(examples, decoder, indicator_features,
-                               TrainConfig())
-        more = train_superset(examples, decoder, indicator_features,
+        model = train_superset(examples, decoder, TrainConfig())
+        more = train_superset(examples, decoder,
                               TrainConfig(max_outer_iters=20))
         assert model.weights == more.weights  # converged before the cap
         for ex in examples:
@@ -186,8 +180,8 @@ class TestTrainSuperset:
         # on the first member of each gold set (zero-model selection)
         decoder = toy_decoder([0, 1, 2, 3])
         examples = [SupersetExample(0, (2, 1)), SupersetExample(1, (3, 0))]
-        capped = train_superset(examples, decoder, indicator_features,
+        capped = train_superset(examples, decoder,
                                 TrainConfig(max_outer_iters=1))
         first_picks = train_structured([(0, 2), (1, 3)], decoder,
-                                       indicator_features, TrainConfig())
+                                       TrainConfig())
         assert capped.weights == first_picks.weights

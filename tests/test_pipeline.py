@@ -1,5 +1,7 @@
 """End-to-end bundle: training, serialization, and full-sentence parsing."""
 
+import hashlib
+
 import pytest
 
 from eqparse.core import Span
@@ -25,6 +27,12 @@ class TestConfig:
 
 
 class TestSerialization:
+    def test_default_bundle_is_golden(self, bundle_path):
+        # byte-level oracle: the default-config bundle trained on the
+        # synthetic and multiplier corpora; a refactor must keep it
+        digest = hashlib.sha256(bundle_path.read_bytes()).hexdigest()
+        assert digest.startswith("d5a0d8b75a5feae1")
+
     def test_text_sections(self, bundle):
         text = bundle.to_text()
         lines = text.splitlines()

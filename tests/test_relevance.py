@@ -1,10 +1,12 @@
 """Joint quantity relevance: features, enumeration, gold derivation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from eqparse.corpus import AnnotatedSentence
+from eqparse.learning import dot
 from eqparse.quantities import sentence_quantities
 from eqparse.relevance import (
     MAX_JOINT_QUANTITIES,
@@ -16,6 +18,8 @@ from eqparse.relevance import (
     relevance_decoder,
     relevance_features,
 )
+
+from helpers import HashWeights, random_relevance_instance
 
 
 def test_trained_bundle_keeps_only_note_count(bundle, notes_sentence):
@@ -82,6 +86,27 @@ def test_joint_limit_enforced(sum_sentence):
     too_many = quantities * (MAX_JOINT_QUANTITIES // 2 + 1)
     with pytest.raises(ValueError, match="joint limit"):
         decoder.candidates_fn((sum_sentence, too_many))
+
+
+def test_cost_augmented_decode_matches_brute_force():
+    # the training decode maximizes score + Hamming cost to the gold bits
+    rng = random.Random(17)
+    decoder = relevance_decoder()
+    for trial in range(100):
+        sentence = random_relevance_instance(rng, rng.randint(0, 6))
+        quantities = tuple(sentence_quantities(sentence))
+        gold = tuple(rng.random() < 0.5 for _ in quantities)
+        weights = HashWeights(salt=2000 + trial)
+        got = decoder.decode((sentence, quantities), weights, gold=gold)
+        best = None
+        best_score = None
+        for assignment in enumerate_assignments(len(quantities)):
+            score = (dot(weights, relevance_features(sentence, quantities,
+                                                     assignment))
+                     + hamming_cost(gold, assignment))
+            if best_score is None or score > best_score:
+                best, best_score = assignment, score
+        assert got == best
 
 
 def test_hamming_cost():

@@ -1,5 +1,6 @@
 """Equation tree parsing: node contexts, the lexicon, features, CKY."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from eqparse.core import (
     validate_tree,
 )
 from eqparse.corpus import AnnotatedSentence
+from eqparse.learning import TrainConfig, dot, train_structured
 from eqparse.quantities import sentence_quantities
 from eqparse.treeparse import (
     CkyDecoder,
@@ -28,10 +30,11 @@ from eqparse.treeparse import (
     lexicon_match,
     node_context_spans,
     parse_lexicon,
-    tree_cost,
     tree_features,
     tree_node_features,
 )
+
+from helpers import HashWeights, random_tree_instance, tree_cost
 
 
 def twice_triple_triggers(sentence):
@@ -252,6 +255,32 @@ class TestCkyDecoder:
             CkyDecoder().decode(
                 (twice_triple_sentence, triggers[::-1]), {})
 
+    def test_rejects_v2_without_v1(self, sum_sentence):
+        triggers = sort_triggers([
+            VariableTrigger("V2", sum_sentence.np_chunks[1]),
+            QuantityTrigger(Fraction(80), Span(26, 28))])
+        with pytest.raises(ValueError, match="V2 used without V1"):
+            CkyDecoder().decode((sum_sentence, triggers), {})
+
+    def test_cost_augmented_decode_matches_enumeration(self):
+        # the training decode maximizes score + wrong-node count to the gold
+        rng = random.Random(31)
+        for trial in range(120):
+            sentence, triggers = random_tree_instance(rng, 2 + trial % 3)
+            x = (sentence, triggers)
+            weights = HashWeights(salt=4000 + trial)
+            for use_lexicon in (True, False):
+                decoder = CkyDecoder(use_lexicon=use_lexicon)
+                space = enumerate_projective_trees(sentence, triggers,
+                                                   use_lexicon=use_lexicon)
+                gold = rng.choice(space)
+                got = decoder.decode(x, weights, gold=gold)
+                assert decoder.contains(x, got)
+                best = max(dot(weights, decoder.features(x, t))
+                           + tree_cost(gold, t) for t in space)
+                assert dot(weights, decoder.features(x, got)) \
+                    + tree_cost(gold, got) == pytest.approx(best, abs=1e-9)
+
     def test_contains_gold_tree(self, twice_triple_sentence):
         triggers = twice_triple_triggers(twice_triple_sentence)
         tree = twice_triple_gold(triggers)
@@ -268,6 +297,17 @@ class TestCkyDecoder:
         x = (twice_triple_sentence, triggers)
         assert not CkyDecoder().contains(x, altered)
         assert CkyDecoder(use_lexicon=False).contains(x, altered)
+
+    def test_contains_rejects_more_leaves_than_triggers(
+            self, twice_triple_sentence):
+        # the leaf list is compared before any node context is built, so
+        # a tree wider than the trigger list is rejected, not an IndexError
+        triggers = twice_triple_triggers(twice_triple_sentence)
+        x = (twice_triple_sentence, triggers[:4])
+        gold = twice_triple_gold(triggers)
+        assert not CkyDecoder().contains(x, gold)
+        with pytest.raises(ValueError, match="candidate space"):
+            train_structured([(x, gold)], CkyDecoder(), TrainConfig())
 
     def test_syntactic_conformance_falls_back(self):
         sentence = crossing_sentence()

@@ -1,10 +1,12 @@
 """Variable grounding: coreference rules, candidate space, labeling."""
 
+import random
+
 import pytest
 
 from eqparse.core import Span
 from eqparse.corpus import AnnotatedSentence
-from eqparse.learning import LinearModel
+from eqparse.learning import LinearModel, dot
 from eqparse.variables import (
     Coref,
     VariableCandidate,
@@ -13,8 +15,11 @@ from eqparse.variables import (
     coreference_label,
     enumerate_variable_candidates,
     predict_variable_triggers,
+    variable_decoder,
     variable_features,
 )
+
+from helpers import HashWeights, random_np_instance
 
 
 def np_texts(sentence, triggers):
@@ -205,3 +210,22 @@ class TestCost:
         assert candidate_cost(VariableCandidate((a,)),
                               VariableCandidate((b,))) == 2.0
         assert candidate_cost(VariableCandidate((b, b)), pair) == 2.0
+
+    def test_cost_augmented_decode_matches_brute_force(self):
+        # the training decode maximizes score + candidate_cost to the gold
+        rng = random.Random(23)
+        decoder = variable_decoder()
+        for trial in range(100):
+            sentence = random_np_instance(rng, rng.randint(1, 4))
+            candidates = enumerate_variable_candidates(sentence)
+            gold = rng.choice(candidates)
+            weights = HashWeights(salt=3000 + trial)
+            got = decoder.decode(sentence, weights, gold=gold)
+            best = None
+            best_score = None
+            for candidate in candidates:
+                score = (dot(weights, variable_features(sentence, candidate))
+                         + candidate_cost(gold, candidate))
+                if best_score is None or score > best_score:
+                    best, best_score = candidate, score
+            assert got == best
