@@ -82,7 +82,7 @@ def _sentence_from_args(args) -> AnnotatedSentence:
                 raise ValueError(f"{args.input}: not valid JSON ({e})") from e
         try:
             return sentence_from_json(obj)
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{args.input}: malformed sentence object ({e})") from e
     tokens = tuple(_tokenize(args.text))
     return AnnotatedSentence(

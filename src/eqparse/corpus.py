@@ -31,9 +31,15 @@ class AnnotatedSentence:
         if len(self.tokens) != len(self.pos):
             raise ValueError("tokens and pos must align")
         object.__setattr__(self, "token_spans", align_tokens(self.text, self.tokens))
+        starts = [s.start for s in self.token_spans]
         for span in self.np_chunks:
             if span.end > len(self.text):
                 raise ValueError(f"np chunk {span} beyond text")
+            # tokens are ordered and disjoint: only the last one starting
+            # before the chunk ends can overlap it
+            last = bisect.bisect_left(starts, span.end) - 1
+            if last < 0 or self.token_spans[last].end <= span.start:
+                raise ValueError(f"np chunk {span} covers no token")
 
     def token_index_at(self, offset: int) -> int:
         """Index of the token containing offset, or the next token after it."""
@@ -92,7 +98,11 @@ def parse_value(raw) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float) or isinstance(raw, str):
-        return Fraction(str(raw))
+        try:
+            return Fraction(str(raw))
+        except ZeroDivisionError:
+            raise ValueError(f"bad quantity value {raw!r}: zero "
+                             "denominator") from None
     raise ValueError(f"bad quantity value {raw!r}")
 
 

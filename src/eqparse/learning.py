@@ -8,7 +8,9 @@ the selections until the selection reaches a fixed point.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass, field, asdict
 
@@ -64,17 +66,51 @@ def model_to_text(model: LinearModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_from_text(text: str) -> LinearModel:
+def config_from_json(cls, raw: str, where: str):
+    """A config dataclass from its JSON line, every key known and every
+    value of its field's type; errors name `where`."""
+    try:
+        values = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: config is not JSON ({e})") from e
+    if not isinstance(values, dict):
+        raise ValueError(f"{where}: config is not a JSON object")
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        wanted = types[key]
+        if not (type(value) is wanted
+                or (wanted is float and type(value) is int)):
+            raise ValueError(f"{where}: config key {key!r} must be "
+                             f"{wanted.__name__}, got {value!r}")
+    return cls(**values)
+
+
+def model_from_text(text: str, first_line: int = 1) -> LinearModel:
+    """Inverse of model_to_text. Errors give the 1-based line number,
+    counting `text` as starting at line `first_line`."""
     lines = text.split("\n")
-    if not lines or lines[0] != MODEL_HEADER:
-        raise ValueError("not a model file (bad header)")
-    config = TrainConfig(**json.loads(lines[1]))
+    if lines[0] != MODEL_HEADER:
+        raise ValueError(f"line {first_line}: not a model file (bad header)")
+    if len(lines) < 2:
+        raise ValueError(f"line {first_line + 1}: model config missing")
+    config = config_from_json(TrainConfig, lines[1],
+                              f"line {first_line + 1}")
     weights = {}
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], start=first_line + 2):
         if not line:
             continue
-        name, raw = line.split("\t")
-        weights[name] = float(raw)
+        try:
+            name, raw = line.split("\t")
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed weight line "
+                             f"{line!r}, expected feature<TAB>weight") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: non-finite weight {raw!r} "
+                             f"for feature {name!r}")
+        weights[name] = value
     return LinearModel(weights, config)
 
 
@@ -93,10 +129,11 @@ def zero_one_cost(gold, other) -> float:
 class ExhaustiveDecoder:
     """Argmax by scoring every candidate; ties keep the earliest candidate.
 
-    The learner's decoder protocol, shared by CkyDecoder: `decode(x,
-    weights, gold=None)` returns the best output, adding `cost_fn(gold, y)`
-    to each score given a gold output; `features(x, y)` is an output's
-    feature vector; `contains(x, y)` says whether y is in the search space.
+    The learner's decoder protocol, shared by CkyDecoder and
+    RelevanceDecoder: `decode(x, weights, gold=None)` returns the best
+    output, adding `cost_fn(gold, y)` to each score given a gold output;
+    `features(x, y)` is an output's feature vector; `contains(x, y)` says
+    whether y is in the search space.
     """
 
     def __init__(self, candidates_fn, feature_fn, cost_fn=zero_one_cost):

@@ -28,6 +28,7 @@ from .learning import (
     LinearModel,
     SupersetExample,
     TrainConfig,
+    config_from_json,
     model_from_text,
     model_to_text,
     train_structured,
@@ -36,9 +37,9 @@ from .learning import (
 from .quantities import sentence_quantities
 from .relevance import (
     RelevanceAssignment,
+    RelevanceDecoder,
     derive_gold_relevance,
     predict_relevance,
-    relevance_decoder,
 )
 from .treeparse import CkyDecoder
 from .variables import (
@@ -169,17 +170,21 @@ class ModelBundle:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelBundle":
+        """Inverse of to_text; errors give the 1-based line number."""
         lines = text.splitlines()
         if not lines or lines[0] != BUNDLE_HEADER:
-            raise ValueError("not a model bundle (bad header)")
-        config = PipelineConfig(**json.loads(lines[1]))
+            raise ValueError("line 1: not a model bundle (bad header)")
+        if len(lines) < 2:
+            raise ValueError("line 2: bundle config missing")
+        config = config_from_json(PipelineConfig, lines[1], "line 2")
         cuts = [i for i, line in enumerate(lines) if line in _SECTIONS]
         if [lines[i] for i in cuts] != list(_SECTIONS):
             raise ValueError("model bundle is missing a section")
         cuts.append(len(lines))
         models = []
         for a, b in zip(cuts, cuts[1:]):
-            models.append(model_from_text("\n".join(lines[a + 1:b]) + "\n"))
+            models.append(model_from_text("\n".join(lines[a + 1:b]) + "\n",
+                                          first_line=a + 2))
         return cls(*models, config)
 
     def save(self, path) -> None:
@@ -187,7 +192,10 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        except ValueError as e:  # UnicodeDecodeError included
+            raise ValueError(f"{path}: {e}") from e
 
 
 def _relevance_instances(examples):
@@ -241,7 +249,7 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
     window = config.window
 
     rel_model = train_structured(
-        _relevance_instances(examples), relevance_decoder(window), tcfg)
+        _relevance_instances(examples), RelevanceDecoder(window), tcfg)
     var_model = train_superset(
         _variable_instances(examples), variable_decoder(window), tcfg)
     decoder = config.tree_decoder()

@@ -106,6 +106,81 @@ class TestParse:
         assert "error:" in err
 
 
+    def test_zero_denominator_quantity(self, bundle_path,
+                                       twice_triple_input_path, capsys):
+        obj = json.loads(twice_triple_input_path.read_text())
+        obj["quantities"] = [{"value": "1/0", "span": [0, 5]}]
+        twice_triple_input_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--input", str(twice_triple_input_path)], capsys)
+        assert code == 2
+        assert str(twice_triple_input_path) in err
+        assert "'1/0'" in err
+
+    def test_whitespace_text_with_np_span(self, bundle_path, capsys):
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path), "--text", "   ",
+             "--np-span", "0:1"], capsys)
+        assert code == 2
+        assert "covers no token" in err
+
+
+def parse_with_bundle(bundle_text, tmp_path, capsys):
+    model = tmp_path / "damaged.txt"
+    model.write_text(bundle_text)
+    return run_cli(["parse", "--model", str(model),
+                    "--text", "The sum of two numbers is 80.",
+                    "--np-span", "0:7", "--np-span", "11:22"], capsys)
+
+
+def weight_line_number(lines, section):
+    """1-based number of the first weight line in a bundle section."""
+    return lines.index(section) + 4
+
+
+class TestDamagedBundle:
+    def test_unknown_config_key(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        lines[1] = lines[1].replace("{", '{"depth": 2, ', 1)
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert "damaged.txt: line 2: unknown config key 'depth'" in err
+
+    def test_unknown_model_config_key(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        at = lines.index("[tree]") + 2
+        lines[at] = lines[at].replace("{", '{"momentum": 0.5, ', 1)
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert f"line {at + 1}: unknown config key 'momentum'" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, bundle_path, tmp_path, capsys, raw):
+        lines = bundle_path.read_text().split("\n")
+        n = weight_line_number(lines, "[variables]")
+        name = lines[n - 1].split("\t")[0]
+        lines[n - 1] = f"{name}\t{raw}"
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert f"line {n}: non-finite weight" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("damage", [
+        lambda line: line.replace("\t", " "),
+        lambda line: line + "\t1.0",
+        lambda line: line.split("\t")[0] + "\tone",
+    ], ids=["no-tab", "extra-field", "not-a-number"])
+    def test_malformed_weight_line(self, bundle_path, tmp_path, capsys,
+                                   damage):
+        lines = bundle_path.read_text().split("\n")
+        n = weight_line_number(lines, "[relevance]") + 2
+        lines[n - 1] = damage(lines[n - 1])
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert f"line {n}: malformed weight line" in err
+
+
 class TestEval:
     def test_eval_on_train_is_perfect_here(self, bundle_path,
                                            train_corpus_path, capsys):

@@ -60,6 +60,29 @@ class TestModelSerialization:
         with pytest.raises(ValueError):
             model_from_text("not a model\n{}\n")
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"epochs": 5, "decay": 0.5}', "unknown config key 'decay'"),
+        ('{"epochs": "5"}', "'epochs' must be int"),
+        ('{"epochs": true}', "'epochs' must be int"),
+        ('{"learning_rate": null}', "'learning_rate' must be float"),
+        ('[5]', "not a JSON object"),
+        ('{"epochs": 5', "not JSON"),
+    ])
+    def test_rejects_bad_config(self, config, message):
+        with pytest.raises(ValueError, match=f"line 12: .*{message}"):
+            model_from_text(f"{MODEL_HEADER}\n{config}\n", first_line=11)
+
+    def test_integer_learning_rate_accepted(self):
+        text = f'{MODEL_HEADER}\n{{"learning_rate": 1}}\n'
+        assert model_from_text(text).config.learning_rate == 1
+
+    @pytest.mark.parametrize("line", ["a\tnan", "a\t-inf", "a", "a\t1\t2",
+                                      "a\tx"])
+    def test_rejects_bad_weight_line_with_its_number(self, line):
+        text = model_to_text(LinearModel({"b": 1.0, "c": 2.0})) + line + "\n"
+        with pytest.raises(ValueError, match="line 5: "):
+            model_from_text(text)
+
     @given(st.dictionaries(
         st.text(st.characters(blacklist_characters="\t"), min_size=1,
                 max_size=12).filter(lambda s: s.splitlines() == [s]),

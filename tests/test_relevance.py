@@ -1,6 +1,7 @@
 """Joint quantity relevance: features, enumeration, gold derivation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,41 @@ from eqparse.corpus import AnnotatedSentence
 from eqparse.learning import dot
 from eqparse.quantities import sentence_quantities
 from eqparse.relevance import (
-    MAX_JOINT_QUANTITIES,
+    RelevanceDecoder,
     derive_gold_relevance,
     enumerate_assignments,
     hamming_cost,
     predict_relevance,
     quantity_features,
-    relevance_decoder,
     relevance_features,
 )
 
-from helpers import HashWeights, random_relevance_instance
+from helpers import FILLER, HashWeights, random_relevance_instance
+
+
+def brute_force(sentence, quantities, weights, gold=None):
+    """Score every assignment; the earliest in enumeration order wins ties."""
+    best = None
+    best_score = None
+    for assignment in enumerate_assignments(len(quantities)):
+        score = dot(weights, relevance_features(sentence, quantities,
+                                                assignment))
+        if gold is not None:
+            score += hamming_cost(gold, assignment)
+        if best_score is None or score > best_score:
+            best, best_score = assignment, score
+    return best
+
+
+def repeated_quantity_instance(rng: random.Random, k: int) -> AnnotatedSentence:
+    """k copies of one number between up to two fillers each side: copies
+    whose windows cover the same tokens have equal features and margins."""
+    value = str(rng.randrange(1, 100))
+    lead = [rng.choice(FILLER) for _ in range(rng.randint(0, 2))]
+    tail = [rng.choice(FILLER) for _ in range(rng.randint(0, 2))]
+    tokens = lead + [value] * k + tail
+    pos = ["DT"] * len(lead) + ["CD"] * k + ["IN"] * len(tail)
+    return AnnotatedSentence(" ".join(tokens), tuple(tokens), tuple(pos), ())
 
 
 def test_trained_bundle_keeps_only_note_count(bundle, notes_sentence):
@@ -80,33 +105,92 @@ def test_enumeration_order_all_true_first():
     assert len(set(assignments)) == 4
 
 
-def test_joint_limit_enforced(sum_sentence):
-    decoder = relevance_decoder()
+def test_many_quantities_decode_quickly():
+    # no cap on k: 40 quantities is far beyond enumerating 2^k assignments,
+    # so check that the result is fast and that no single flip beats it
+    rng = random.Random(40)
+    decoder = RelevanceDecoder()
+    weights = HashWeights(salt=40)
+    for sentence in (random_relevance_instance(rng, 40),
+                     repeated_quantity_instance(rng, 40)):
+        quantities = tuple(sentence_quantities(sentence))
+        assert len(quantities) == 40
+        for gold in (None, tuple(rng.random() < 0.5 for _ in quantities)):
+            start = time.perf_counter()
+            got = decoder.decode((sentence, quantities), weights, gold=gold)
+            assert time.perf_counter() - start < 0.5
+
+            def score(y):
+                cost = 0.0 if gold is None else hamming_cost(gold, y)
+                return dot(weights, relevance_features(
+                    sentence, quantities, y)) + cost
+
+            best = score(got)
+            for i in range(40):
+                flipped = got[:i] + (not got[i],) + got[i + 1:]
+                assert score(flipped) <= best + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["hash", "zero", "repeated"])
+def test_decode_matches_brute_force(kind):
+    # the closed form against scoring all 2^k assignments, k <= 10, with
+    # and without the Hamming cost; zero weights tie every assignment and
+    # repeated quantities tie their margins
+    rng = random.Random(f"relevance-{kind}")
+    decoder = RelevanceDecoder()
+    for trial in range(60):
+        k = rng.randint(0, 10) if trial % 3 else rng.randint(0, 4)
+        if kind == "repeated":
+            sentence = repeated_quantity_instance(rng, max(k, 1))
+        else:
+            sentence = random_relevance_instance(rng, k)
+        quantities = tuple(sentence_quantities(sentence))
+        weights = {} if kind == "zero" else HashWeights(salt=3000 + trial)
+        gold = tuple(rng.random() < 0.5 for _ in quantities)
+        x = (sentence, quantities)
+        assert decoder.decode(x, weights) == brute_force(
+            sentence, quantities, weights)
+        assert decoder.decode(x, weights, gold=gold) == brute_force(
+            sentence, quantities, weights, gold)
+
+
+@pytest.mark.parametrize("tokens, pos, salt", [
+    ("is 10 10 10 and", "DT CD CD CD IN", 0),
+    ("47 47 47 47 total", "CD CD CD CD IN", 1),
+])
+def test_tied_margins_follow_brute_force(tokens, pos, salt):
+    # the quantities have equal features, so every choice of which of them
+    # are on scores the same in exact arithmetic; brute force keeps the
+    # choice that rounds highest, which here is not the lowest indices
+    tokens, pos = tuple(tokens.split()), tuple(pos.split())
+    sentence = AnnotatedSentence(" ".join(tokens), tokens, pos, ())
+    quantities = tuple(sentence_quantities(sentence))
+    weights = HashWeights(salt=salt)
+    got = RelevanceDecoder().decode((sentence, quantities), weights)
+    assert got == brute_force(sentence, quantities, weights)
+
+
+def test_contains_checks_length_and_bits(sum_sentence):
     quantities = tuple(sentence_quantities(sum_sentence))
-    too_many = quantities * (MAX_JOINT_QUANTITIES // 2 + 1)
-    with pytest.raises(ValueError, match="joint limit"):
-        decoder.candidates_fn((sum_sentence, too_many))
+    x = (sum_sentence, quantities)
+    decoder = RelevanceDecoder()
+    assert decoder.contains(x, (True,) * len(quantities))
+    assert not decoder.contains(x, (True,) * (len(quantities) + 1))
+    assert not decoder.contains(x, (1,) * len(quantities))
+    assert not decoder.contains(x, [True] * len(quantities))
 
 
 def test_cost_augmented_decode_matches_brute_force():
     # the training decode maximizes score + Hamming cost to the gold bits
     rng = random.Random(17)
-    decoder = relevance_decoder()
+    decoder = RelevanceDecoder()
     for trial in range(100):
         sentence = random_relevance_instance(rng, rng.randint(0, 6))
         quantities = tuple(sentence_quantities(sentence))
         gold = tuple(rng.random() < 0.5 for _ in quantities)
         weights = HashWeights(salt=2000 + trial)
         got = decoder.decode((sentence, quantities), weights, gold=gold)
-        best = None
-        best_score = None
-        for assignment in enumerate_assignments(len(quantities)):
-            score = (dot(weights, relevance_features(sentence, quantities,
-                                                     assignment))
-                     + hamming_cost(gold, assignment))
-            if best_score is None or score > best_score:
-                best, best_score = assignment, score
-        assert got == best
+        assert got == brute_force(sentence, quantities, weights, gold)
 
 
 def test_hamming_cost():
@@ -140,23 +224,12 @@ class TestGoldDerivation:
 
 
 def test_predict_matches_brute_force_with_random_weights(sum_sentence):
-    import random
-
-    from eqparse.learning import LinearModel, dot
-    from helpers import HashWeights, random_relevance_instance
+    from eqparse.learning import LinearModel
 
     rng = random.Random(11)
     for trial in range(20):
         sentence = random_relevance_instance(rng, rng.randint(0, 6))
         quantities = tuple(sentence_quantities(sentence))
         weights = HashWeights(salt=trial)
-        model = LinearModel(weights)
-        got = predict_relevance(model, sentence, quantities)
-        best = max(
-            enumerate_assignments(len(quantities)),
-            key=lambda a: dot(weights,
-                              relevance_features(sentence, quantities, a)))
-        assert dot(weights, relevance_features(sentence, quantities, got)) \
-            == pytest.approx(
-                dot(weights, relevance_features(sentence, quantities, best)),
-                abs=1e-12)
+        got = predict_relevance(LinearModel(weights), sentence, quantities)
+        assert got == brute_force(sentence, quantities, weights)
