@@ -40,6 +40,9 @@ class AnnotatedSentence:
             last = bisect.bisect_left(starts, span.end) - 1
             if last < 0 or self.token_spans[last].end <= span.start:
                 raise ValueError(f"np chunk {span} covers no token")
+        for q in self.quantities:
+            if q.span.end > len(self.text):
+                raise ValueError(f"quantity span {q.span} beyond text")
 
     def token_index_at(self, offset: int) -> int:
         """Index of the token containing offset, or the next token after it."""
@@ -142,9 +145,13 @@ def example_from_json(obj: dict) -> AnnotatedExample:
         tuple(VariableTrigger(g["label"], Span(*g["np_span"])) for g in grounding)
         for grounding in obj.get("groundings", ())
     )
+    equation = obj["equation"]
+    # type only: parsing every equation here would slow every corpus load
+    if not isinstance(equation, str):
+        raise ValueError(f"equation must be a string, got {equation!r}")
     return AnnotatedExample(
         sentence=sentence_from_json(obj),
-        equation=obj["equation"],
+        equation=equation,
         groundings=groundings,
     )
 

@@ -221,7 +221,7 @@ def _variable_instances(examples):
     return out
 
 
-def _tree_instances(examples, decoder: CkyDecoder, warn=True):
+def _tree_instances(examples, decoder: CkyDecoder):
     out = []
     for ex in examples:
         instance = gold_tree_instance(ex)
@@ -230,9 +230,8 @@ def _tree_instances(examples, decoder: CkyDecoder, warn=True):
             if decoder.contains((sentence, triggers), tree):
                 out.append(((sentence, triggers), tree))
                 continue
-        if warn:
-            print(f"skipping unreachable gold tree: {ex.sentence.text[:60]!r}",
-                  file=sys.stderr)
+        print(f"skipping unreachable gold tree: {ex.sentence.text[:60]!r}",
+              file=sys.stderr)
     return out
 
 

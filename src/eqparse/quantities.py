@@ -34,31 +34,12 @@ _DIGITS_RE = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 _PREFIXED_RE = re.compile(r"(\d+(?:\.\d+)?)-\S+")
 
 
-def load_number_words(path) -> dict[str, Fraction]:
-    """Read a word<TAB>value lexicon file; values may be rationals like 1/2."""
-    words = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                word, value = line.split("\t")
-                words[word.lower()] = Fraction(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad lexicon line") from exc
-    return words
-
-
-def detect_quantities(sentence: AnnotatedSentence,
-                      number_words: dict[str, Fraction] | None = None,
-                      ) -> tuple[QuantityTrigger, ...]:
+def detect_quantities(sentence: AnnotatedSentence) -> tuple[QuantityTrigger, ...]:
     """Quantity triggers for digit tokens, number words, and numeric prefixes.
 
     A hyphenated token like "5-dollar" yields a trigger over just the digit
     prefix. Returned triggers are sorted by span start and never overlap.
     """
-    words = DEFAULT_NUMBER_WORDS if number_words is None else number_words
     found = []
     for tok, span in zip(sentence.tokens, sentence.token_spans):
         if _DIGITS_RE.fullmatch(tok):
@@ -69,16 +50,14 @@ def detect_quantities(sentence: AnnotatedSentence,
             found.append(QuantityTrigger(
                 Fraction(m.group(1)), Span(span.start, span.start + len(m.group(1)))))
             continue
-        value = words.get(tok.lower())
+        value = DEFAULT_NUMBER_WORDS.get(tok.lower())
         if value is not None:
             found.append(QuantityTrigger(value, span))
     return tuple(found)
 
 
-def sentence_quantities(sentence: AnnotatedSentence,
-                        number_words: dict[str, Fraction] | None = None,
-                        ) -> tuple[QuantityTrigger, ...]:
+def sentence_quantities(sentence: AnnotatedSentence) -> tuple[QuantityTrigger, ...]:
     """Corpus annotations verbatim when present, else detection."""
     if sentence.quantities:
         return sentence.quantities
-    return detect_quantities(sentence, number_words)
+    return detect_quantities(sentence)

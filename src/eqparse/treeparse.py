@@ -69,12 +69,13 @@ def node_context_spans(sentence: AnnotatedSentence, triggers, i: int, k: int,
 _NORM_RE = re.compile(r"[^0-9a-z]+")
 
 
-def _contains(haystack: str | None, term: str) -> bool:
-    # token-boundary substring match: " less than " never matches "bless thank"
-    if haystack is None:
-        return False
-    normalized = " " + _NORM_RE.sub(" ", haystack.lower()).strip() + " "
-    return f" {term} " in normalized
+def _padded(text: str | None) -> str:
+    # lowercase words joined by single spaces, padded with a space each side,
+    # so f" {term} " matches on token boundaries only: " less than " never
+    # matches "bless thank"; a missing field matches no term
+    if text is None:
+        return ""
+    return " " + _NORM_RE.sub(" ", text.lower()).strip() + " "
 
 
 @dataclass(frozen=True)
@@ -91,21 +92,12 @@ class LexiconRule:
     order: Order | None
     clauses: tuple[tuple[tuple[str, str], ...], ...]
 
-    def matches(self, context: NodeContext) -> bool:
-        fields = {"left": context.left, "mid": context.mid,
-                  "right": context.right, "token": context.left_token}
-        for clause in self.clauses:
-            ok = False
-            for field, term in clause:
-                if field == "mid_empty":
-                    ok = not context.mid.strip()
-                else:
-                    ok = _contains(fields[field], term)
-                if ok:
-                    break
-            if not ok:
-                return False
-        return True
+    def matches(self, fields: dict[str, str], mid_empty: bool) -> bool:
+        """Whether every clause holds, given the `_padded` context fields."""
+        return all(any(mid_empty if field == "mid_empty"
+                       else f" {term} " in fields[field]
+                       for field, term in clause)
+                   for clause in self.clauses)
 
 
 # Ordered from low to high precedence; the last matching rule wins.
@@ -161,15 +153,16 @@ def parse_lexicon(text: str) -> tuple[LexiconRule, ...]:
 DEFAULT_LEXICON = parse_lexicon(_LEXICON_TABLE)
 
 
-def lexicon_match(context: NodeContext,
-                  rules: tuple[LexiconRule, ...] = DEFAULT_LEXICON,
-                  ) -> tuple[Op, Order] | None:
+def lexicon_match(context: NodeContext) -> tuple[Op, Order] | None:
     """(op, order) from the highest-precedence matching rule, if any."""
-    best = None
-    for rule in rules:  # stored low to high precedence
-        if rule.matches(context):
-            best = (rule.op, rule.order or Order.LR)
-    return best
+    fields = {"left": _padded(context.left), "mid": _padded(context.mid),
+              "right": _padded(context.right),
+              "token": _padded(context.left_token)}
+    mid_empty = not context.mid.strip()
+    for rule in reversed(DEFAULT_LEXICON):  # stored low to high precedence
+        if rule.matches(fields, mid_empty):
+            return rule.op, rule.order or Order.LR
+    return None
 
 
 def _op_tag(op: Op, order: Order) -> str:
@@ -178,15 +171,14 @@ def _op_tag(op: Op, order: Order) -> str:
     return f"|o={op.value}"
 
 
-def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
-                       j: int, op: Op, order: Order,
-                       window: int = 3) -> FeatureVector:
-    """Neighborhood, connecting-text, and number features for one node."""
-    tag = _op_tag(op, order)
-    feats: FeatureVector = {}
+def node_feature_counts(sentence: AnnotatedSentence, triggers, i: int, k: int,
+                        j: int, window: int = 3) -> FeatureVector:
+    """Neighborhood, connecting-text, and number feature counts for the node
+    over triggers[i:j) split at k, before the op tag is appended."""
+    counts: FeatureVector = {}
 
     def bump(name):
-        feats[name + tag] = feats.get(name + tag, 0.0) + 1.0
+        counts[name] = counts.get(name, 0.0) + 1.0
 
     locs = [location(t) for t in triggers]
     boundaries = {locs[i], locs[k - 1], locs[k], locs[j - 1]}
@@ -212,7 +204,16 @@ def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
         a, b = triggers[i], triggers[k]
         if isinstance(a, QuantityTrigger) and isinstance(b, QuantityTrigger):
             bump(f"tnum_left_smaller={int(a.value < b.value)}")
-    return feats
+    return counts
+
+
+def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
+                       j: int, op: Op, order: Order,
+                       window: int = 3) -> FeatureVector:
+    """`node_feature_counts` with each name tagged by the node's (op, order)."""
+    tag = _op_tag(op, order)
+    return {name + tag: value for name, value in node_feature_counts(
+        sentence, triggers, i, k, j, window).items()}
 
 
 def tree_nodes(tree: EquationTree):
@@ -265,30 +266,26 @@ class CkyDecoder:
 
     def __init__(self, window: int = 3, use_lexicon: bool = True,
                  lexicon_as_features: bool = False,
-                 conform_syntactic: bool = False,
-                 rules: tuple[LexiconRule, ...] = DEFAULT_LEXICON):
+                 conform_syntactic: bool = False):
         self.window = window
         self.use_lexicon = use_lexicon
         self.lexicon_as_features = lexicon_as_features
         self.conform_syntactic = conform_syntactic
-        self.rules = rules
 
-    def _candidate_ops(self, sentence, triggers, i, k, j):
-        """(op, order, extra_features) triples explored for this node."""
+    def node_ops(self, sentence, triggers, i, k, j):
+        """(lexicon match or None, (op, order) pairs explored) for the node
+        over triggers[i:j) split at k. The root cell (0, n) is EQ only."""
+        if (i, j) == (0, len(triggers)):
+            return None, ((Op.EQ, Order.LR),)
         if not self.use_lexicon:
-            return [(op, order, None) for op, order in INTERNAL_OPS]
-        match = lexicon_match(node_context_spans(sentence, triggers, i, k, j),
-                              self.rules)
-        if match is None:
-            return [(op, order, None) for op, order in INTERNAL_OPS]
-        if self.lexicon_as_features:
-            return [(op, order,
-                     {f"lex_agree={int((op, order) == match)}" + _op_tag(op, order): 1.0})
-                    for op, order in INTERNAL_OPS]
-        return [(match[0], match[1], None)]
+            return None, INTERNAL_OPS
+        match = lexicon_match(node_context_spans(sentence, triggers, i, k, j))
+        if match is None or self.lexicon_as_features:
+            return match, INTERNAL_OPS
+        return match, (match,)
 
     def _allowed_interval(self, sentence, triggers, i, j):
-        if not self.conform_syntactic or j - i == 1:
+        if j - i == 1 or (i, j) == (0, len(triggers)):
             return True
         lo = min(t.span.start for t in triggers[i:j])
         hi = max(t.span.end for t in triggers[i:j])
@@ -314,18 +311,8 @@ class CkyDecoder:
         n = len(triggers)
         gold_nodes = gold_node_set(gold) if gold is not None else None
 
-        def node_score(i, k, j, op, order, extra):
-            feats = tree_node_features(sentence, triggers, i, k, j, op, order,
-                                       self.window)
-            score = dot(weights, feats)
-            if extra:
-                score += dot(weights, extra)
-            if gold_nodes is not None and (i, j, op, order) not in gold_nodes:
-                score += 1.0  # margin cost, one unit per wrong node
-            return score
-
         chart: dict = {(i, i + 1): (0.0, Leaf(triggers[i])) for i in range(n)}
-        for length in range(2, n):
+        for length in range(2, n + 1):
             for i in range(n - length + 1):
                 j = i + length
                 if strict and not self._allowed_interval(sentence, triggers, i, j):
@@ -336,69 +323,61 @@ class CkyDecoder:
                         continue
                     lscore, ltree = chart[(i, k)]
                     rscore, rtree = chart[(k, j)]
-                    for op, order, extra in self._candidate_ops(
-                            sentence, triggers, i, k, j):
-                        total = lscore + rscore + node_score(i, k, j, op, order, extra)
+                    match, ops = self.node_ops(sentence, triggers, i, k, j)
+                    counts = node_feature_counts(sentence, triggers, i, k, j,
+                                                 self.window)
+                    for op, order in ops:
+                        tag = _op_tag(op, order)
+                        score = sum(weights.get(name + tag, 0.0) * value
+                                    for name, value in counts.items())
+                        if self.lexicon_as_features and match is not None:
+                            score += weights.get(
+                                f"lex_agree={int((op, order) == match)}{tag}", 0.0)
+                        if (gold_nodes is not None
+                                and (i, j, op, order) not in gold_nodes):
+                            score += 1.0  # margin cost, one unit per wrong node
+                        total = lscore + rscore + score
                         if best is None or total > best[0]:
                             best = (total, Node(op, order, ltree, rtree))
                 if best is not None:
                     chart[(i, j)] = best
 
-        best = None
-        for k in range(1, n):
-            if (0, k) not in chart or (k, n) not in chart:
-                continue
-            lscore, ltree = chart[(0, k)]
-            rscore, rtree = chart[(k, n)]
-            total = lscore + rscore + node_score(0, k, n, Op.EQ, Order.LR, None)
-            if best is None or total > best[0]:
-                best = (total, Node(Op.EQ, Order.LR, ltree, rtree))
-        if best is None:
+        if (0, n) not in chart:
             if strict:
                 return None
             raise ValueError("no full-span tree")
-        return best[1]
+        return chart[(0, n)][1]
 
     def features(self, x, tree) -> FeatureVector:
         """Whole-tree features, including lexicon-agreement features when
         the lexicon runs in feature mode rather than as a constraint."""
         sentence, triggers = x
         feats = tree_features(sentence, triggers, tree, self.window)
-        if not (self.use_lexicon and self.lexicon_as_features):
+        if not self.lexicon_as_features:
             return feats
         for i, k, j, node in tree_nodes(tree)[1]:
-            if node.op is Op.EQ:
-                continue
-            for op, order, extra in self._candidate_ops(
-                    sentence, triggers, i, k, j):
-                if extra and (op, order) == (node.op, node.order):
-                    add_scaled(feats, extra, 1.0)
+            match, _ = self.node_ops(sentence, triggers, i, k, j)
+            if match is not None:
+                name = (f"lex_agree={int((node.op, node.order) == match)}"
+                        + _op_tag(node.op, node.order))
+                feats[name] = feats.get(name, 0.0) + 1.0
         return feats
 
     def contains(self, x, tree) -> bool:
         """Whether the decoder's search space includes this exact tree."""
         sentence, triggers = x
-        if not isinstance(tree, Node) or tree.op is not Op.EQ:
+        if not isinstance(tree, Node):
             return False
         leaves, nodes = tree_nodes(tree)
         if leaves != list(triggers):
             return False
-        for i, k, j, node in nodes:
-            if node.op is Op.EQ:
-                allowed = (i, j) == (0, len(triggers))
-            else:
-                allowed = (node.op, node.order) in [
-                    (op, order) for op, order, _ in
-                    self._candidate_ops(sentence, triggers, i, k, j)]
-            if not allowed:
-                return False
-        return True
+        return all((node.op, node.order)
+                   in self.node_ops(sentence, triggers, i, k, j)[1]
+                   for i, k, j, node in nodes)
 
 
 def enumerate_projective_trees(sentence: AnnotatedSentence, triggers,
-                               use_lexicon: bool = True,
-                               rules: tuple[LexiconRule, ...] = DEFAULT_LEXICON,
-                               ) -> list[EquationTree]:
+                               use_lexicon: bool = True) -> list[EquationTree]:
     """Every projective tree over the trigger list, honoring the lexicon.
 
     Exhaustive alternative to CKY for small trigger lists.
@@ -406,7 +385,7 @@ def enumerate_projective_trees(sentence: AnnotatedSentence, triggers,
     n = len(triggers)
     if n < 2:
         raise ValueError("trigger list needs at least 2 triggers")
-    decoder = CkyDecoder(use_lexicon=use_lexicon, rules=rules)
+    decoder = CkyDecoder(use_lexicon=use_lexicon)
     cache: dict = {}
 
     def subtrees(i, j):
@@ -417,17 +396,12 @@ def enumerate_projective_trees(sentence: AnnotatedSentence, triggers,
         else:
             result = []
             for k in range(i + 1, j):
-                ops = decoder._candidate_ops(sentence, triggers, i, k, j)
+                _, ops = decoder.node_ops(sentence, triggers, i, k, j)
                 for lt in subtrees(i, k):
                     for rt in subtrees(k, j):
-                        for op, order, _ in ops:
+                        for op, order in ops:
                             result.append(Node(op, order, lt, rt))
         cache[(i, j)] = result
         return result
 
-    trees = []
-    for k in range(1, n):
-        for lt in subtrees(0, k):
-            for rt in subtrees(k, n):
-                trees.append(Node(Op.EQ, Order.LR, lt, rt))
-    return trees
+    return subtrees(0, n)

@@ -215,6 +215,25 @@ class TestEval:
         assert ":2: malformed corpus line" in err
 
 
+class TestCorpusInput:
+    @pytest.mark.parametrize("equation", [7, None], ids=["number", "null"])
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_non_string_equation_reported(self, command, equation, bundle_path,
+                                          synthetic_corpus, tmp_path, capsys):
+        corpus = tmp_path / "bad-equation.jsonl"
+        bad = example_to_json(synthetic_corpus[1])
+        bad["equation"] = equation
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + json.dumps(bad) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert ":2: malformed corpus line: equation must be a string" in err
+        assert "Traceback" not in err
+
+
 class TestCv:
     def test_deterministic_and_at_most_eval_on_train(self, train_corpus_path,
                                                      bundle_path, capsys):

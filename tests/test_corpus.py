@@ -46,6 +46,18 @@ def test_chunk_beyond_text_rejected():
         AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), (Span(0, 99),))
 
 
+def test_quantity_beyond_text_rejected(tmp_path):
+    obj = {"text": "a 5", "tokens": ["a", "5"], "pos": ["DT", "CD"],
+           "np_chunks": [], "quantities": [{"value": 5, "span": [0, 500]}],
+           "equation": "(= 5 5)", "groundings": []}
+    with pytest.raises(ValueError, match="beyond text"):
+        sentence_from_json(obj)
+    path = tmp_path / "far.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":1: malformed corpus line"):
+        load_corpus(path)
+
+
 def test_token_range_overlap():
     s = AnnotatedSentence("The sum is 80.", ("The", "sum", "is", "80", "."),
                           ("DT", "NN", "VBZ", "CD", "."), ())

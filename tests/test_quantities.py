@@ -9,7 +9,6 @@ from eqparse.corpus import AnnotatedSentence
 from eqparse.quantities import (
     DEFAULT_NUMBER_WORDS,
     detect_quantities,
-    load_number_words,
     sentence_quantities,
 )
 
@@ -76,22 +75,6 @@ def test_sentence_quantities_prefers_annotations(sum_sentence):
         (next(iter(detect_quantities(sum_sentence))),))
     assert len(sentence_quantities(annotated)) == 1
     assert len(sentence_quantities(sum_sentence)) == 2
-
-
-def test_load_number_words(tmp_path):
-    path = tmp_path / "words.tsv"
-    path.write_text("# comment\nscore\t20\ndozen\t12\n", encoding="utf-8")
-    words = load_number_words(path)
-    assert words == {"score": Fraction(20), "dozen": Fraction(12)}
-    qs = detect_quantities(plain("a dozen eggs"), words)
-    assert [q.value for q in qs] == [12]
-
-
-def test_load_number_words_reports_line(tmp_path):
-    path = tmp_path / "words.tsv"
-    path.write_text("score\t20\nbroken line\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"2"):
-        load_number_words(path)
 
 
 def test_default_table_has_core_multipliers():

@@ -263,23 +263,29 @@ class TestCkyDecoder:
             CkyDecoder().decode((sum_sentence, triggers), {})
 
     def test_cost_augmented_decode_matches_enumeration(self):
-        # the training decode maximizes score + wrong-node count to the gold
+        # the training decode maximizes score + wrong-node count to the gold;
+        # in lexicon-as-features mode every op is explored and the score
+        # includes the lex_agree features
         rng = random.Random(31)
+        modes = (({}, True), ({"use_lexicon": False}, False),
+                 ({"lexicon_as_features": True}, False))
         for trial in range(120):
             sentence, triggers = random_tree_instance(rng, 2 + trial % 3)
             x = (sentence, triggers)
             weights = HashWeights(salt=4000 + trial)
-            for use_lexicon in (True, False):
-                decoder = CkyDecoder(use_lexicon=use_lexicon)
+            for kwargs, lexicon_space in modes:
+                decoder = CkyDecoder(**kwargs)
                 space = enumerate_projective_trees(sentence, triggers,
-                                                   use_lexicon=use_lexicon)
-                gold = rng.choice(space)
-                got = decoder.decode(x, weights, gold=gold)
-                assert decoder.contains(x, got)
-                best = max(dot(weights, decoder.features(x, t))
-                           + tree_cost(gold, t) for t in space)
-                assert dot(weights, decoder.features(x, got)) \
-                    + tree_cost(gold, got) == pytest.approx(best, abs=1e-9)
+                                                   use_lexicon=lexicon_space)
+                for gold in (rng.choice(space), None):
+                    def objective(tree):
+                        cost = 0.0 if gold is None else tree_cost(gold, tree)
+                        return dot(weights, decoder.features(x, tree)) + cost
+
+                    got = decoder.decode(x, weights, gold=gold)
+                    assert decoder.contains(x, got)
+                    assert objective(got) == pytest.approx(
+                        max(map(objective, space)), abs=1e-9)
 
     def test_contains_gold_tree(self, twice_triple_sentence):
         triggers = twice_triple_triggers(twice_triple_sentence)
@@ -297,6 +303,16 @@ class TestCkyDecoder:
         x = (twice_triple_sentence, triggers)
         assert not CkyDecoder().contains(x, altered)
         assert CkyDecoder(use_lexicon=False).contains(x, altered)
+
+    def test_contains_requires_eq_root(self, twice_triple_sentence):
+        # the root cell (0, n) explores EQ only, and EQ nowhere else
+        triggers = twice_triple_triggers(twice_triple_sentence)
+        gold = twice_triple_gold(triggers)
+        x = (twice_triple_sentence, triggers)
+        decoder = CkyDecoder(use_lexicon=False)
+        assert not decoder.contains(x, Node(Op.ADD, Order.LR, gold.left, gold.right))
+        assert not decoder.contains(x, Node(Op.EQ, Order.LR, gold.left, Node(
+            Op.EQ, Order.LR, gold.right.left, gold.right.right)))
 
     def test_contains_rejects_more_leaves_than_triggers(
             self, twice_triple_sentence):
