@@ -337,7 +337,10 @@ def parse_equation(text: str) -> SymExpr:
         if tok in VALID_LABELS:
             return Var(tok)
         if _NUMBER_RE.match(tok):
-            return Const(Fraction(tok))
+            try:
+                return Const(Fraction(tok))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator {tok!r} in {text!r}") from None
         raise ValueError(f"bad token {tok!r} in {text!r}")
 
     result = parse_one()

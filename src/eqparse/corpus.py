@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import QuantityTrigger, Span, VariableTrigger
+from .core import QuantityTrigger, Span, SymExpr, VariableTrigger, parse_equation
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,16 @@ class AnnotatedSentence:
     np_chunks: tuple[Span, ...]
     quantities: tuple[QuantityTrigger, ...] = ()
     token_spans: tuple[Span, ...] = field(init=False)
+    # token start offsets, ascending: the bisect key of the lookups below;
+    # a tuple of ints, which the garbage collector stops tracking
+    token_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tokens) != len(self.pos):
             raise ValueError("tokens and pos must align")
         object.__setattr__(self, "token_spans", align_tokens(self.text, self.tokens))
         starts = [s.start for s in self.token_spans]
+        object.__setattr__(self, "token_starts", tuple(starts))
         for span in self.np_chunks:
             if span.end > len(self.text):
                 raise ValueError(f"np chunk {span} beyond text")
@@ -46,20 +50,22 @@ class AnnotatedSentence:
 
     def token_index_at(self, offset: int) -> int:
         """Index of the token containing offset, or the next token after it."""
-        starts = [s.start for s in self.token_spans]
-        i = bisect.bisect_right(starts, offset) - 1
+        i = bisect.bisect_right(self.token_starts, offset) - 1
         if i >= 0 and offset < self.token_spans[i].end:
             return i
         return min(i + 1, len(self.tokens) - 1)
 
     def token_range(self, span: Span) -> tuple[int, int]:
         """Half-open token index range overlapping a character span."""
-        lo = len(self.tokens)
-        hi = 0
-        for i, ts in enumerate(self.token_spans):
-            if ts.start < span.end and span.start < ts.end:
-                lo = min(lo, i)
-                hi = max(hi, i + 1)
+        # tokens are ordered and disjoint, so starts and ends both ascend:
+        # those starting before span.end are a prefix, those ending after
+        # span.start a suffix, and of the tokens starting at or before
+        # span.start only the last can end after it
+        starts = self.token_starts
+        lo = bisect.bisect_right(starts, span.start)
+        if lo and self.token_spans[lo - 1].end > span.start:
+            lo -= 1
+        hi = bisect.bisect_left(starts, span.end)
         if lo >= hi:
             i = self.token_index_at(span.start)
             return (i, i)
@@ -68,6 +74,20 @@ class AnnotatedSentence:
     def window(self, lo: int, hi: int, size: int) -> tuple[int, int]:
         """Token range [lo, hi) widened by `size` tokens each side, clamped."""
         return (max(0, lo - size), min(len(self.tokens), hi + size))
+
+    def count_tokens(self, counts: dict[str, int], prefix: str, lo: int,
+                     hi: int, bigrams: bool = True) -> dict[str, int]:
+        """Add to `counts` the lowercased word (`{prefix}_u=`), POS tag
+        (`{prefix}_p=`) and, with `bigrams`, word pair (`{prefix}_b=`)
+        features of tokens [lo, hi); returns `counts`."""
+        words = [t.lower() for t in self.tokens[lo:hi]]
+        names = [f"{prefix}_u={w}" for w in words]
+        names += [f"{prefix}_p={p}" for p in self.pos[lo:hi]]
+        if bigrams:
+            names += [f"{prefix}_b={a} {b}" for a, b in zip(words, words[1:])]
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+        return counts
 
 
 def align_tokens(text: str, tokens: tuple[str, ...]) -> tuple[Span, ...]:
@@ -92,6 +112,18 @@ class AnnotatedExample:
     sentence: AnnotatedSentence
     equation: str
     groundings: tuple[tuple[VariableTrigger, ...], ...]
+    # "path:line" of the corpus line it was read from, for error messages
+    source: str | None = field(default=None, compare=False)
+
+    def gold_expr(self) -> SymExpr:
+        """The parsed gold equation; a syntax error names the corpus line.
+        Parsed on use, not at load, which stays a pass over the JSON."""
+        try:
+            return parse_equation(self.equation)
+        except ValueError as e:
+            if self.source is None:
+                raise
+            raise ValueError(f"{self.source}: malformed equation: {e}") from e
 
 
 def parse_value(raw) -> Fraction:
@@ -140,7 +172,7 @@ def sentence_to_json(sentence: AnnotatedSentence) -> dict:
     }
 
 
-def example_from_json(obj: dict) -> AnnotatedExample:
+def example_from_json(obj: dict, source: str | None = None) -> AnnotatedExample:
     groundings = tuple(
         tuple(VariableTrigger(g["label"], Span(*g["np_span"])) for g in grounding)
         for grounding in obj.get("groundings", ())
@@ -153,6 +185,7 @@ def example_from_json(obj: dict) -> AnnotatedExample:
         sentence=sentence_from_json(obj),
         equation=equation,
         groundings=groundings,
+        source=source,
     )
 
 
@@ -169,12 +202,14 @@ def example_to_json(example: AnnotatedExample) -> dict:
 def load_corpus(path) -> list[AnnotatedExample]:
     """Read a JSON-lines corpus; errors carry the 1-based line number."""
     examples = []
+    name = str(path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                examples.append(example_from_json(json.loads(line)))
+                examples.append(example_from_json(json.loads(line),
+                                                  f"{name}:{lineno}"))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed corpus line: {exc}") from exc
     return examples

@@ -28,7 +28,6 @@ from .core import (
     expr,
     expr_sort_key,
     make_apply,
-    parse_equation,
     sort_triggers,
 )
 from .quantities import sentence_quantities
@@ -180,7 +179,7 @@ def gold_tree_instance(example):
     admits a projective tree, or None."""
     sentence = example.sentence
     quantities = sentence_quantities(sentence)
-    gold_expr = parse_equation(example.equation)
+    gold_expr = example.gold_expr()
     gold_rel = derive_gold_relevance(quantities, expr_constants(gold_expr))
     relevant = [q for q, bit in zip(quantities, gold_rel) if bit]
     for grounding in example.groundings or ((),):
@@ -223,7 +222,7 @@ def evaluate(bundle, examples) -> Metrics:
     for example in examples:
         sentence = example.sentence
         quantities = sentence_quantities(sentence)
-        gold_expr = parse_equation(example.equation)
+        gold_expr = example.gold_expr()
         gold_rel = derive_gold_relevance(quantities, expr_constants(gold_expr))
 
         if bundle.predict_relevance(sentence, quantities) == gold_rel:

@@ -4,32 +4,38 @@ Training runs epoch-based cost-augmented online margin updates with weight
 averaging. Superset supervision (a set of valid outputs per example)
 alternates between selecting the current best valid output and retraining on
 the selections until the selection reaches a fixed point.
+
+Every feature value, weight and score is an exact integer, so sums come out
+the same in any order. The learning rate num/den scales each update by num
+and the decode cost by den: the training weights are den times those of a
+learner in exact fractions, and the averaged ones (`total * weights -
+lagged`) den * total times its averages. Positive multiples change no argmax.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import random
 from dataclasses import dataclass, field, asdict
+from fractions import Fraction
 
-FeatureVector = dict[str, float]
-
-
-def dot(weights: FeatureVector, features: FeatureVector) -> float:
-    return sum(weights.get(name, 0.0) * value for name, value in features.items())
+FeatureVector = dict[str, int]
 
 
-def add_scaled(acc: FeatureVector, features: FeatureVector, scale: float) -> None:
+def dot(weights: FeatureVector, features: FeatureVector) -> int:
+    return sum(weights.get(name, 0) * value for name, value in features.items())
+
+
+def add_scaled(acc: FeatureVector, features: FeatureVector, scale: int) -> None:
     for name, value in features.items():
-        acc[name] = acc.get(name, 0.0) + scale * value
+        acc[name] = acc.get(name, 0) + scale * value
 
 
 def subtract(a: FeatureVector, b: FeatureVector) -> FeatureVector:
     out = dict(a)
-    add_scaled(out, b, -1.0)
-    return {name: value for name, value in out.items() if value != 0.0}
+    add_scaled(out, b, -1)
+    return {name: value for name, value in out.items() if value != 0}
 
 
 @dataclass(frozen=True)
@@ -45,24 +51,25 @@ class LinearModel:
     weights: FeatureVector = field(default_factory=dict)
     config: TrainConfig = field(default_factory=TrainConfig)
 
-    def score(self, features: FeatureVector) -> float:
+    def score(self, features: FeatureVector) -> int:
         return dot(self.weights, features)
 
 
-MODEL_HEADER = "eqparse-model v1"
+MODEL_HEADER = "eqparse-model v2"
 
 
 def model_to_text(model: LinearModel) -> str:
-    """Versioned text form: config header, then feature<TAB>weight sorted.
-
-    Weights are written with repr so the round-trip is bit-exact.
-    """
+    """Versioned text form: config header, then feature<TAB>integer weight,
+    sorted by feature name."""
     lines = [MODEL_HEADER, json.dumps(asdict(model.config), sort_keys=True)]
     for name in sorted(model.weights):
         # any line-boundary character breaks the one-feature-per-line format
         if "\t" in name or name.splitlines() != [name]:
             raise ValueError(f"feature name {name!r} not serializable")
-        lines.append(f"{name}\t{model.weights[name]!r}")
+        value = model.weights[name]
+        if type(value) is not int:
+            raise ValueError(f"weight of {name!r} is not an integer: {value!r}")
+        lines.append(f"{name}\t{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -103,13 +110,11 @@ def model_from_text(text: str, first_line: int = 1) -> LinearModel:
             continue
         try:
             name, raw = line.split("\t")
-            value = float(raw)
+            value = int(raw)
         except ValueError:
             raise ValueError(f"line {lineno}: malformed weight line "
-                             f"{line!r}, expected feature<TAB>weight") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: non-finite weight {raw!r} "
-                             f"for feature {name!r}")
+                             f"{line!r}, expected feature<TAB>integer "
+                             "weight") from None
         weights[name] = value
     return LinearModel(weights, config)
 
@@ -122,18 +127,18 @@ class SupersetExample:
     gold_set: tuple
 
 
-def zero_one_cost(gold, other) -> float:
-    return float(other != gold)
+def zero_one_cost(gold, other) -> int:
+    return int(other != gold)
 
 
 class ExhaustiveDecoder:
     """Argmax by scoring every candidate; ties keep the earliest candidate.
 
-    The learner's decoder protocol, shared by CkyDecoder and
-    RelevanceDecoder: `decode(x, weights, gold=None)` returns the best
-    output, adding `cost_fn(gold, y)` to each score given a gold output;
-    `features(x, y)` is an output's feature vector; `contains(x, y)` says
-    whether y is in the search space.
+    The learner's decoder protocol, shared by RelevanceDecoder,
+    VariableDecoder and CkyDecoder: `decode(x, weights, gold=None,
+    cost_unit=1)` returns the best output, adding `cost_unit * cost_fn(gold,
+    y)` to each score given a gold output; `features(x, y)` is an output's
+    feature vector; `contains(x, y)` says whether y is in the search space.
     """
 
     def __init__(self, candidates_fn, feature_fn, cost_fn=zero_one_cost):
@@ -141,13 +146,13 @@ class ExhaustiveDecoder:
         self.features = feature_fn
         self.cost_fn = cost_fn
 
-    def decode(self, x, weights, gold=None):
+    def decode(self, x, weights, gold=None, cost_unit: int = 1):
         best = None
         best_score = None
         for y in self.candidates_fn(x):
             score = dot(weights, self.features(x, y))
             if gold is not None:
-                score += self.cost_fn(gold, y)
+                score += cost_unit * self.cost_fn(gold, y)
             if best_score is None or score > best_score:
                 best, best_score = y, score
         if best is None:
@@ -163,10 +168,15 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
 
     Each epoch visits examples in a seed-shuffled order; an update moves the
     weights toward the gold features and away from the cost-augmented argmax.
+    With the learning rate num/den, weights are kept in units of 1/den: an
+    update adds num * delta and the decode's cost unit is den. The result is
+    the averaged weight vector times den * (number of steps), in integers.
     """
     for x, gold in examples:
         if not decoder.contains(x, gold):
             raise ValueError(f"gold output outside the candidate space: {gold!r}")
+    rate = Fraction(str(config.learning_rate))
+    num, den = rate.numerator, rate.denominator
     weights: FeatureVector = {}
     lagged: FeatureVector = {}  # sum of updates scaled by (step - 1), for averaging
     step = 1
@@ -176,18 +186,18 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
         rng.shuffle(order)
         for i in order:
             x, gold = examples[i]
-            guess = decoder.decode(x, weights, gold=gold)
+            guess = decoder.decode(x, weights, gold=gold, cost_unit=den)
             if guess != gold:
                 delta = subtract(decoder.features(x, gold),
                                  decoder.features(x, guess))
-                add_scaled(weights, delta, config.learning_rate)
-                add_scaled(lagged, delta, config.learning_rate * (step - 1))
+                add_scaled(weights, delta, num)
+                add_scaled(lagged, delta, num * (step - 1))
             step += 1
     total = step - 1
     if total:
-        averaged = {name: value - lagged.get(name, 0.0) / total
+        averaged = {name: value * total - lagged.get(name, 0)
                     for name, value in weights.items()}
-        weights = {name: value for name, value in averaged.items() if value != 0.0}
+        weights = {name: value for name, value in averaged.items() if value != 0}
     return LinearModel(weights, config)
 
 

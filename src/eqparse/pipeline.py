@@ -6,6 +6,8 @@ configuration, and composes them into a full sentence -> equation parse.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, asdict
@@ -19,7 +21,6 @@ from .core import (
     VariableTrigger,
     expr,
     format_tree,
-    parse_equation,
     sort_triggers,
 )
 from .corpus import AnnotatedSentence
@@ -41,11 +42,11 @@ from .relevance import (
     derive_gold_relevance,
     predict_relevance,
 )
-from .treeparse import CkyDecoder
+from .treeparse import LEXICON_SHA256, CkyDecoder
 from .variables import (
+    VariableDecoder,
     candidate_from_grounding,
     predict_variable_triggers,
-    variable_decoder,
 )
 
 
@@ -109,8 +110,17 @@ class ParseResult:
         }
 
 
-BUNDLE_HEADER = "eqparse-bundle v1"
+BUNDLE_HEADER = "eqparse-bundle v2"
 _SECTIONS = ("[relevance]", "[variables]", "[tree]")
+# ends the bundle: one line per section, `marker<TAB>weights<TAB>sha256` of
+# the section's lines, then `[lexicon]<TAB>sha256` of the lexicon table the
+# tree model was trained under
+_FOOTER = "[digests]"
+_LEXICON = "[lexicon]"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -161,30 +171,61 @@ class ModelBundle:
     def to_text(self) -> str:
         parts = [BUNDLE_HEADER,
                  json.dumps(asdict(self.config), sort_keys=True)]
+        footer = [_FOOTER]
         for marker, model in zip(_SECTIONS, (self.relevance_model,
                                              self.variable_model,
                                              self.tree_model)):
-            parts.append(marker)
-            parts.append(model_to_text(model).rstrip("\n"))
-        return "\n".join(parts) + "\n"
+            section = model_to_text(model)
+            parts += [marker, section.rstrip("\n")]
+            footer.append(f"{marker}\t{len(model.weights)}\t{_sha256(section)}")
+        footer.append(f"{_LEXICON}\t{LEXICON_SHA256}")
+        return "\n".join(parts + footer) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ModelBundle":
-        """Inverse of to_text; errors give the 1-based line number."""
+        """Inverse of to_text; errors give the 1-based line number. Each
+        section is parsed, then checked against its footer line, so a
+        truncated or altered bundle fails to load."""
         lines = text.splitlines()
+        if lines and lines[0] == "eqparse-bundle v1":
+            raise ValueError("line 1: bundle format v1 (float weights) is no "
+                             "longer read; retrain the model with "
+                             "`eqparse train`")
         if not lines or lines[0] != BUNDLE_HEADER:
             raise ValueError("line 1: not a model bundle (bad header)")
         if len(lines) < 2:
             raise ValueError("line 2: bundle config missing")
         config = config_from_json(PipelineConfig, lines[1], "line 2")
-        cuts = [i for i, line in enumerate(lines) if line in _SECTIONS]
+        if _FOOTER not in lines:
+            raise ValueError(f"line {len(lines) + 1}: bundle ends before its "
+                             f"{_FOOTER} footer; the file is truncated")
+        end = lines.index(_FOOTER)
+        cuts = [i for i in range(end) if lines[i] in _SECTIONS]
         if [lines[i] for i in cuts] != list(_SECTIONS):
             raise ValueError("model bundle is missing a section")
-        cuts.append(len(lines))
-        models = []
-        for a, b in zip(cuts, cuts[1:]):
-            models.append(model_from_text("\n".join(lines[a + 1:b]) + "\n",
-                                          first_line=a + 2))
+        models, footer = [], []
+        for a, b in zip(cuts, cuts[1:] + [end]):
+            section = "\n".join(lines[a + 1:b]) + "\n"
+            model = model_from_text(section, first_line=a + 2)
+            models.append(model)
+            footer.append((lines[a], str(len(model.weights)), _sha256(section)))
+        footer.append((_LEXICON, LEXICON_SHA256))
+        for n, (want, got) in enumerate(
+                itertools.zip_longest(footer, lines[end + 1:]), start=end + 2):
+            if want is None:
+                raise ValueError(f"line {n}: unexpected line after the footer")
+            if got is None:
+                raise ValueError(f"line {n}: footer ends early; the file is "
+                                 "truncated")
+            if got == "\t".join(want):
+                continue
+            if want[0] == _LEXICON:
+                raise ValueError(f"line {n}: bundle was trained under another "
+                                 "operator lexicon; retrain the model with "
+                                 "`eqparse train`")
+            raise ValueError(f"line {n}: the {want[0]} section does not match "
+                             f"its footer line: read {want[1]} weights with "
+                             f"sha256 {want[2]}, footer line is {got!r}")
         return cls(*models, config)
 
     def save(self, path) -> None:
@@ -202,7 +243,7 @@ def _relevance_instances(examples):
     out = []
     for ex in examples:
         quantities = tuple(sentence_quantities(ex.sentence))
-        constants = expr_constants(parse_equation(ex.equation))
+        constants = expr_constants(ex.gold_expr())
         gold = derive_gold_relevance(quantities, constants)
         out.append(((ex.sentence, quantities), gold))
     return out
@@ -250,7 +291,7 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
     rel_model = train_structured(
         _relevance_instances(examples), RelevanceDecoder(window), tcfg)
     var_model = train_superset(
-        _variable_instances(examples), variable_decoder(window), tcfg)
+        _variable_instances(examples), VariableDecoder(window), tcfg)
     decoder = config.tree_decoder()
     tree_model = train_structured(
         _tree_instances(examples, decoder), decoder, tcfg)

@@ -5,8 +5,8 @@ quantity (conjoined with that quantity's bit) plus one global feature on the
 relevant count, and the training cost (Hamming) is per bit too. So the exact
 argmax needs no enumeration of the 2^k assignments: for each count c, the
 best assignment with c bits on turns on the c quantities with the largest
-margin score(on) - score(off); scoring those k + 1 finalists, count feature
-and cost included, gives the joint optimum. There is no limit on k.
+margin score(on) - score(off); the best of those k + 1 finalists, count
+feature and cost included, is the joint optimum. There is no limit on k.
 """
 
 from __future__ import annotations
@@ -15,30 +15,22 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .core import QuantityTrigger
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel, dot
+from .learning import FeatureVector, LinearModel
 
 RelevanceAssignment = tuple[bool, ...]
 
 
-def quantity_features(sentence: AnnotatedSentence, quantities, index: int,
-                      relevant: bool, window: int = 3) -> FeatureVector:
-    """Per-quantity features, conjoined with this quantity's bit only."""
+def quantity_counts(sentence: AnnotatedSentence, quantities, index: int,
+                    window: int = 3) -> FeatureVector:
+    """Per-quantity feature counts, before the bit tag is appended."""
     q = quantities[index]
-    tag = f"|r={int(relevant)}"
-    feats: FeatureVector = {}
+    lo, hi = sentence.window(*sentence.token_range(q.span), window)
+    counts = sentence.count_tokens({}, "qn", lo, hi)
 
     def bump(name):
-        feats[name + tag] = feats.get(name + tag, 0.0) + 1.0
+        counts[name] = counts.get(name, 0) + 1
 
-    ti, tj = sentence.token_range(q.span)
-    lo, hi = sentence.window(ti, tj, window)
-    for i in range(lo, hi):
-        bump(f"qn_u={sentence.tokens[i].lower()}")
-        bump(f"qn_p={sentence.pos[i]}")
-        if i + 1 < hi:
-            bump(f"qn_b={sentence.tokens[i].lower()} {sentence.tokens[i + 1].lower()}")
     phrase = q.span.text(sentence.text).split()
     for w in phrase:
         bump(f"qq_u={w.lower()}")
@@ -48,29 +40,36 @@ def quantity_features(sentence: AnnotatedSentence, quantities, index: int,
         bump("qq_small")
     if len(quantities) == 1:
         bump("qq_only")
-    return feats
+    return counts
 
 
-def _summed_features(chosen, assignment) -> FeatureVector:
-    """Sum the quantities' features for their bits in `assignment` (one
-    dict per quantity, in order), then add the count feature.
-    `relevance_features` and `RelevanceDecoder` both score this dict, so
-    their float scores agree bit for bit."""
-    feats: FeatureVector = {}
-    for quantity_feats in chosen:
-        for name, value in quantity_feats.items():
-            feats[name] = feats.get(name, 0.0) + value
-    feats[f"qg_count={sum(assignment)}/{len(assignment)}"] = 1.0
-    return feats
+def _bit_tag(relevant: bool) -> str:
+    return f"|r={int(relevant)}"
+
+
+def quantity_features(sentence: AnnotatedSentence, quantities, index: int,
+                      relevant: bool, window: int = 3) -> FeatureVector:
+    """Per-quantity features, conjoined with this quantity's bit only."""
+    tag = _bit_tag(relevant)
+    return {name + tag: value for name, value in quantity_counts(
+        sentence, quantities, index, window).items()}
+
+
+def _count_feature(c: int, k: int) -> str:
+    return f"qg_count={c}/{k}"
 
 
 def relevance_features(sentence: AnnotatedSentence, quantities,
                        assignment: RelevanceAssignment,
                        window: int = 3) -> FeatureVector:
     """Sum of per-quantity features plus the global relevant-count feature."""
-    return _summed_features(
-        [quantity_features(sentence, quantities, i, relevant, window)
-         for i, relevant in enumerate(assignment)], assignment)
+    feats: FeatureVector = {}
+    for i, relevant in enumerate(assignment):
+        for name, value in quantity_features(sentence, quantities, i,
+                                             relevant, window).items():
+            feats[name] = feats.get(name, 0) + value
+    feats[_count_feature(sum(assignment), len(assignment))] = 1
+    return feats
 
 
 def enumerate_assignments(k: int):
@@ -78,38 +77,19 @@ def enumerate_assignments(k: int):
     return itertools.product((True, False), repeat=k)
 
 
-def _tie_patterns(n: int, p: int):
-    """Bits for n equal-margin quantities with p of them on (0 < p < n),
-    one pattern per possible (first on, first off) pair of them.
-
-    When the tied quantities have the same features, an assignment's summed
-    dict holds the same values whichever of them are on; only the key order
-    differs, and it is fixed by the first tied quantity on and the first
-    off. Each pattern is the earliest in enumeration order for its pair.
-    """
-    for j in range(1, p + 1):
-        yield (True,) * j + (False,) + (True,) * (p - j) + (False,) * (n - p - 1)
-    for j in range(1, n - p + 1):
-        yield (False,) * j + (True,) * p + (False,) * (n - p - j)
-
-
 class RelevanceDecoder:
     """Exact joint argmax over relevance assignments; x is (sentence,
     quantities).
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
-    Hamming cost. Quantity features are computed once per quantity and bit;
-    a quantity's margin is score(on) - score(off), plus its cost difference
-    given a gold output. For each count c the finalist turns on the c
-    largest margins (ties by index), and each finalist is scored with
-    exactly the dict `relevance_features` builds, so the score is the float
-    brute force computes. Ties keep the assignment earliest in
-    `enumerate_assignments` order.
-
-    Assignments that only swap equal-margin quantities tie in exact
-    arithmetic, and brute force keeps whichever happens to round highest;
-    so when equal margins straddle the winning cut, the winner is re-chosen
-    among the `_tie_patterns` of those quantities.
+    Hamming cost. Each quantity's counts are built once and scored under
+    both bits; its margin is score(on) - score(off), plus its cost
+    difference given a gold output. Finalist c turns on the c largest
+    margins, ties to the lower index, and scores the all-off score plus
+    those margins plus its count weight. Ties keep the assignment earliest
+    in `enumerate_assignments` order: among equal-scoring assignments with
+    c bits on that is finalist c, and between finalists the one with more
+    bits on, since it adds bits to the other's.
     """
 
     def __init__(self, window: int = 3):
@@ -124,45 +104,37 @@ class RelevanceDecoder:
                 and len(assignment) == len(x[1])
                 and all(isinstance(bit, bool) for bit in assignment))
 
-    def decode(self, x, weights, gold: RelevanceAssignment | None = None
-               ) -> RelevanceAssignment:
+    def decode(self, x, weights, gold: RelevanceAssignment | None = None,
+               cost_unit: int = 1) -> RelevanceAssignment:
         sentence, quantities = x
         k = len(quantities)
-        per_quantity = [
-            {relevant: quantity_features(sentence, quantities, i, relevant,
-                                         self.window)
-             for relevant in (True, False)}
-            for i in range(k)]
-        margins = [dot(weights, feats[True]) - dot(weights, feats[False])
-                   for feats in per_quantity]
-        if gold is not None:
-            margins = [m + (-1.0 if bit else 1.0)
-                       for m, bit in zip(margins, gold)]
-
-        def rank(y):
-            score = dot(weights, _summed_features(
-                [per_quantity[i][bit] for i, bit in enumerate(y)], y))
-            if gold is not None:
-                score += hamming_cost(gold, y)
-            # enumeration order puts True first, so `not bit` ranks it first
-            return (-score, [not bit for bit in y])
+        on, off = _bit_tag(True), _bit_tag(False)
+        all_off = 0
+        margins = []
+        for i in range(k):
+            counts = quantity_counts(sentence, quantities, i, self.window)
+            score_on = score_off = 0
+            for name, value in counts.items():
+                score_on += weights.get(name + on, 0) * value
+                score_off += weights.get(name + off, 0) * value
+            if gold is not None:  # Hamming cost: one unit per wrong bit
+                if gold[i]:
+                    score_off += cost_unit
+                else:
+                    score_on += cost_unit
+            all_off += score_off
+            margins.append(score_on - score_off)
 
         order = sorted(range(k), key=lambda i: (-margins[i], i))
-        position = {i: r for r, i in enumerate(order)}
-        best = min((tuple(position[i] < c for i in range(k))
-                    for c in range(k + 1)), key=rank)
-        c = sum(best)
-        if 0 < c < k and margins[order[c - 1]] == margins[order[c]]:
-            tied = [i for i in range(k) if margins[i] == margins[order[c]]]
-            on = sum(best[i] for i in tied)
-            alternatives = []
-            for pattern in _tie_patterns(len(tied), on):
-                y = list(best)
-                for i, bit in zip(tied, pattern):
-                    y[i] = bit
-                alternatives.append(tuple(y))
-            best = min(alternatives, key=rank)
-        return best
+        best_c, best = 0, all_off + weights.get(_count_feature(0, k), 0)
+        score = all_off
+        for c in range(1, k + 1):
+            score += margins[order[c - 1]]
+            total = score + weights.get(_count_feature(c, k), 0)
+            if total >= best:  # equal: more bits on is earlier
+                best_c, best = c, total
+        chosen = set(order[:best_c])
+        return tuple(i in chosen for i in range(k))
 
 
 def predict_relevance(model: LinearModel, sentence: AnnotatedSentence,
@@ -172,8 +144,8 @@ def predict_relevance(model: LinearModel, sentence: AnnotatedSentence,
                                            model.weights)
 
 
-def hamming_cost(gold: RelevanceAssignment, other: RelevanceAssignment) -> float:
-    return float(sum(a != b for a, b in zip(gold, other)))
+def hamming_cost(gold: RelevanceAssignment, other: RelevanceAssignment) -> int:
+    return sum(a != b for a, b in zip(gold, other))
 
 
 def derive_gold_relevance(quantities, gold_constants) -> RelevanceAssignment:

@@ -8,6 +8,7 @@ matches a rule; the root is always EQ.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .core import (
     validate_trigger_list,
 )
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, add_scaled, dot
+from .learning import FeatureVector, add_scaled
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,8 @@ def parse_lexicon(text: str) -> tuple[LexiconRule, ...]:
 
 
 DEFAULT_LEXICON = parse_lexicon(_LEXICON_TABLE)
+# bundles record it: a tree model trained under other rules must not load
+LEXICON_SHA256 = hashlib.sha256(_LEXICON_TABLE.encode("utf-8")).hexdigest()
 
 
 def lexicon_match(context: NodeContext) -> tuple[Op, Order] | None:
@@ -171,39 +174,47 @@ def _op_tag(op: Op, order: Order) -> str:
     return f"|o={op.value}"
 
 
+def node_feature_parts(triggers, i: int, k: int, j: int):
+    """The parts whose counts make up the node over triggers[i:j) split at
+    k: the distinct boundary offsets (each a token window), the mid span as
+    character offsets, and the number feature name or None."""
+    a, b, c, d = (location(triggers[m]) for m in (i, k - 1, k, j - 1))
+    number = None
+    if k == i + 1 and j == k + 1:
+        left, right = triggers[i], triggers[k]
+        if isinstance(left, QuantityTrigger) and isinstance(right, QuantityTrigger):
+            number = f"tnum_left_smaller={int(left.value < right.value)}"
+    return sorted({a, b, c, d}), (min(b, d), max(a, c)), number
+
+
+def _add_window(counts: FeatureVector, sentence: AnnotatedSentence,
+                offset: int, window: int) -> FeatureVector:
+    """Add the neighborhood counts of the token at a boundary offset."""
+    ti = sentence.token_index_at(offset)
+    return sentence.count_tokens(counts, "tn",
+                                 *sentence.window(ti, ti + 1, window))
+
+
+def _add_mid(counts: FeatureVector, sentence: AnnotatedSentence, lo: int,
+             hi: int) -> FeatureVector:
+    """Add the connecting-text counts of the tokens overlapping characters
+    [lo, hi)."""
+    return sentence.count_tokens(counts, "tc",
+                                 *sentence.token_range(Span(lo, hi)))
+
+
 def node_feature_counts(sentence: AnnotatedSentence, triggers, i: int, k: int,
                         j: int, window: int = 3) -> FeatureVector:
     """Neighborhood, connecting-text, and number feature counts for the node
-    over triggers[i:j) split at k, before the op tag is appended."""
+    over triggers[i:j) split at k, before the op tag is appended: the sum
+    of its `node_feature_parts`."""
+    offsets, mid, number = node_feature_parts(triggers, i, k, j)
     counts: FeatureVector = {}
-
-    def bump(name):
-        counts[name] = counts.get(name, 0.0) + 1.0
-
-    locs = [location(t) for t in triggers]
-    boundaries = {locs[i], locs[k - 1], locs[k], locs[j - 1]}
-    for offset in sorted(boundaries):
-        ti = sentence.token_index_at(offset)
-        lo, hi = sentence.window(ti, ti + 1, window)
-        for t in range(lo, hi):
-            bump(f"tn_u={sentence.tokens[t].lower()}")
-            bump(f"tn_p={sentence.pos[t]}")
-            if t + 1 < hi:
-                bump(f"tn_b={sentence.tokens[t].lower()} {sentence.tokens[t + 1].lower()}")
-
-    mid_lo = min(locs[k - 1], locs[j - 1])
-    mid_hi = max(locs[i], locs[k])
-    tlo, thi = sentence.token_range(Span(mid_lo, mid_hi))
-    for t in range(tlo, thi):
-        bump(f"tc_u={sentence.tokens[t].lower()}")
-        bump(f"tc_p={sentence.pos[t]}")
-        if t + 1 < thi:
-            bump(f"tc_b={sentence.tokens[t].lower()} {sentence.tokens[t + 1].lower()}")
-
-    if k == i + 1 and j == k + 1:
-        a, b = triggers[i], triggers[k]
-        if isinstance(a, QuantityTrigger) and isinstance(b, QuantityTrigger):
-            bump(f"tnum_left_smaller={int(a.value < b.value)}")
+    for offset in offsets:
+        _add_window(counts, sentence, offset, window)
+    _add_mid(counts, sentence, *mid)
+    if number is not None:
+        counts[number] = 1
     return counts
 
 
@@ -245,7 +256,7 @@ def tree_features(sentence: AnnotatedSentence, triggers, tree: EquationTree,
     feats: FeatureVector = {}
     for i, k, j, node in nodes:
         add_scaled(feats, tree_node_features(
-            sentence, triggers, i, k, j, node.op, node.order, window), 1.0)
+            sentence, triggers, i, k, j, node.op, node.order, window), 1)
     return feats
 
 
@@ -297,21 +308,47 @@ class CkyDecoder:
                 return False
         return True
 
-    def decode(self, x, weights, gold=None):
-        """Best tree; with a gold tree, each node absent from it scores +1."""
+    def decode(self, x, weights, gold=None, cost_unit: int = 1):
+        """Best tree; with a gold tree, each node absent from it scores
+        +cost_unit."""
         validate_trigger_list(x[1])
-        tree = self._decode(x, weights, gold, strict=self.conform_syntactic)
+        part_score = self._part_scorer(x[0], weights)
+        tree = self._decode(x, weights, part_score, gold, cost_unit,
+                            strict=self.conform_syntactic)
         if tree is None:
             # syntactic conformance can exhaust the space; fall back
-            tree = self._decode(x, weights, gold, strict=False)
+            tree = self._decode(x, weights, part_score, gold, cost_unit,
+                                strict=False)
         return tree
 
-    def _decode(self, x, weights, gold, strict):
+    def _part_scorer(self, sentence, weights):
+        """score(part, tag): the weight of one node part's counts under an op
+        tag, memoized for one decode. A part is a boundary offset (its token
+        window) or a (lo, hi) mid span."""
+        counts_of: dict = {}
+        scores: dict = {}
+
+        def score(part, tag):
+            key = (part, tag)
+            value = scores.get(key)
+            if value is None:
+                counts = counts_of.get(part)
+                if counts is None:
+                    counts = counts_of[part] = (
+                        _add_mid({}, sentence, *part) if isinstance(part, tuple)
+                        else _add_window({}, sentence, part, self.window))
+                value = scores[key] = sum(weights.get(name + tag, 0) * count
+                                          for name, count in counts.items())
+            return value
+
+        return score
+
+    def _decode(self, x, weights, part_score, gold, cost_unit, strict):
         sentence, triggers = x
         n = len(triggers)
         gold_nodes = gold_node_set(gold) if gold is not None else None
 
-        chart: dict = {(i, i + 1): (0.0, Leaf(triggers[i])) for i in range(n)}
+        chart: dict = {(i, i + 1): (0, Leaf(triggers[i])) for i in range(n)}
         for length in range(2, n + 1):
             for i in range(n - length + 1):
                 j = i + length
@@ -324,18 +361,20 @@ class CkyDecoder:
                     lscore, ltree = chart[(i, k)]
                     rscore, rtree = chart[(k, j)]
                     match, ops = self.node_ops(sentence, triggers, i, k, j)
-                    counts = node_feature_counts(sentence, triggers, i, k, j,
-                                                 self.window)
+                    offsets, mid, number = node_feature_parts(triggers, i, k, j)
                     for op, order in ops:
                         tag = _op_tag(op, order)
-                        score = sum(weights.get(name + tag, 0.0) * value
-                                    for name, value in counts.items())
+                        score = part_score(mid, tag)
+                        for offset in offsets:
+                            score += part_score(offset, tag)
+                        if number is not None:
+                            score += weights.get(number + tag, 0)
                         if self.lexicon_as_features and match is not None:
                             score += weights.get(
-                                f"lex_agree={int((op, order) == match)}{tag}", 0.0)
+                                f"lex_agree={int((op, order) == match)}{tag}", 0)
                         if (gold_nodes is not None
                                 and (i, j, op, order) not in gold_nodes):
-                            score += 1.0  # margin cost, one unit per wrong node
+                            score += cost_unit  # margin cost per wrong node
                         total = lscore + rscore + score
                         if best is None or total > best[0]:
                             best = (total, Node(op, order, ltree, rtree))
@@ -360,7 +399,7 @@ class CkyDecoder:
             if match is not None:
                 name = (f"lex_agree={int((node.op, node.order) == match)}"
                         + _op_tag(node.op, node.order))
-                feats[name] = feats.get(name, 0.0) + 1.0
+                feats[name] = feats.get(name, 0) + 1
         return feats
 
     def contains(self, x, tree) -> bool:

@@ -12,7 +12,7 @@ from enum import Enum
 
 from .core import Span, VariableTrigger
 from .corpus import AnnotatedSentence
-from .learning import ExhaustiveDecoder, FeatureVector, LinearModel
+from .learning import FeatureVector, LinearModel
 
 
 class Coref(Enum):
@@ -89,34 +89,81 @@ def enumerate_variable_candidates(sentence: AnnotatedSentence) -> list[VariableC
     return out
 
 
+def np_feature_counts(sentence: AnnotatedSentence, np: Span,
+                      window: int = 3) -> FeatureVector:
+    """One NP's content and neighborhood feature counts, before the pair tag
+    is appended."""
+    lo, hi = sentence.token_range(np)
+    wlo, whi = sentence.window(lo, hi, window)
+    counts = sentence.count_tokens({}, "vp", lo, hi)
+    sentence.count_tokens(counts, "vn", wlo, lo, bigrams=False)
+    return sentence.count_tokens(counts, "vn", hi, whi, bigrams=False)
+
+
+def _pair_tag(two_variables: bool, same_np: bool) -> str:
+    return f"|t={int(two_variables)}s={int(same_np)}"
+
+
+# single NP, pair of distinct NPs, self-pair
+_SINGLE, _PAIR, _SELF = (_pair_tag(False, False), _pair_tag(True, False),
+                         _pair_tag(True, True))
+
+
 def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
                       window: int = 3) -> FeatureVector:
-    """NP content and neighborhood features, conjoined with the pair flags."""
-    tag = f"|t={int(candidate.two_variables)}s={int(candidate.same_np)}"
+    """The candidate's NP counts summed, conjoined with the pair flags; a
+    self-pair counts its NP twice."""
+    tag = _pair_tag(candidate.two_variables, candidate.same_np)
     feats: FeatureVector = {}
-
-    def bump(name):
-        feats[name + tag] = feats.get(name + tag, 0.0) + 1.0
-
     for np in candidate.nps:
-        lo, hi = sentence.token_range(np)
-        for i in range(lo, hi):
-            bump(f"vp_u={sentence.tokens[i].lower()}")
-            bump(f"vp_p={sentence.pos[i]}")
-            if i + 1 < hi:
-                bump(f"vp_b={sentence.tokens[i].lower()} {sentence.tokens[i + 1].lower()}")
-        wlo, whi = sentence.window(lo, hi, window)
-        for i in list(range(wlo, lo)) + list(range(hi, whi)):
-            bump(f"vn_u={sentence.tokens[i].lower()}")
-            bump(f"vn_p={sentence.pos[i]}")
+        for name, value in np_feature_counts(sentence, np, window).items():
+            feats[name + tag] = feats.get(name + tag, 0) + value
     return feats
 
 
-def variable_decoder(window: int = 3) -> ExhaustiveDecoder:
-    return ExhaustiveDecoder(
-        lambda sentence: enumerate_variable_candidates(sentence),
-        lambda sentence, cand: variable_features(sentence, cand, window),
-        candidate_cost)
+class VariableDecoder:
+    """Best NP candidate; x is the sentence.
+
+    Implements the learner's decoder protocol (see ExhaustiveDecoder) with
+    `candidate_cost`. Each NP's counts are built once and scored under each
+    of the three pair tags; a candidate's score is the sum of its NPs'
+    scores under its tag. Ties keep the earliest candidate in
+    `enumerate_variable_candidates` order.
+    """
+
+    def __init__(self, window: int = 3):
+        self.window = window
+
+    def features(self, sentence, candidate: VariableCandidate) -> FeatureVector:
+        return variable_features(sentence, candidate, self.window)
+
+    def contains(self, sentence, candidate) -> bool:
+        return candidate in enumerate_variable_candidates(sentence)
+
+    def decode(self, sentence, weights, gold: VariableCandidate | None = None,
+               cost_unit: int = 1) -> VariableCandidate:
+        scores = {}
+        for np in sentence.np_chunks:
+            if np not in scores:
+                counts = np_feature_counts(sentence, np, self.window)
+                scores[np] = {tag: sum(weights.get(name + tag, 0) * value
+                                       for name, value in counts.items())
+                              for tag in (_SINGLE, _PAIR, _SELF)}
+        best = best_score = None
+        for candidate in enumerate_variable_candidates(sentence):
+            if candidate.same_np:
+                score = 2 * scores[candidate.nps[0]][_SELF]
+            elif candidate.two_variables:
+                score = sum(scores[np][_PAIR] for np in candidate.nps)
+            else:
+                score = scores[candidate.nps[0]][_SINGLE]
+            if gold is not None:
+                score += cost_unit * candidate_cost(gold, candidate)
+            if best_score is None or score > best_score:
+                best, best_score = candidate, score
+        if best is None:
+            raise ValueError("sentence has no NP chunks")
+        return best
 
 
 def assign_labels(sentence: AnnotatedSentence,
@@ -136,9 +183,7 @@ def assign_labels(sentence: AnnotatedSentence,
 
 def predict_variable_triggers(model: LinearModel, sentence: AnnotatedSentence,
                               window: int = 3) -> tuple[VariableTrigger, ...]:
-    if not sentence.np_chunks:
-        raise ValueError("sentence has no NP chunks")
-    candidate = variable_decoder(window).decode(sentence, model.weights)
+    candidate = VariableDecoder(window).decode(sentence, model.weights)
     return assign_labels(sentence, candidate)
 
 
@@ -147,9 +192,8 @@ def candidate_from_grounding(grounding) -> VariableCandidate:
     return VariableCandidate(tuple(t.span for t in grounding))
 
 
-def candidate_cost(gold: VariableCandidate, other: VariableCandidate) -> float:
+def candidate_cost(gold: VariableCandidate, other: VariableCandidate) -> int:
     """NP-set symmetric difference plus flag mismatches."""
-    cost = len(set(gold.nps) ^ set(other.nps))
-    cost += int(gold.two_variables != other.two_variables)
-    cost += int(gold.same_np != other.same_np)
-    return float(cost)
+    return (len(set(gold.nps) ^ set(other.nps))
+            + (gold.two_variables != other.two_variables)
+            + (gold.same_np != other.same_np))

@@ -23,24 +23,25 @@ from eqparse.treeparse import gold_node_set
 class HashWeights(dict):
     """Dense pseudo-random weights keyed by feature name.
 
-    Every feature gets a reproducible weight in [-1, 1] derived from its
-    name, so argmax comparisons against brute-force oracles need no feature
-    collection pass.
+    Every feature gets a reproducible small integer weight in [-3, 3],
+    derived from its name, a third of them zero; coarse integers make ties
+    common, so argmax comparisons against brute-force oracles test the
+    tie-breaking too. No feature collection pass is needed.
     """
 
     def __init__(self, salt: int = 0):
         super().__init__()
         self.salt = salt
 
-    def get(self, key, default=0.0):
-        h = zlib.crc32(f"{self.salt}:{key}".encode("utf-8"))
-        return (h / 0xFFFFFFFF) * 2.0 - 1.0
+    def get(self, key, default=0):
+        r = zlib.crc32(f"{self.salt}:{key}".encode("utf-8")) % 9
+        return 0 if r < 3 else (-3, -2, -1, 1, 2, 3)[r - 3]
 
 
-def tree_cost(gold, other) -> float:
+def tree_cost(gold, other) -> int:
     """Number of the other tree's internal nodes absent from the gold tree:
     the whole-tree form of the CKY decoder's per-node training cost."""
-    return float(len(gold_node_set(other) - gold_node_set(gold)))
+    return len(gold_node_set(other) - gold_node_set(gold))
 
 
 # word pool skews toward lexicon trigger terms so rule constraints fire often
@@ -49,6 +50,41 @@ FILLER = ("sum", "of", "less", "than", "more", "times", "the", "a", "is",
           "difference", "exceeds", "plus", "minus", "added", "as")
 FILLER_POS = ("IN", "DT", "VBZ", "RB", "JJ", "CC", "TO")
 NOUNS = ("number", "apples", "books", "coins", "length", "width", "price")
+
+
+def scan_token_index_at(sentence: AnnotatedSentence, offset: int) -> int:
+    """`AnnotatedSentence.token_index_at` by a linear scan: the token that
+    contains offset, or else the first one after it (the last token when
+    none is)."""
+    for i, ts in enumerate(sentence.token_spans):
+        if ts.start <= offset < ts.end or offset < ts.start:
+            return i
+    return len(sentence.tokens) - 1
+
+
+def scan_token_range(sentence: AnnotatedSentence, span: Span) -> tuple[int, int]:
+    """`AnnotatedSentence.token_range` by a linear scan over every token."""
+    lo = len(sentence.tokens)
+    hi = 0
+    for i, ts in enumerate(sentence.token_spans):
+        if ts.start < span.end and span.start < ts.end:
+            lo = min(lo, i)
+            hi = max(hi, i + 1)
+    if lo >= hi:
+        i = scan_token_index_at(sentence, span.start)
+        return (i, i)
+    return (lo, hi)
+
+
+def random_token_sentence(rng: random.Random) -> AnnotatedSentence:
+    """Up to 8 tokens, some empty, joined by zero to two spaces."""
+    tokens = [rng.choice(("", "a", "to", "sum", "80", ".", "less"))
+              for _ in range(rng.randint(0, 8))]
+    text = ""
+    for tok in tokens:
+        text += " " * rng.randint(0, 2) + tok
+    text += " " * rng.randint(0, 2)
+    return AnnotatedSentence(text, tuple(tokens), ("X",) * len(tokens), ())
 
 
 def random_tree_instance(rng: random.Random, n: int):

@@ -157,13 +157,15 @@ class TestDamagedBundle:
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_weight(self, bundle_path, tmp_path, capsys, raw):
+        # weights are integers, so a non-finite one is a malformed line
         lines = bundle_path.read_text().split("\n")
         n = weight_line_number(lines, "[variables]")
         name = lines[n - 1].split("\t")[0]
         lines[n - 1] = f"{name}\t{raw}"
         code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
         assert code == 2
-        assert f"line {n}: non-finite weight" in err
+        assert f"line {n}: malformed weight line" in err
+        assert "integer weight" in err
         assert out == ""
 
     @pytest.mark.parametrize("damage", [
@@ -179,6 +181,72 @@ class TestDamagedBundle:
         code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
         assert code == 2
         assert f"line {n}: malformed weight line" in err
+
+
+    def test_truncated_bundle(self, bundle_path, tmp_path, capsys):
+        # the bundle minus its last 50 lines, as `head -n -50` leaves it
+        kept = bundle_path.read_text().splitlines(keepends=True)[:-50]
+        code, out, err = parse_with_bundle("".join(kept), tmp_path, capsys)
+        assert code == 2
+        assert f"damaged.txt: line {len(kept) + 1}: bundle ends before its " \
+            "[digests] footer; the file is truncated" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_truncated_footer(self, bundle_path, tmp_path, capsys, cut):
+        kept = bundle_path.read_text().splitlines(keepends=True)[:-cut]
+        code, out, err = parse_with_bundle("".join(kept), tmp_path, capsys)
+        assert code == 2
+        assert f"damaged.txt: line {len(kept) + 1}: footer ends early" in err
+
+    def test_changed_weight_digit(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        n = weight_line_number(lines, "[tree]") + 5
+        name, value = lines[n - 1].split("\t")
+        last = "1" if value[-1] != "1" else "2"
+        lines[n - 1] = f"{name}\t{value[:-1]}{last}"
+        footer = lines.index("[digests]") + 1
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert (f"damaged.txt: line {footer + 3}: the [tree] section does "
+                "not match its footer line") in err
+        assert out == ""
+
+    def test_removed_weight_line(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        del lines[weight_line_number(lines, "[relevance]") - 1]
+        footer = lines.index("[digests]") + 1
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert (f"line {footer + 1}: the [relevance] section does not match "
+                "its footer line") in err
+
+    def test_wrong_lexicon_digest(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        assert lines[-1] == ""
+        assert lines[-2].startswith("[lexicon]\t")
+        lines[-2] = "[lexicon]\t" + "0" * 64
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert (f"damaged.txt: line {len(lines) - 1}: bundle was trained "
+                "under another operator lexicon") in err
+        assert out == ""
+
+    def test_line_after_footer(self, bundle_path, tmp_path, capsys):
+        text = bundle_path.read_text()
+        n = len(text.splitlines()) + 1
+        code, out, err = parse_with_bundle(text + "extra\n", tmp_path, capsys)
+        assert code == 2
+        assert f"line {n}: unexpected line after the footer" in err
+
+    def test_v1_bundle_asks_for_retraining(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        lines[0] = "eqparse-bundle v1"
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert "damaged.txt: line 1: bundle format v1" in err
+        assert "retrain" in err
+        assert "Traceback" not in err
 
 
 class TestEval:
@@ -232,6 +300,29 @@ class TestCorpusInput:
         assert code == 2
         assert ":2: malformed corpus line: equation must be a string" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("equation", ["(= (+ V1", "(= V1 1/0)"],
+                             ids=["truncated", "zero-denominator"])
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_malformed_equation_reported(self, command, equation, bundle_path,
+                                         synthetic_corpus, tmp_path, capsys):
+        # equations are parsed where they are used, not at load; the error
+        # still names the corpus line
+        corpus = tmp_path / "bad-equation.jsonl"
+        bad = example_to_json(synthetic_corpus[1])
+        bad["equation"] = equation
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + json.dumps(bad) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv", "--folds", "2"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"{corpus}:2: malformed equation: " in err
+        assert repr(equation) in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestCv:

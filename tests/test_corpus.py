@@ -1,6 +1,7 @@
 """Corpus format: JSON round-trips, token alignment, malformed input."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from eqparse.corpus import (
     sentence_to_json,
     unparse_value,
 )
+
+from helpers import random_token_sentence, scan_token_index_at, scan_token_range
 
 
 def test_align_tokens_skips_whitespace():
@@ -63,6 +66,26 @@ def test_token_range_overlap():
                           ("DT", "NN", "VBZ", "CD", "."), ())
     assert s.token_range(Span(4, 10)) == (1, 3)
     assert s.token_range(Span(12, 13)) == (3, 4)
+
+
+def test_token_lookups_match_linear_scan():
+    # the bisect lookups against a scan over every token, on every offset
+    # and span of random sentences with empty tokens and uneven spacing
+    rng = random.Random(61)
+    for _ in range(300):
+        s = random_token_sentence(rng)
+        for start in range(len(s.text) + 2):
+            assert s.token_index_at(start) == scan_token_index_at(s, start)
+            for end in range(start, len(s.text) + 2):
+                span = Span(start, end)
+                assert s.token_range(span) == scan_token_range(s, span)
+
+
+def test_token_starts_not_compared():
+    a = AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), ())
+    assert a.token_starts == (0, 2)
+    assert a == AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), ())
+    assert "token_starts" not in repr(a)
 
 
 def test_window_clamps():
@@ -118,6 +141,23 @@ def test_load_corpus_reports_line_number(tmp_path):
     path.write_text(good + "\n{broken\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"2"):
         load_corpus(path)
+
+
+def test_example_knows_its_corpus_line(tmp_path, synthetic_corpus):
+    path = tmp_path / "copy.jsonl"
+    obj = example_to_json(synthetic_corpus[0])
+    obj["equation"] = "(= (+ V1"
+    path.write_text("\n" + json.dumps(obj) + "\n", encoding="utf-8")
+    (example,) = load_corpus(path)
+    assert example.source == f"{path}:2"
+    with pytest.raises(ValueError, match=f"^{path}:2: malformed equation: "
+                       "truncated equation"):
+        example.gold_expr()
+    # built in memory, an example has no line to name
+    bare = example_from_json(obj)
+    assert bare.source is None and bare == example
+    with pytest.raises(ValueError, match="^truncated equation"):
+        bare.gold_expr()
 
 
 def test_load_corpus_skips_blank_lines(tmp_path, synthetic_corpus):

@@ -1,6 +1,7 @@
 """Linear models, decoders, and the two training loops."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from eqparse.learning import (
 
 
 def indicator_features(x, y):
-    return {f"xy={x}:{y}": 1.0, f"y={y}": 1.0}
+    return {f"xy={x}:{y}": 1, f"y={y}": 1}
 
 
 def toy_decoder(space):
@@ -46,15 +47,20 @@ class TestVectorOps:
 
 class TestModelSerialization:
     def test_header_and_sorted_features(self):
-        text = model_to_text(LinearModel({"b": 2.0, "a": -0.5}))
+        text = model_to_text(LinearModel({"b": 2, "a": -5}))
         lines = text.splitlines()
         assert lines[0] == MODEL_HEADER
-        assert lines[2] == "a\t-0.5"
-        assert lines[3] == "b\t2.0"
+        assert lines[2] == "a\t-5"
+        assert lines[3] == "b\t2"
 
     def test_rejects_tab_in_name(self):
         with pytest.raises(ValueError):
-            model_to_text(LinearModel({"a\tb": 1.0}))
+            model_to_text(LinearModel({"a\tb": 1}))
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True])
+    def test_rejects_non_integer_weight(self, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            model_to_text(LinearModel({"a": value}))
 
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
@@ -76,17 +82,19 @@ class TestModelSerialization:
         text = f'{MODEL_HEADER}\n{{"learning_rate": 1}}\n'
         assert model_from_text(text).config.learning_rate == 1
 
-    @pytest.mark.parametrize("line", ["a\tnan", "a\t-inf", "a", "a\t1\t2",
-                                      "a\tx"])
+    @pytest.mark.parametrize("line", [
+        "a\tnan", "a\t-inf", "a", "a\t1\t2", "a\tx", "a\t1.0", "a\t1e3",
+        "a\t"])
     def test_rejects_bad_weight_line_with_its_number(self, line):
-        text = model_to_text(LinearModel({"b": 1.0, "c": 2.0})) + line + "\n"
-        with pytest.raises(ValueError, match="line 5: "):
+        text = model_to_text(LinearModel({"b": 1, "c": 2})) + line + "\n"
+        with pytest.raises(ValueError, match="line 5: malformed weight line "
+                           ".*expected feature<TAB>integer weight"):
             model_from_text(text)
 
     @given(st.dictionaries(
         st.text(st.characters(blacklist_characters="\t"), min_size=1,
                 max_size=12).filter(lambda s: s.splitlines() == [s]),
-        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.integers(min_value=-10**30, max_value=10**30),
         max_size=8))
     def test_roundtrip_bit_exact(self, weights):
         model = LinearModel(dict(weights))
@@ -158,6 +166,43 @@ class TestTrainStructured:
         m2 = train_structured(examples, decoder, TrainConfig(seed=3))
         assert m1.weights == m2.weights
         assert model_to_text(m1) == model_to_text(m2)
+
+    def test_integer_weights_scale_the_rational_learner(self):
+        # the same learner in exact fractions, weights in natural units and
+        # a cost of 1: the integer learner's averaged weights are its
+        # weights times den * steps, and its decodes pick the same outputs
+        space = list(range(5))
+        decoder = ExhaustiveDecoder(
+            lambda x: space,
+            lambda x, y: {f"y={y}": 1, f"x={x % 3}:y={y % 2}": 1,
+                          f"big={y > x % 5}": 2})
+        rng = random.Random(8)
+        examples = [(x, rng.choice(space)) for x in range(12)]
+        for lr in (0.1, 0.25, 1, 0.003):
+            config = TrainConfig(learning_rate=lr, epochs=4, seed=2)
+            rate = Fraction(str(lr))
+            weights, lagged, step = {}, {}, 1
+            order = list(range(len(examples)))
+            shuffler = random.Random(config.seed)
+            for _ in range(config.epochs):
+                shuffler.shuffle(order)
+                for i in order:
+                    x, gold = examples[i]
+                    guess = decoder.decode(x, weights, gold=gold)
+                    if guess != gold:
+                        delta = subtract(decoder.features(x, gold),
+                                         decoder.features(x, guess))
+                        add_scaled(weights, delta, rate)
+                        add_scaled(lagged, delta, rate * (step - 1))
+                    step += 1
+            total = step - 1
+            exact = {name: value - lagged.get(name, 0) / total
+                     for name, value in weights.items()}
+            model = train_structured(examples, decoder, config)
+            assert all(type(v) is int for v in model.weights.values())
+            assert model.weights == {
+                name: int(value * rate.denominator * total)
+                for name, value in exact.items() if value}
 
     def test_gold_outside_space_rejected(self):
         with pytest.raises(ValueError, match="candidate space"):

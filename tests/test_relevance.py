@@ -22,7 +22,7 @@ from eqparse.relevance import (
 from helpers import FILLER, HashWeights, random_relevance_instance
 
 
-def brute_force(sentence, quantities, weights, gold=None):
+def brute_force(sentence, quantities, weights, gold=None, cost_unit=1):
     """Score every assignment; the earliest in enumeration order wins ties."""
     best = None
     best_score = None
@@ -30,7 +30,7 @@ def brute_force(sentence, quantities, weights, gold=None):
         score = dot(weights, relevance_features(sentence, quantities,
                                                 assignment))
         if gold is not None:
-            score += hamming_cost(gold, assignment)
+            score += cost_unit * hamming_cost(gold, assignment)
         if best_score is None or score > best_score:
             best, best_score = assignment, score
     return best
@@ -159,15 +159,74 @@ def test_decode_matches_brute_force(kind):
     ("47 47 47 47 total", "CD CD CD CD IN", 1),
 ])
 def test_tied_margins_follow_brute_force(tokens, pos, salt):
-    # the quantities have equal features, so every choice of which of them
-    # are on scores the same in exact arithmetic; brute force keeps the
-    # choice that rounds highest, which here is not the lowest indices
+    # with integer weights, tied margins are exactly equal, and the earliest
+    # assignment in enumeration order wins: the lowest tied indices on. A
+    # large count weight puts the cut inside the tie.
     tokens, pos = tuple(tokens.split()), tuple(pos.split())
     sentence = AnnotatedSentence(" ".join(tokens), tokens, pos, ())
     quantities = tuple(sentence_quantities(sentence))
-    weights = HashWeights(salt=salt)
-    got = RelevanceDecoder().decode((sentence, quantities), weights)
+    k = len(quantities)
+    c = 1 + salt
+    decoder = RelevanceDecoder()
+    x = (sentence, quantities)
+
+    # count weight only: every margin is 0, features equal or not
+    weights = {f"qg_count={c}/{k}": 10**6}
+    for gold in (None, (False,) * k, (True,) * k):
+        got = decoder.decode(x, weights, gold=gold)
+        assert got == (True,) * c + (False,) * (k - c)
+        assert got == brute_force(sentence, quantities, weights, gold)
+
+    # hashed weights on the features too: quantities whose windows cover
+    # the same tokens tie, and of two tied ones the later is never on
+    # while the earlier is off
+    hashed = HashWeights(salt=salt)
+    weights = {name: hashed.get(name)
+               for bits in ((True,) * k, (False,) * k)
+               for name in relevance_features(sentence, quantities, bits)}
+    weights[f"qg_count={c}/{k}"] = 10**6
+    feats = [quantity_features(sentence, quantities, i, True)
+             for i in range(k)]
+    got = decoder.decode(x, weights)
+    assert sum(got) == c
     assert got == brute_force(sentence, quantities, weights)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if feats[i] == feats[j]:
+                assert got[i] or not got[j]
+    assert decoder.decode(x, hashed) == brute_force(sentence, quantities,
+                                                    hashed)
+
+
+def test_exact_ties_follow_earliest_wins_brute_force():
+    # 1000 sentences x {plain, cost-augmented} x cost units {1, 10}: coarse
+    # integer weights, a third of them zero, and repeated numbers tie
+    # scores often; the decode must pick brute force's earliest argmax
+    rng = random.Random(4000)
+    decoder = RelevanceDecoder()
+    decodes = 0
+    for trial in range(1000):
+        k = rng.randint(0, 7)
+        if trial % 2:
+            sentence = repeated_quantity_instance(rng, max(k, 1))
+        else:
+            sentence = random_relevance_instance(rng, k)
+        quantities = tuple(sentence_quantities(sentence))
+        x = (sentence, quantities)
+        weights = HashWeights(salt=5000 + trial)
+        gold = tuple(rng.random() < 0.5 for _ in quantities)
+        space = list(enumerate_assignments(len(quantities)))
+        scores = [dot(weights, relevance_features(sentence, quantities, y))
+                  for y in space]
+        for cost_unit in (1, 10):
+            for g in (None, gold):
+                # max() keeps the first of equal scores: earliest wins
+                best = max(range(len(space)), key=lambda i: scores[i] + (
+                    0 if g is None else cost_unit * hamming_cost(g, space[i])))
+                got = decoder.decode(x, weights, gold=g, cost_unit=cost_unit)
+                assert got == space[best]
+                decodes += 1
+    assert decodes == 4000
 
 
 def test_contains_checks_length_and_bits(sum_sentence):
@@ -194,9 +253,9 @@ def test_cost_augmented_decode_matches_brute_force():
 
 
 def test_hamming_cost():
-    assert hamming_cost((True, False), (True, False)) == 0.0
-    assert hamming_cost((True, False), (False, False)) == 1.0
-    assert hamming_cost((True, True), (False, False)) == 2.0
+    assert hamming_cost((True, False), (True, False)) == 0
+    assert hamming_cost((True, False), (False, False)) == 1
+    assert hamming_cost((True, True), (False, False)) == 2
 
 
 class TestGoldDerivation:

@@ -32,6 +32,7 @@ from eqparse.treeparse import (
     parse_lexicon,
     tree_features,
     tree_node_features,
+    tree_nodes,
 )
 
 from helpers import HashWeights, random_tree_instance, tree_cost
@@ -228,6 +229,23 @@ def crossing_sentence():
         (Span(2, 10),))
 
 
+def crosses_np_chunk(sentence, tree) -> bool:
+    """Whether a node below the root spans part of an NP chunk and text
+    outside it, on both sides of neither."""
+    leaves, nodes = tree_nodes(tree)
+    for i, _, j, _ in nodes:
+        if (i, j) == (0, len(leaves)):
+            continue
+        lo = min(t.span.start for t in leaves[i:j])
+        hi = max(t.span.end for t in leaves[i:j])
+        for chunk in sentence.np_chunks:
+            if (max(lo, chunk.start) < min(hi, chunk.end)
+                    and not chunk.start <= lo <= hi <= chunk.end
+                    and not lo <= chunk.start <= chunk.end <= hi):
+                return True
+    return False
+
+
 class TestCkyDecoder:
     def test_recovers_gold_tree_with_trained_weights(
             self, bundle, twice_triple_sentence):
@@ -286,6 +304,49 @@ class TestCkyDecoder:
                     assert decoder.contains(x, got)
                     assert objective(got) == pytest.approx(
                         max(map(objective, space)), abs=1e-9)
+
+    def test_by_parts_decode_matches_enumeration_in_every_mode(self):
+        # the decode sums memoized part scores; the oracle scores every
+        # tree's whole feature dict. Extra multi-token NP chunks make the
+        # syntactic mode prune, and its oracle keeps the trees with no
+        # node crossing a chunk, or every tree when none is left.
+        rng = random.Random(37)
+        modes = (({}, True), ({"use_lexicon": False}, False),
+                 ({"lexicon_as_features": True}, False),
+                 ({"conform_syntactic": True}, True))
+        for trial in range(60):
+            sentence, triggers = random_tree_instance(rng, 2 + trial % 3)
+            n_tokens = len(sentence.tokens)
+            chunks = []
+            for _ in range(rng.randint(1, 2)):
+                a = rng.randrange(n_tokens)
+                b = rng.randrange(a, min(n_tokens, a + 3))
+                chunks.append(Span(sentence.token_spans[a].start,
+                                   sentence.token_spans[b].end))
+            sentence = AnnotatedSentence(sentence.text, sentence.tokens,
+                                         sentence.pos,
+                                         sentence.np_chunks + tuple(chunks))
+            x = (sentence, triggers)
+            weights = HashWeights(salt=7000 + trial)
+            for kwargs, lexicon_space in modes:
+                decoder = CkyDecoder(**kwargs)
+                space = enumerate_projective_trees(sentence, triggers,
+                                                   use_lexicon=lexicon_space)
+                if decoder.conform_syntactic:
+                    space = ([t for t in space
+                              if not crosses_np_chunk(sentence, t)] or space)
+                scores = [dot(weights, decoder.features(x, t)) for t in space]
+                gold = rng.choice(space)
+                for g, cost_unit in ((None, 1), (gold, 1), (gold, 10)):
+                    def objective(i):
+                        cost = 0 if g is None else tree_cost(g, space[i])
+                        return scores[i] + cost_unit * cost
+
+                    got = decoder.decode(x, weights, gold=g,
+                                         cost_unit=cost_unit)
+                    assert got in space
+                    assert objective(space.index(got)) == max(
+                        map(objective, range(len(space))))
 
     def test_contains_gold_tree(self, twice_triple_sentence):
         triggers = twice_triple_triggers(twice_triple_sentence)

@@ -6,16 +6,16 @@ import pytest
 
 from eqparse.core import Span
 from eqparse.corpus import AnnotatedSentence
-from eqparse.learning import LinearModel, dot
+from eqparse.learning import ExhaustiveDecoder, LinearModel, dot
 from eqparse.variables import (
     Coref,
     VariableCandidate,
+    VariableDecoder,
     assign_labels,
     candidate_cost,
     coreference_label,
     enumerate_variable_candidates,
     predict_variable_triggers,
-    variable_decoder,
     variable_features,
 )
 
@@ -214,7 +214,7 @@ class TestCost:
     def test_cost_augmented_decode_matches_brute_force(self):
         # the training decode maximizes score + candidate_cost to the gold
         rng = random.Random(23)
-        decoder = variable_decoder()
+        decoder = VariableDecoder()
         for trial in range(100):
             sentence = random_np_instance(rng, rng.randint(1, 4))
             candidates = enumerate_variable_candidates(sentence)
@@ -229,3 +229,35 @@ class TestCost:
                 if best_score is None or score > best_score:
                     best, best_score = candidate, score
             assert got == best
+
+
+class TestVariableDecoder:
+    def test_by_parts_matches_exhaustive_decoder(self):
+        # NP scores summed per candidate against scoring every candidate's
+        # whole feature dict, with and without gold, at cost units 1 and
+        # 10; self-pairs count their NP twice in both
+        rng = random.Random(29)
+        decoder = VariableDecoder()
+        oracle = ExhaustiveDecoder(enumerate_variable_candidates,
+                                   variable_features, candidate_cost)
+        for trial in range(300):
+            sentence = random_np_instance(rng, rng.randint(1, 5))
+            candidates = enumerate_variable_candidates(sentence)
+            weights = HashWeights(salt=6000 + trial)
+            for gold in (None, rng.choice(candidates)):
+                for cost_unit in (1, 10):
+                    assert decoder.decode(sentence, weights, gold, cost_unit) \
+                        == oracle.decode(sentence, weights, gold, cost_unit)
+
+    def test_ties_keep_the_earliest_candidate(self, sum_sentence):
+        assert VariableDecoder().decode(sum_sentence, {}) == \
+            enumerate_variable_candidates(sum_sentence)[0]
+
+    def test_protocol(self, sum_sentence):
+        decoder = VariableDecoder()
+        np = sum_sentence.np_chunks[1]
+        pair = VariableCandidate((np, np))
+        assert decoder.contains(sum_sentence, pair)
+        assert not decoder.contains(sum_sentence, VariableCandidate((Span(0, 3),)))
+        assert decoder.features(sum_sentence, pair) == variable_features(
+            sum_sentence, pair)
