@@ -1,13 +1,15 @@
 """Command line front end.
 
 Subcommands: train, parse, eval, cv. All results go to stdout as JSON;
-diagnostics go to stderr. Exit codes: 0 success, 1 usage error, 2 data error.
+diagnostics go to stderr. Exit codes: 0 success, 1 usage error or closed
+stdout, 2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import Span
@@ -177,7 +179,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; 0 stays 0 (e.g. --help)
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`eqparse parse ... | head -1`). As
+        # Python's SIGPIPE notes advise, point stdout at devnull, so the
+        # flush at exit cannot fail again, and exit 1 without a message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -110,12 +110,17 @@ class ParseResult:
         }
 
 
-BUNDLE_HEADER = "eqparse-bundle v2"
+BUNDLE_HEADER = "eqparse-bundle v3"
+# older formats, each with what it lacks; they are refused, not converted
+_OLD_HEADERS = {"eqparse-bundle v1": "float weights",
+                "eqparse-bundle v2": "no config digest"}
 _SECTIONS = ("[relevance]", "[variables]", "[tree]")
 # ends the bundle: one line per section, `marker<TAB>weights<TAB>sha256` of
-# the section's lines, then `[lexicon]<TAB>sha256` of the lexicon table the
-# tree model was trained under
+# the section's lines, then `[config]<TAB>sha256` of the config line (line
+# 2), then `[lexicon]<TAB>sha256` of the lexicon table the tree model was
+# trained under
 _FOOTER = "[digests]"
+_CONFIG = "[config]"
 _LEXICON = "[lexicon]"
 
 
@@ -169,8 +174,8 @@ class ModelBundle:
     # serialization ------------------------------------------------------
 
     def to_text(self) -> str:
-        parts = [BUNDLE_HEADER,
-                 json.dumps(asdict(self.config), sort_keys=True)]
+        config = json.dumps(asdict(self.config), sort_keys=True)
+        parts = [BUNDLE_HEADER, config]
         footer = [_FOOTER]
         for marker, model in zip(_SECTIONS, (self.relevance_model,
                                              self.variable_model,
@@ -178,19 +183,20 @@ class ModelBundle:
             section = model_to_text(model)
             parts += [marker, section.rstrip("\n")]
             footer.append(f"{marker}\t{len(model.weights)}\t{_sha256(section)}")
+        footer.append(f"{_CONFIG}\t{_sha256(config)}")
         footer.append(f"{_LEXICON}\t{LEXICON_SHA256}")
         return "\n".join(parts + footer) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ModelBundle":
-        """Inverse of to_text; errors give the 1-based line number. Each
-        section is parsed, then checked against its footer line, so a
-        truncated or altered bundle fails to load."""
+        """Inverse of to_text; errors give the 1-based line number. The
+        config and each section are parsed, then checked against their
+        footer lines, so a truncated or altered bundle fails to load."""
         lines = text.splitlines()
-        if lines and lines[0] == "eqparse-bundle v1":
-            raise ValueError("line 1: bundle format v1 (float weights) is no "
-                             "longer read; retrain the model with "
-                             "`eqparse train`")
+        if lines and lines[0] in _OLD_HEADERS:
+            raise ValueError(f"line 1: bundle format {lines[0].split()[-1]} "
+                             f"({_OLD_HEADERS[lines[0]]}) is no longer read; "
+                             "retrain the model with `eqparse train`")
         if not lines or lines[0] != BUNDLE_HEADER:
             raise ValueError("line 1: not a model bundle (bad header)")
         if len(lines) < 2:
@@ -209,6 +215,7 @@ class ModelBundle:
             model = model_from_text(section, first_line=a + 2)
             models.append(model)
             footer.append((lines[a], str(len(model.weights)), _sha256(section)))
+        footer.append((_CONFIG, _sha256(lines[1])))
         footer.append((_LEXICON, LEXICON_SHA256))
         for n, (want, got) in enumerate(
                 itertools.zip_longest(footer, lines[end + 1:]), start=end + 2):
@@ -219,6 +226,10 @@ class ModelBundle:
                                  "truncated")
             if got == "\t".join(want):
                 continue
+            if want[0] == _CONFIG:
+                raise ValueError(f"line {n}: the config on line 2 does not "
+                                 f"match its footer line: read sha256 "
+                                 f"{want[1]}, footer line is {got!r}")
             if want[0] == _LEXICON:
                 raise ValueError(f"line {n}: bundle was trained under another "
                                  "operator lexicon; retrain the model with "

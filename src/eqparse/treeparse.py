@@ -168,10 +168,112 @@ def lexicon_match(context: NodeContext) -> tuple[Op, Order] | None:
     return None
 
 
-def _op_tag(op: Op, order: Order) -> str:
-    if op in (Op.SUB, Op.DIV):
-        return f"|o={op.value}{order.value}"
-    return f"|o={op.value}"
+def _compile_lexicon(rules):
+    """The rules as bit masks: each distinct (field, term) atom gets one bit.
+    Returns {field: ((" term ", bit), ...)}, the bit of an empty mid span,
+    and the rules highest precedence first as ((op, order), clause masks)."""
+    bits: dict = {}
+    compiled = []
+    for rule in reversed(rules):
+        masks = []
+        for clause in rule.clauses:
+            mask = 0
+            for atom in clause:
+                mask |= 1 << bits.setdefault(atom, len(bits))
+            masks.append(mask)
+        compiled.append(((rule.op, rule.order or Order.LR), tuple(masks)))
+    atoms = {field: tuple((f" {term} ", 1 << bit)
+                          for (f, term), bit in bits.items() if f == field)
+             for field in ("left", "mid", "right", "token")}
+    return atoms, 1 << bits[("mid_empty", "")], tuple(compiled)
+
+
+_ATOMS, _MID_EMPTY, _COMPILED = _compile_lexicon(DEFAULT_LEXICON)
+
+
+def _field_mask(field: str, text: str | None) -> int:
+    """The bits of the `field` atoms whose term the text contains."""
+    padded = _padded(text)
+    mask = 0
+    for term, bit in _ATOMS[field]:
+        if term in padded:
+            mask |= bit
+    return mask
+
+
+class FieldTable:
+    """The lexicon atoms of each node-context field over one sorted trigger
+    list, each computed on first use, and the lexicon match of a node.
+
+    On sorted locations the fields of `node_context_spans` factor: `left`
+    and `token` depend only on a node's first trigger i, `mid` only on its
+    split k, and `right` only on its end j. So a trigger list has O(n)
+    distinct fields, and a node's match is a few mask tests. A table
+    serves one `decode`, `features` or `contains` call.
+    """
+
+    def __init__(self, sentence: AnnotatedSentence, triggers):
+        self.text = sentence.text
+        self.triggers = triggers
+        self.locs = [location(t) for t in triggers]
+        if any(a > b for a, b in zip(self.locs, self.locs[1:])):
+            raise ValueError("trigger list out of order")
+        n = len(triggers)
+        self._left = [None] * n    # by i: last location before locs[i]
+        self._token = [None] * n   # by i: the surface of triggers[i]
+        self._mid = [None] * n     # by k: text[locs[k-1]:locs[k]]
+        self._right = [None] * (n + 1)  # by j: first location after locs[j-1]
+        self._matches: dict = {}
+
+    def match(self, i: int, k: int, j: int) -> tuple[Op, Order] | None:
+        """`lexicon_match(node_context_spans(sentence, triggers, i, k, j))`:
+        the first rule whose every clause meets the node's atoms."""
+        mask = self.mask(i, k, j)
+        if mask not in self._matches:
+            self._matches[mask] = next(
+                (match for match, clauses in _COMPILED
+                 if all(clause & mask for clause in clauses)), None)
+        return self._matches[mask]
+
+    def mask(self, i: int, k: int, j: int) -> int:
+        """The bits of the atoms that the node's context fields contain."""
+        locs, text = self.locs, self.text
+        left = self._left[i]
+        if left is None:
+            start = locs[i]
+            before = [p for p in locs[:i] if p < start]
+            left = self._left[i] = _field_mask(
+                "left", text[before[-1] if before else 0:start])
+        mid = self._mid[k]
+        if mid is None:
+            span = text[locs[k - 1]:locs[k]]
+            mid = self._mid[k] = _field_mask("mid", span) | (
+                0 if span.strip() else _MID_EMPTY)
+        right = self._right[j]
+        if right is None:
+            end = locs[j - 1]
+            after = [p for p in locs[j:] if p > end]
+            right = self._right[j] = _field_mask(
+                "right", text[end:after[0] if after else len(text)])
+        mask = left | mid | right
+        if k == i + 1:
+            token = self._token[i]
+            if token is None:
+                token = self._token[i] = _field_mask(
+                    "token", self.triggers[i].span.text(text))
+            mask |= token
+        return mask
+
+
+# the suffix of each node feature name: the op, and the order for - and /
+_OP_TAGS = {(op, order): f"|o={op.value}{order.value}"
+            if op in (Op.SUB, Op.DIV) else f"|o={op.value}"
+            for op in Op for order in Order}
+
+
+# the number feature of a node joining two quantity leaves, by whether the
+# left value is the smaller
+_NUMBER_FEATURES = ("tnum_left_smaller=0", "tnum_left_smaller=1")
 
 
 def node_feature_parts(triggers, i: int, k: int, j: int):
@@ -183,7 +285,7 @@ def node_feature_parts(triggers, i: int, k: int, j: int):
     if k == i + 1 and j == k + 1:
         left, right = triggers[i], triggers[k]
         if isinstance(left, QuantityTrigger) and isinstance(right, QuantityTrigger):
-            number = f"tnum_left_smaller={int(left.value < right.value)}"
+            number = _NUMBER_FEATURES[left.value < right.value]
     return sorted({a, b, c, d}), (min(b, d), max(a, c)), number
 
 
@@ -222,7 +324,7 @@ def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
                        j: int, op: Op, order: Order,
                        window: int = 3) -> FeatureVector:
     """`node_feature_counts` with each name tagged by the node's (op, order)."""
-    tag = _op_tag(op, order)
+    tag = _OP_TAGS[op, order]
     return {name + tag: value for name, value in node_feature_counts(
         sentence, triggers, i, k, j, window).items()}
 
@@ -266,6 +368,31 @@ def gold_node_set(tree: EquationTree) -> frozenset:
                      for i, _, j, node in tree_nodes(tree)[1])
 
 
+class _PartScores(dict):
+    """(part, op tag) -> the weight of one node part's counts under the tag,
+    filled on first use, for one decode. A part is a boundary offset (its
+    token window), a (lo, hi) mid span, or a number feature name."""
+
+    def __init__(self, sentence: AnnotatedSentence, weights, window: int):
+        super().__init__()
+        self.sentence, self.weights, self.window = sentence, weights, window
+        self.counts: dict = {}
+
+    def __missing__(self, key):
+        part, tag = key
+        counts = self.counts.get(part)
+        if counts is None:
+            counts = self.counts[part] = (
+                {part: 1} if isinstance(part, str)
+                else _add_mid({}, self.sentence, *part)
+                if isinstance(part, tuple)
+                else _add_window({}, self.sentence, part, self.window))
+        get = self.weights.get
+        value = self[key] = sum([get(name + tag, 0) * count
+                                 for name, count in counts.items()])
+        return value
+
+
 class CkyDecoder:
     """Bottom-up search for the best projective equation tree.
 
@@ -283,14 +410,14 @@ class CkyDecoder:
         self.lexicon_as_features = lexicon_as_features
         self.conform_syntactic = conform_syntactic
 
-    def node_ops(self, sentence, triggers, i, k, j):
+    def node_ops(self, table: FieldTable, i, k, j):
         """(lexicon match or None, (op, order) pairs explored) for the node
         over triggers[i:j) split at k. The root cell (0, n) is EQ only."""
-        if (i, j) == (0, len(triggers)):
+        if (i, j) == (0, len(table.locs)):
             return None, ((Op.EQ, Order.LR),)
         if not self.use_lexicon:
             return None, INTERNAL_OPS
-        match = lexicon_match(node_context_spans(sentence, triggers, i, k, j))
+        match = table.match(i, k, j)
         if match is None or self.lexicon_as_features:
             return match, INTERNAL_OPS
         return match, (match,)
@@ -312,43 +439,25 @@ class CkyDecoder:
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit."""
         validate_trigger_list(x[1])
-        part_score = self._part_scorer(x[0], weights)
-        tree = self._decode(x, weights, part_score, gold, cost_unit,
+        table = FieldTable(*x)
+        scores = _PartScores(x[0], weights, self.window)
+        tree = self._decode(x, weights, table, scores, gold, cost_unit,
                             strict=self.conform_syntactic)
         if tree is None:
             # syntactic conformance can exhaust the space; fall back
-            tree = self._decode(x, weights, part_score, gold, cost_unit,
+            tree = self._decode(x, weights, table, scores, gold, cost_unit,
                                 strict=False)
         return tree
 
-    def _part_scorer(self, sentence, weights):
-        """score(part, tag): the weight of one node part's counts under an op
-        tag, memoized for one decode. A part is a boundary offset (its token
-        window) or a (lo, hi) mid span."""
-        counts_of: dict = {}
-        scores: dict = {}
-
-        def score(part, tag):
-            key = (part, tag)
-            value = scores.get(key)
-            if value is None:
-                counts = counts_of.get(part)
-                if counts is None:
-                    counts = counts_of[part] = (
-                        _add_mid({}, sentence, *part) if isinstance(part, tuple)
-                        else _add_window({}, sentence, part, self.window))
-                value = scores[key] = sum(weights.get(name + tag, 0) * count
-                                          for name, count in counts.items())
-            return value
-
-        return score
-
-    def _decode(self, x, weights, part_score, gold, cost_unit, strict):
+    def _decode(self, x, weights, table, scores, gold, cost_unit, strict):
         sentence, triggers = x
         n = len(triggers)
+        locs = table.locs
+        values = [t.value if isinstance(t, QuantityTrigger) else None
+                  for t in triggers]
         gold_nodes = gold_node_set(gold) if gold is not None else None
 
-        chart: dict = {(i, i + 1): (0, Leaf(triggers[i])) for i in range(n)}
+        chart: dict = {(i, i + 1): (0, Leaf(t)) for i, t in enumerate(triggers)}
         for length in range(2, n + 1):
             for i in range(n - length + 1):
                 j = i + length
@@ -356,28 +465,29 @@ class CkyDecoder:
                     continue
                 best = None
                 for k in range(i + 1, j):
-                    if (i, k) not in chart or (k, j) not in chart:
+                    left, right = chart.get((i, k)), chart.get((k, j))
+                    if left is None or right is None:
                         continue
-                    lscore, ltree = chart[(i, k)]
-                    rscore, rtree = chart[(k, j)]
-                    match, ops = self.node_ops(sentence, triggers, i, k, j)
-                    offsets, mid, number = node_feature_parts(triggers, i, k, j)
+                    match, ops = self.node_ops(table, i, k, j)
+                    # the parts of `node_feature_parts`: the distinct
+                    # boundary offsets, the mid span and the number feature
+                    b, c = locs[k - 1], locs[k]
+                    parts = {locs[i], b, c, locs[j - 1], (b, c)}
+                    if length == 2 and None not in (values[i], values[k]):
+                        parts.add(_NUMBER_FEATURES[values[i] < values[k]])
                     for op, order in ops:
-                        tag = _op_tag(op, order)
-                        score = part_score(mid, tag)
-                        for offset in offsets:
-                            score += part_score(offset, tag)
-                        if number is not None:
-                            score += weights.get(number + tag, 0)
+                        tag = _OP_TAGS[op, order]
+                        score = left[0] + right[0]
+                        for part in parts:
+                            score += scores[part, tag]
                         if self.lexicon_as_features and match is not None:
                             score += weights.get(
                                 f"lex_agree={int((op, order) == match)}{tag}", 0)
                         if (gold_nodes is not None
                                 and (i, j, op, order) not in gold_nodes):
                             score += cost_unit  # margin cost per wrong node
-                        total = lscore + rscore + score
-                        if best is None or total > best[0]:
-                            best = (total, Node(op, order, ltree, rtree))
+                        if best is None or score > best[0]:
+                            best = (score, Node(op, order, left[1], right[1]))
                 if best is not None:
                     chart[(i, j)] = best
 
@@ -394,11 +504,12 @@ class CkyDecoder:
         feats = tree_features(sentence, triggers, tree, self.window)
         if not self.lexicon_as_features:
             return feats
+        table = FieldTable(sentence, triggers)
         for i, k, j, node in tree_nodes(tree)[1]:
-            match, _ = self.node_ops(sentence, triggers, i, k, j)
+            match, _ = self.node_ops(table, i, k, j)
             if match is not None:
                 name = (f"lex_agree={int((node.op, node.order) == match)}"
-                        + _op_tag(node.op, node.order))
+                        + _OP_TAGS[node.op, node.order])
                 feats[name] = feats.get(name, 0) + 1
         return feats
 
@@ -410,8 +521,8 @@ class CkyDecoder:
         leaves, nodes = tree_nodes(tree)
         if leaves != list(triggers):
             return False
-        return all((node.op, node.order)
-                   in self.node_ops(sentence, triggers, i, k, j)[1]
+        table = FieldTable(sentence, triggers)
+        return all((node.op, node.order) in self.node_ops(table, i, k, j)[1]
                    for i, k, j, node in nodes)
 
 
@@ -424,8 +535,15 @@ def enumerate_projective_trees(sentence: AnnotatedSentence, triggers,
     n = len(triggers)
     if n < 2:
         raise ValueError("trigger list needs at least 2 triggers")
-    decoder = CkyDecoder(use_lexicon=use_lexicon)
     cache: dict = {}
+
+    def node_ops(i, k, j):
+        # the reference decision, kept apart from `CkyDecoder.node_ops`
+        if (i, j) == (0, n):
+            return ((Op.EQ, Order.LR),)
+        match = (lexicon_match(node_context_spans(sentence, triggers, i, k, j))
+                 if use_lexicon else None)
+        return INTERNAL_OPS if match is None else (match,)
 
     def subtrees(i, j):
         if (i, j) in cache:
@@ -435,7 +553,7 @@ def enumerate_projective_trees(sentence: AnnotatedSentence, triggers,
         else:
             result = []
             for k in range(i + 1, j):
-                _, ops = decoder.node_ops(sentence, triggers, i, k, j)
+                ops = node_ops(i, k, j)
                 for lt in subtrees(i, k):
                     for rt in subtrees(k, j):
                         for op, order in ops:

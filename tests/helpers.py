@@ -15,9 +15,10 @@ from eqparse.core import (
     Var,
     VariableTrigger,
     make_apply,
+    sort_triggers,
 )
 from eqparse.corpus import AnnotatedSentence
-from eqparse.treeparse import gold_node_set
+from eqparse.treeparse import DEFAULT_LEXICON, gold_node_set
 
 
 class HashWeights(dict):
@@ -50,6 +51,13 @@ FILLER = ("sum", "of", "less", "than", "more", "times", "the", "a", "is",
           "difference", "exceeds", "plus", "minus", "added", "as")
 FILLER_POS = ("IN", "DT", "VBZ", "RB", "JJ", "CC", "TO")
 NOUNS = ("number", "apples", "books", "coins", "length", "width", "price")
+# every word of a lexicon term, and the quantity words that the lexicon's
+# token atoms name: fillers and triggers under which most splits meet a rule
+LEXICON_WORDS = tuple(sorted({word for rule in DEFAULT_LEXICON
+                              for clause in rule.clauses
+                              for _, term in clause for word in term.split()}))
+MULTIPLIERS = (("twice", 2), ("double", 2), ("thrice", 3), ("triple", 3),
+               ("half", Fraction(1, 2)))
 
 
 def scan_token_index_at(sentence: AnnotatedSentence, offset: int) -> int:
@@ -87,8 +95,10 @@ def random_token_sentence(rng: random.Random) -> AnnotatedSentence:
     return AnnotatedSentence(text, tuple(tokens), ("X",) * len(tokens), ())
 
 
-def random_tree_instance(rng: random.Random, n: int):
-    """(sentence, triggers) with n triggers at distinct token positions."""
+def random_tree_instance(rng: random.Random, n: int, filler=FILLER,
+                         multipliers: bool = False):
+    """(sentence, triggers) with n triggers at distinct token positions;
+    with `multipliers`, half the quantities are words such as "twice"."""
     n_tokens = rng.randrange(n + 2, n + 8)
     slots = set(rng.sample(range(n_tokens), n))
     tokens, pos, plan = [], [], []
@@ -96,8 +106,12 @@ def random_tree_instance(rng: random.Random, n: int):
     for idx in range(n_tokens):
         if idx in slots:
             if rng.random() < 0.55:
-                value = rng.randrange(1, 31)
-                tokens.append(str(value))
+                if multipliers and rng.random() < 0.5:
+                    word, value = rng.choice(MULTIPLIERS)
+                else:
+                    value = rng.randrange(1, 31)
+                    word = str(value)
+                tokens.append(word)
                 pos.append("CD")
                 plan.append(("q", Fraction(value)))
             else:
@@ -107,7 +121,7 @@ def random_tree_instance(rng: random.Random, n: int):
                 have_v1 = True
                 plan.append(("v", label))
         else:
-            tokens.append(rng.choice(FILLER))
+            tokens.append(rng.choice(filler))
             pos.append(rng.choice(FILLER_POS))
             plan.append(None)
     text = " ".join(tokens)
@@ -124,6 +138,25 @@ def random_tree_instance(rng: random.Random, n: int):
             triggers.append(VariableTrigger(step[1], span))
             chunks.append(span)
     sentence = AnnotatedSentence(text, tuple(tokens), tuple(pos), tuple(chunks))
+    return sentence, tuple(triggers)
+
+
+def shared_location_instance(rng: random.Random, n: int, **kwargs):
+    """(sentence, triggers) with n triggers, one of them a V1 whose NP chunk
+    opens with a quantity's token ("12 apples"), so the quantity and the
+    variable share a location; kwargs go to `random_tree_instance`."""
+    while True:
+        sentence, triggers = random_tree_instance(rng, n - 1, **kwargs)
+        quantities = [t for t in triggers if isinstance(t, QuantityTrigger)]
+        if quantities:
+            break
+    q = rng.choice(quantities)
+    first = sentence.token_index_at(q.span.start)
+    last = min(first + rng.randint(0, 2), len(sentence.tokens) - 1)
+    chunk = Span(q.span.start, sentence.token_spans[last].end)
+    triggers = sort_triggers(list(triggers) + [VariableTrigger("V1", chunk)])
+    sentence = AnnotatedSentence(sentence.text, sentence.tokens, sentence.pos,
+                                 sentence.np_chunks + (chunk,))
     return sentence, tuple(triggers)
 
 

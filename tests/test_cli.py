@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, JSON output, determinism."""
 
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -248,6 +251,34 @@ class TestDamagedBundle:
         assert "retrain" in err
         assert "Traceback" not in err
 
+    def test_v2_bundle_asks_for_retraining(self, bundle_path, tmp_path,
+                                           capsys):
+        # v2 had no [config] footer line; it is refused like v1
+        lines = bundle_path.read_text().split("\n")
+        lines[0] = "eqparse-bundle v2"
+        del lines[-3]
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert "damaged.txt: line 1: bundle format v2" in err
+        assert "retrain" in err
+        assert out == ""
+
+    def test_changed_config_line(self, bundle_path, tmp_path, capsys):
+        # what `sed -e '2s/"window": 3/"window": 1/'
+        # -e '2s/"use_lexicon": true/"use_lexicon": false/'` does to the
+        # bundle: a valid config that the weights were not trained under
+        lines = bundle_path.read_text().split("\n")
+        edited = lines[1].replace('"window": 3', '"window": 1').replace(
+            '"use_lexicon": true', '"use_lexicon": false')
+        assert edited != lines[1]
+        lines[1] = edited
+        assert lines[-3].startswith("[config]\t")
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert (f"damaged.txt: line {len(lines) - 2}: the config on line 2 "
+                "does not match its footer line") in err
+        assert out == ""
+
 
 class TestEval:
     def test_eval_on_train_is_perfect_here(self, bundle_path,
@@ -367,6 +398,31 @@ class TestUsage:
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "train" in out and "parse" in out
+
+    def test_closed_stdout_exits_quietly(self, bundle_path, tmp_path,
+                                         monkeypatch, capsys):
+        # as under `eqparse parse ... | head -1` once head has exited: the
+        # write fails with EPIPE; stdout then points at devnull, and the
+        # exit code is 1 with nothing on stderr
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = cli.main(["parse", "--model", str(bundle_path),
+                             "--text", "The sum of two numbers is 80.",
+                             "--np-span", "0:7", "--np-span", "11:22"])
+            redirected = os.fstat(fd).st_rdev
+        finally:
+            os.close(fd)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert redirected == os.stat(os.devnull).st_rdev
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "eqparse.cli", "--help"],

@@ -31,9 +31,10 @@ class TestSerialization:
         # byte-level oracle: the default-config bundle trained on the
         # synthetic and multiplier corpora; a refactor must keep it. Its
         # weights are the float learner's averaged weights times 2250
-        # (den 10 of the learning rate, times 225 training steps)
+        # (den 10 of the learning rate, times 225 training steps). Format
+        # v3 adds the [config] footer line to the v2 text
         digest = hashlib.sha256(bundle_path.read_bytes()).hexdigest()
-        assert digest.startswith("1738632dcf042fe4")
+        assert digest.startswith("ce8cd057b4704413")
 
     def test_text_sections(self, bundle):
         text = bundle.to_text()

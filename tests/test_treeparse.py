@@ -24,6 +24,7 @@ from eqparse.quantities import sentence_quantities
 from eqparse.treeparse import (
     CkyDecoder,
     DEFAULT_LEXICON,
+    FieldTable,
     NodeContext,
     enumerate_projective_trees,
     gold_node_set,
@@ -33,9 +34,17 @@ from eqparse.treeparse import (
     tree_features,
     tree_node_features,
     tree_nodes,
+    _MID_EMPTY,
+    _field_mask,
 )
 
-from helpers import HashWeights, random_tree_instance, tree_cost
+from helpers import (
+    LEXICON_WORDS,
+    HashWeights,
+    random_tree_instance,
+    shared_location_instance,
+    tree_cost,
+)
 
 
 def twice_triple_triggers(sentence):
@@ -116,6 +125,50 @@ class TestLexiconMatch:
         ctx = NodeContext(mid=", less than:", left="", right="",
                           left_token=None)
         assert lexicon_match(ctx) == (Op.SUB, Order.RL)
+
+
+def context_mask(context: NodeContext) -> int:
+    """The atom bits of a reference context, field by field."""
+    return (_field_mask("left", context.left)
+            | _field_mask("mid", context.mid)
+            | (0 if context.mid.strip() else _MID_EMPTY)
+            | _field_mask("right", context.right)
+            | _field_mask("token", context.left_token))
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("make, kwargs", [
+        (random_tree_instance, {}),
+        (shared_location_instance, {}),
+        (random_tree_instance, {"filler": LEXICON_WORDS, "multipliers": True}),
+        (shared_location_instance,
+         {"filler": LEXICON_WORDS, "multipliers": True}),
+    ], ids=["random", "shared-location", "lexicon-words",
+            "lexicon-words-shared-location"])
+    def test_matches_reference(self, make, kwargs):
+        # every split of every interval, the root's included: the table's
+        # atoms equal those of the node_context_spans fields, and its match
+        # equals lexicon_match. Shared locations give empty mid spans and
+        # left/right fields that skip the tied location; fillers from the
+        # lexicon's words and quantities such as "twice" make most splits
+        # meet a rule, through every field
+        rng = random.Random(41)
+        for trial in range(400):
+            sentence, triggers = make(rng, 2 + trial % 6, **kwargs)
+            table = FieldTable(sentence, triggers)
+            n = len(triggers)
+            for i, k, j in ((i, k, j) for i in range(n)
+                            for j in range(i + 2, n + 1)
+                            for k in range(i + 1, j)):
+                context = node_context_spans(sentence, triggers, i, k, j)
+                where = (sentence.text, i, k, j)
+                assert table.mask(i, k, j) == context_mask(context), where
+                assert table.match(i, k, j) == lexicon_match(context), where
+
+    def test_rejects_out_of_order_locations(self, twice_triple_sentence):
+        triggers = twice_triple_triggers(twice_triple_sentence)
+        with pytest.raises(ValueError, match="out of order"):
+            FieldTable(twice_triple_sentence, triggers[::-1])
 
 
 class TestParseLexicon:
@@ -309,13 +362,15 @@ class TestCkyDecoder:
         # the decode sums memoized part scores; the oracle scores every
         # tree's whole feature dict. Extra multi-token NP chunks make the
         # syntactic mode prune, and its oracle keeps the trees with no
-        # node crossing a chunk, or every tree when none is left.
+        # node crossing a chunk, or every tree when none is left. The last
+        # 30 instances have a quantity and an NP at one location.
         rng = random.Random(37)
         modes = (({}, True), ({"use_lexicon": False}, False),
                  ({"lexicon_as_features": True}, False),
                  ({"conform_syntactic": True}, True))
-        for trial in range(60):
-            sentence, triggers = random_tree_instance(rng, 2 + trial % 3)
+        for trial in range(90):
+            make = random_tree_instance if trial < 60 else shared_location_instance
+            sentence, triggers = make(rng, 2 + trial % 3)
             n_tokens = len(sentence.tokens)
             chunks = []
             for _ in range(rng.randint(1, 2)):
