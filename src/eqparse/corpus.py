@@ -75,19 +75,17 @@ class AnnotatedSentence:
         """Token range [lo, hi) widened by `size` tokens each side, clamped."""
         return (max(0, lo - size), min(len(self.tokens), hi + size))
 
-    def count_tokens(self, counts: dict[str, int], prefix: str, lo: int,
-                     hi: int, bigrams: bool = True) -> dict[str, int]:
-        """Add to `counts` the lowercased word (`{prefix}_u=`), POS tag
-        (`{prefix}_p=`) and, with `bigrams`, word pair (`{prefix}_b=`)
-        features of tokens [lo, hi); returns `counts`."""
+    def token_names(self, prefix: str, lo: int, hi: int,
+                    bigrams: bool = True) -> list[str]:
+        """The lowercased word (`{prefix}_u=`), POS tag (`{prefix}_p=`) and,
+        with `bigrams`, word pair (`{prefix}_b=`) feature names of tokens
+        [lo, hi), one per occurrence."""
         words = [t.lower() for t in self.tokens[lo:hi]]
         names = [f"{prefix}_u={w}" for w in words]
         names += [f"{prefix}_p={p}" for p in self.pos[lo:hi]]
         if bigrams:
             names += [f"{prefix}_b={a} {b}" for a, b in zip(words, words[1:])]
-        for name in names:
-            counts[name] = counts.get(name, 0) + 1
-        return counts
+        return names
 
 
 def align_tokens(text: str, tokens: tuple[str, ...]) -> tuple[Span, ...]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import sys
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -30,6 +31,68 @@ def dot(weights: FeatureVector, features: FeatureVector) -> int:
 def add_scaled(acc: FeatureVector, features: FeatureVector, scale: int) -> None:
     for name, value in features.items():
         acc[name] = acc.get(name, 0) + scale * value
+
+
+def label_rows(weights: FeatureVector) -> dict[str, dict[str, int]]:
+    """The weights as label rows, `{feature: {label: weight}}`: a name's
+    label is its last `|`-separated segment, and its feature all before
+    it. A name without `|` has no label and is in no row."""
+    rows: dict[str, dict[str, int]] = {}
+    for name, value in weights.items():
+        feature, bar, label = name.rpartition("|")
+        if bar:
+            rows.setdefault(feature, {})[sys.intern(label)] = value
+    return rows
+
+
+def rows_of(weights: FeatureVector) -> dict[str, dict[str, int]]:
+    """The label rows a decoder scores through: those a `Weights` keeps,
+    or a plain dict's built afresh."""
+    rows = getattr(weights, "rows", None)
+    return label_rows(weights) if rows is None else rows
+
+
+def label_scores(rows: dict[str, dict[str, int]], names) -> dict[str, int]:
+    """`{label: the summed weight of names under it}`, read from their
+    label rows, one lookup per name; a name counts once per occurrence."""
+    scores: dict[str, int] = {}
+    for row in map(rows.get, names):
+        if row is not None:
+            for label, weight in row.items():
+                scores[label] = scores.get(label, 0) + weight
+    return scores
+
+
+class Weights(dict):
+    """Flat `name -> weight` dict that also keeps its `label_rows`, so a
+    decoder reads a feature's weight under every label with one lookup.
+
+    The rows are built on first use of `rows` and kept in step by item
+    assignment, the only mutator allowed; every other one raises.
+    """
+
+    _rows = None
+
+    @property
+    def rows(self) -> dict[str, dict[str, int]]:
+        if self._rows is None:
+            self._rows = label_rows(self)
+        return self._rows
+
+    def __setitem__(self, name: str, value: int) -> None:
+        super().__setitem__(name, value)
+        if self._rows is not None:
+            feature, bar, label = name.rpartition("|")
+            if bar:
+                self._rows.setdefault(feature, {})[sys.intern(label)] = value
+
+    def __reduce__(self):  # a copy builds its own rows, never shares them
+        return Weights, (dict(self),)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("Weights change only by item assignment")
+
+    __delitem__ = pop = popitem = clear = update = setdefault = __ior__ = _refuse
 
 
 def subtract(a: FeatureVector, b: FeatureVector) -> FeatureVector:
@@ -104,7 +167,7 @@ def model_from_text(text: str, first_line: int = 1) -> LinearModel:
         raise ValueError(f"line {first_line + 1}: model config missing")
     config = config_from_json(TrainConfig, lines[1],
                               f"line {first_line + 1}")
-    weights = {}
+    weights = {}  # wrapped once at the end: a Python call per line is slow
     for lineno, line in enumerate(lines[2:], start=first_line + 2):
         if not line:
             continue
@@ -116,7 +179,7 @@ def model_from_text(text: str, first_line: int = 1) -> LinearModel:
                              f"{line!r}, expected feature<TAB>integer "
                              "weight") from None
         weights[name] = value
-    return LinearModel(weights, config)
+    return LinearModel(Weights(weights), config)
 
 
 @dataclass(frozen=True)
@@ -177,7 +240,7 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
             raise ValueError(f"gold output outside the candidate space: {gold!r}")
     rate = Fraction(str(config.learning_rate))
     num, den = rate.numerator, rate.denominator
-    weights: FeatureVector = {}
+    weights = Weights()
     lagged: FeatureVector = {}  # sum of updates scaled by (step - 1), for averaging
     step = 1
     rng = random.Random(config.seed)
@@ -197,7 +260,8 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     if total:
         averaged = {name: value * total - lagged.get(name, 0)
                     for name, value in weights.items()}
-        weights = {name: value for name, value in averaged.items() if value != 0}
+        weights = Weights({name: value for name, value in averaged.items()
+                           if value != 0})
     return LinearModel(weights, config)
 
 

@@ -16,31 +16,32 @@ from collections import Counter
 from fractions import Fraction
 
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel
+from .learning import FeatureVector, LinearModel, label_scores, rows_of
 
 RelevanceAssignment = tuple[bool, ...]
+
+
+def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
+                   window: int = 3) -> list[str]:
+    """Per-quantity feature names, one per occurrence, before the bit tag
+    is appended."""
+    q = quantities[index]
+    lo, hi = sentence.window(*sentence.token_range(q.span), window)
+    names = sentence.token_names("qn", lo, hi)
+    phrase = [w.lower() for w in q.span.text(sentence.text).split()]
+    names += [f"qq_u={w}" for w in phrase]
+    names += [f"qq_b={a} {b}" for a, b in zip(phrase, phrase[1:])]
+    if q.value in (Fraction(1), Fraction(2)):
+        names.append("qq_small")
+    if len(quantities) == 1:
+        names.append("qq_only")
+    return names
 
 
 def quantity_counts(sentence: AnnotatedSentence, quantities, index: int,
                     window: int = 3) -> FeatureVector:
     """Per-quantity feature counts, before the bit tag is appended."""
-    q = quantities[index]
-    lo, hi = sentence.window(*sentence.token_range(q.span), window)
-    counts = sentence.count_tokens({}, "qn", lo, hi)
-
-    def bump(name):
-        counts[name] = counts.get(name, 0) + 1
-
-    phrase = q.span.text(sentence.text).split()
-    for w in phrase:
-        bump(f"qq_u={w.lower()}")
-    for a, b in zip(phrase, phrase[1:]):
-        bump(f"qq_b={a.lower()} {b.lower()}")
-    if q.value in (Fraction(1), Fraction(2)):
-        bump("qq_small")
-    if len(quantities) == 1:
-        bump("qq_only")
-    return counts
+    return dict(Counter(quantity_names(sentence, quantities, index, window)))
 
 
 def _bit_tag(relevant: bool) -> str:
@@ -82,10 +83,10 @@ class RelevanceDecoder:
     quantities).
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
-    Hamming cost. Each quantity's counts are built once and scored under
-    both bits; its margin is score(on) - score(off), plus its cost
-    difference given a gold output. Finalist c turns on the c largest
-    margins, ties to the lower index, and scores the all-off score plus
+    Hamming cost. Each quantity's names are built once and scored under
+    both bits by one label row lookup each; its margin is score(on) -
+    score(off), plus its cost difference given a gold output. Finalist c
+    turns on the c largest margins, ties to the lower index, and scores the all-off score plus
     those margins plus its count weight. Ties keep the assignment earliest
     in `enumerate_assignments` order: among equal-scoring assignments with
     c bits on that is finalist c, and between finalists the one with more
@@ -108,15 +109,14 @@ class RelevanceDecoder:
                cost_unit: int = 1) -> RelevanceAssignment:
         sentence, quantities = x
         k = len(quantities)
-        on, off = _bit_tag(True), _bit_tag(False)
+        rows = rows_of(weights)
+        on, off = _bit_tag(True)[1:], _bit_tag(False)[1:]  # the bit labels
         all_off = 0
         margins = []
         for i in range(k):
-            counts = quantity_counts(sentence, quantities, i, self.window)
-            score_on = score_off = 0
-            for name, value in counts.items():
-                score_on += weights.get(name + on, 0) * value
-                score_off += weights.get(name + off, 0) * value
+            scores = label_scores(rows, quantity_names(sentence, quantities,
+                                                       i, self.window))
+            score_on, score_off = scores.get(on, 0), scores.get(off, 0)
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
                     score_off += cost_unit

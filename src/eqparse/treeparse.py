@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     validate_trigger_list,
 )
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, add_scaled
+from .learning import FeatureVector, add_scaled, label_scores, rows_of
 
 
 @dataclass(frozen=True)
@@ -271,6 +272,22 @@ _OP_TAGS = {(op, order): f"|o={op.value}{order.value}"
             for op in Op for order in Order}
 
 
+def _labeled(ops):
+    """(op, order, label, lex_agree names by agreement) for each op: the
+    label is the tag without its bar."""
+    return tuple((op, order, _OP_TAGS[op, order][1:],
+                  tuple(f"lex_agree={agree}{_OP_TAGS[op, order]}"
+                        for agree in (0, 1)))
+                 for op, order in ops)
+
+
+# `_labeled` of each ops tuple `CkyDecoder.node_ops` can return: all
+# internal ops, or one op (a lexicon pin, or EQ at the root). The decode
+# tests INTERNAL_OPS by identity, since hashing its Enums runs Python code
+_INTERNAL_LABELED = _labeled(INTERNAL_OPS)
+_LABELED = {(pair,): _labeled((pair,)) for pair in _OP_TAGS}
+
+
 # the number feature of a node joining two quantity leaves, by whether the
 # left value is the smaller
 _NUMBER_FEATURES = ("tnum_left_smaller=0", "tnum_left_smaller=1")
@@ -289,20 +306,16 @@ def node_feature_parts(triggers, i: int, k: int, j: int):
     return sorted({a, b, c, d}), (min(b, d), max(a, c)), number
 
 
-def _add_window(counts: FeatureVector, sentence: AnnotatedSentence,
-                offset: int, window: int) -> FeatureVector:
-    """Add the neighborhood counts of the token at a boundary offset."""
-    ti = sentence.token_index_at(offset)
-    return sentence.count_tokens(counts, "tn",
-                                 *sentence.window(ti, ti + 1, window))
-
-
-def _add_mid(counts: FeatureVector, sentence: AnnotatedSentence, lo: int,
-             hi: int) -> FeatureVector:
-    """Add the connecting-text counts of the tokens overlapping characters
-    [lo, hi)."""
-    return sentence.count_tokens(counts, "tc",
-                                 *sentence.token_range(Span(lo, hi)))
+def _part_names(sentence: AnnotatedSentence, part, window: int) -> list[str]:
+    """The feature names of one node part, one per occurrence: a boundary
+    offset names the neighborhood of its token, a (lo, hi) mid span the
+    tokens overlapping those characters, and a number feature itself."""
+    if isinstance(part, str):
+        return [part]
+    if isinstance(part, tuple):
+        return sentence.token_names("tc", *sentence.token_range(Span(*part)))
+    ti = sentence.token_index_at(part)
+    return sentence.token_names("tn", *sentence.window(ti, ti + 1, window))
 
 
 def node_feature_counts(sentence: AnnotatedSentence, triggers, i: int, k: int,
@@ -311,13 +324,9 @@ def node_feature_counts(sentence: AnnotatedSentence, triggers, i: int, k: int,
     over triggers[i:j) split at k, before the op tag is appended: the sum
     of its `node_feature_parts`."""
     offsets, mid, number = node_feature_parts(triggers, i, k, j)
-    counts: FeatureVector = {}
-    for offset in offsets:
-        _add_window(counts, sentence, offset, window)
-    _add_mid(counts, sentence, *mid)
-    if number is not None:
-        counts[number] = 1
-    return counts
+    return dict(Counter(
+        name for part in offsets + [mid] + ([] if number is None else [number])
+        for name in _part_names(sentence, part, window)))
 
 
 def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
@@ -369,28 +378,20 @@ def gold_node_set(tree: EquationTree) -> frozenset:
 
 
 class _PartScores(dict):
-    """(part, op tag) -> the weight of one node part's counts under the tag,
-    filled on first use, for one decode. A part is a boundary offset (its
-    token window), a (lo, hi) mid span, or a number feature name."""
+    """part -> {op label: the weight of one node part's names under it},
+    filled on first use in one pass over the names' label rows, for one
+    decode. A part is a boundary offset (its token window), a (lo, hi) mid
+    span, or a number feature name."""
 
     def __init__(self, sentence: AnnotatedSentence, weights, window: int):
         super().__init__()
-        self.sentence, self.weights, self.window = sentence, weights, window
-        self.counts: dict = {}
+        self.sentence, self.window = sentence, window
+        self.rows = rows_of(weights)
 
-    def __missing__(self, key):
-        part, tag = key
-        counts = self.counts.get(part)
-        if counts is None:
-            counts = self.counts[part] = (
-                {part: 1} if isinstance(part, str)
-                else _add_mid({}, self.sentence, *part)
-                if isinstance(part, tuple)
-                else _add_window({}, self.sentence, part, self.window))
-        get = self.weights.get
-        value = self[key] = sum([get(name + tag, 0) * count
-                                 for name, count in counts.items()])
-        return value
+    def __missing__(self, part):
+        scores = self[part] = label_scores(
+            self.rows, _part_names(self.sentence, part, self.window))
+        return scores
 
 
 class CkyDecoder:
@@ -472,17 +473,19 @@ class CkyDecoder:
                     # the parts of `node_feature_parts`: the distinct
                     # boundary offsets, the mid span and the number feature
                     b, c = locs[k - 1], locs[k]
-                    parts = {locs[i], b, c, locs[j - 1], (b, c)}
+                    parts = [scores[part] for part in
+                             {locs[i], b, c, locs[j - 1], (b, c)}]
                     if length == 2 and None not in (values[i], values[k]):
-                        parts.add(_NUMBER_FEATURES[values[i] < values[k]])
-                    for op, order in ops:
-                        tag = _OP_TAGS[op, order]
+                        parts.append(
+                            scores[_NUMBER_FEATURES[values[i] < values[k]]])
+                    for op, order, label, agree in (
+                            _INTERNAL_LABELED if ops is INTERNAL_OPS
+                            else _LABELED[ops]):
                         score = left[0] + right[0]
-                        for part in parts:
-                            score += scores[part, tag]
+                        for acc in parts:
+                            score += acc.get(label, 0)
                         if self.lexicon_as_features and match is not None:
-                            score += weights.get(
-                                f"lex_agree={int((op, order) == match)}{tag}", 0)
+                            score += weights.get(agree[(op, order) == match], 0)
                         if (gold_nodes is not None
                                 and (i, j, op, order) not in gold_nodes):
                             score += cost_unit  # margin cost per wrong node

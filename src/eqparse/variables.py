@@ -8,11 +8,12 @@ Labels are then assigned by rule-based coreference.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 
 from .core import Span, VariableTrigger
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel
+from .learning import FeatureVector, LinearModel, label_scores, rows_of
 
 
 class Coref(Enum):
@@ -89,15 +90,22 @@ def enumerate_variable_candidates(sentence: AnnotatedSentence) -> list[VariableC
     return out
 
 
+def np_feature_names(sentence: AnnotatedSentence, np: Span,
+                     window: int = 3) -> list[str]:
+    """One NP's content and neighborhood feature names, one per occurrence,
+    before the pair tag is appended."""
+    lo, hi = sentence.token_range(np)
+    wlo, whi = sentence.window(lo, hi, window)
+    return (sentence.token_names("vp", lo, hi)
+            + sentence.token_names("vn", wlo, lo, bigrams=False)
+            + sentence.token_names("vn", hi, whi, bigrams=False))
+
+
 def np_feature_counts(sentence: AnnotatedSentence, np: Span,
                       window: int = 3) -> FeatureVector:
     """One NP's content and neighborhood feature counts, before the pair tag
     is appended."""
-    lo, hi = sentence.token_range(np)
-    wlo, whi = sentence.window(lo, hi, window)
-    counts = sentence.count_tokens({}, "vp", lo, hi)
-    sentence.count_tokens(counts, "vn", wlo, lo, bigrams=False)
-    return sentence.count_tokens(counts, "vn", hi, whi, bigrams=False)
+    return dict(Counter(np_feature_names(sentence, np, window)))
 
 
 def _pair_tag(two_variables: bool, same_np: bool) -> str:
@@ -125,10 +133,10 @@ class VariableDecoder:
     """Best NP candidate; x is the sentence.
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
-    `candidate_cost`. Each NP's counts are built once and scored under each
-    of the three pair tags; a candidate's score is the sum of its NPs'
-    scores under its tag. Ties keep the earliest candidate in
-    `enumerate_variable_candidates` order.
+    `candidate_cost`. Each NP's names are built once and scored under every
+    pair label in one pass over their label rows; a candidate's score is
+    the sum of its NPs' scores under its label. Ties keep the earliest
+    candidate in `enumerate_variable_candidates` order.
     """
 
     def __init__(self, window: int = 3):
@@ -142,21 +150,21 @@ class VariableDecoder:
 
     def decode(self, sentence, weights, gold: VariableCandidate | None = None,
                cost_unit: int = 1) -> VariableCandidate:
-        scores = {}
+        rows = rows_of(weights)
+        scores = {}  # NP -> {pair label: the NP's score under it}
         for np in sentence.np_chunks:
             if np not in scores:
-                counts = np_feature_counts(sentence, np, self.window)
-                scores[np] = {tag: sum(weights.get(name + tag, 0) * value
-                                       for name, value in counts.items())
-                              for tag in (_SINGLE, _PAIR, _SELF)}
+                scores[np] = label_scores(
+                    rows, np_feature_names(sentence, np, self.window))
+        single, pair, self_pair = _SINGLE[1:], _PAIR[1:], _SELF[1:]
         best = best_score = None
         for candidate in enumerate_variable_candidates(sentence):
             if candidate.same_np:
-                score = 2 * scores[candidate.nps[0]][_SELF]
+                score = 2 * scores[candidate.nps[0]].get(self_pair, 0)
             elif candidate.two_variables:
-                score = sum(scores[np][_PAIR] for np in candidate.nps)
+                score = sum(scores[np].get(pair, 0) for np in candidate.nps)
             else:
-                score = scores[candidate.nps[0]][_SINGLE]
+                score = scores[candidate.nps[0]].get(single, 0)
             if gold is not None:
                 score += cost_unit * candidate_cost(gold, candidate)
             if best_score is None or score > best_score:

@@ -18,7 +18,15 @@ from eqparse.core import (
     sort_triggers,
 )
 from eqparse.corpus import AnnotatedSentence
-from eqparse.treeparse import DEFAULT_LEXICON, gold_node_set
+from eqparse.relevance import _bit_tag
+from eqparse.treeparse import _OP_TAGS, DEFAULT_LEXICON, gold_node_set, tree_nodes
+from eqparse.variables import _PAIR, _SELF, _SINGLE
+
+# every label a decoder reads: the relevance bits, the variable pair flags
+# and the tree op tags, each a tag without its bar
+LABELS = tuple(sorted({tag[1:] for tag in (
+    _bit_tag(False), _bit_tag(True), _SINGLE, _PAIR, _SELF,
+    *_OP_TAGS.values())}))
 
 
 class HashWeights(dict):
@@ -27,16 +35,66 @@ class HashWeights(dict):
     Every feature gets a reproducible small integer weight in [-3, 3],
     derived from its name, a third of them zero; coarse integers make ties
     common, so argmax comparisons against brute-force oracles test the
-    tie-breaking too. No feature collection pass is needed.
+    tie-breaking too. No feature collection pass is needed. Its `rows` are
+    as dense: every feature has a row over all of `LABELS` that agrees
+    with `get`.
     """
 
     def __init__(self, salt: int = 0):
         super().__init__()
         self.salt = salt
+        self.rows = _DenseRows(self)
 
     def get(self, key, default=0):
         r = zlib.crc32(f"{self.salt}:{key}".encode("utf-8")) % 9
         return 0 if r < 3 else (-3, -2, -1, 1, 2, 3)[r - 3]
+
+
+class _DenseRows(dict):
+    """The label rows of a `HashWeights`, each built on its first `get`."""
+
+    def __init__(self, weights: HashWeights):
+        super().__init__()
+        self.weights = weights
+
+    def get(self, feature, default=None):
+        row = dict.get(self, feature)
+        if row is None:
+            row = self[feature] = {label: self.weights.get(f"{feature}|{label}")
+                                   for label in LABELS}
+        return row
+
+
+def with_extra_chunks(rng: random.Random,
+                      sentence: AnnotatedSentence) -> AnnotatedSentence:
+    """The sentence with one or two more NP chunks of 1 to 3 tokens each,
+    at random: chunks that a syntactically conforming decode must not cross."""
+    n_tokens = len(sentence.tokens)
+    chunks = []
+    for _ in range(rng.randint(1, 2)):
+        a = rng.randrange(n_tokens)
+        b = rng.randrange(a, min(n_tokens, a + 3))
+        chunks.append(Span(sentence.token_spans[a].start,
+                           sentence.token_spans[b].end))
+    return AnnotatedSentence(sentence.text, sentence.tokens, sentence.pos,
+                             sentence.np_chunks + tuple(chunks))
+
+
+def crosses_np_chunk(sentence, tree) -> bool:
+    """Whether a node below the root spans part of an NP chunk and text
+    outside it, on both sides of neither."""
+    leaves, nodes = tree_nodes(tree)
+    for i, _, j, _ in nodes:
+        if (i, j) == (0, len(leaves)):
+            continue
+        lo = min(t.span.start for t in leaves[i:j])
+        hi = max(t.span.end for t in leaves[i:j])
+        for chunk in sentence.np_chunks:
+            if (max(lo, chunk.start) < min(hi, chunk.end)
+                    and not chunk.start <= lo <= hi <= chunk.end
+                    and not lo <= chunk.start <= chunk.end <= hi):
+                return True
+    return False
 
 
 def tree_cost(gold, other) -> int:

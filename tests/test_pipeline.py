@@ -36,6 +36,21 @@ class TestSerialization:
         digest = hashlib.sha256(bundle_path.read_bytes()).hexdigest()
         assert digest.startswith("ce8cd057b4704413")
 
+    @pytest.mark.parametrize("ablation, prefix", [
+        ({"use_lexicon": False}, "aa199951a496dffe"),
+        ({"lexicon_as_features": True}, "840cfe0409b9e934"),
+        ({"conform_syntactic": True}, "a1cab5465dcce83f"),
+    ])
+    def test_ablation_bundles_are_golden(self, synthetic_corpus,
+                                         multiplier_corpus, ablation, prefix):
+        # the same oracle for each other tree decoder mode: the bundles of
+        # `eqparse train --no-lexicon`, `--lexicon-as-features` and
+        # `--conform-syntactic` on the default corpus
+        trained = train_bundle(synthetic_corpus + multiplier_corpus,
+                               PipelineConfig(**ablation))
+        digest = hashlib.sha256(trained.to_text().encode("utf-8")).hexdigest()
+        assert digest.startswith(prefix)
+
     def test_text_sections(self, bundle):
         text = bundle.to_text()
         lines = text.splitlines()

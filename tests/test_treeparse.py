@@ -33,7 +33,6 @@ from eqparse.treeparse import (
     parse_lexicon,
     tree_features,
     tree_node_features,
-    tree_nodes,
     _MID_EMPTY,
     _field_mask,
 )
@@ -41,9 +40,11 @@ from eqparse.treeparse import (
 from helpers import (
     LEXICON_WORDS,
     HashWeights,
+    crosses_np_chunk,
     random_tree_instance,
     shared_location_instance,
     tree_cost,
+    with_extra_chunks,
 )
 
 
@@ -282,23 +283,6 @@ def crossing_sentence():
         (Span(2, 10),))
 
 
-def crosses_np_chunk(sentence, tree) -> bool:
-    """Whether a node below the root spans part of an NP chunk and text
-    outside it, on both sides of neither."""
-    leaves, nodes = tree_nodes(tree)
-    for i, _, j, _ in nodes:
-        if (i, j) == (0, len(leaves)):
-            continue
-        lo = min(t.span.start for t in leaves[i:j])
-        hi = max(t.span.end for t in leaves[i:j])
-        for chunk in sentence.np_chunks:
-            if (max(lo, chunk.start) < min(hi, chunk.end)
-                    and not chunk.start <= lo <= hi <= chunk.end
-                    and not lo <= chunk.start <= chunk.end <= hi):
-                return True
-    return False
-
-
 class TestCkyDecoder:
     def test_recovers_gold_tree_with_trained_weights(
             self, bundle, twice_triple_sentence):
@@ -371,16 +355,7 @@ class TestCkyDecoder:
         for trial in range(90):
             make = random_tree_instance if trial < 60 else shared_location_instance
             sentence, triggers = make(rng, 2 + trial % 3)
-            n_tokens = len(sentence.tokens)
-            chunks = []
-            for _ in range(rng.randint(1, 2)):
-                a = rng.randrange(n_tokens)
-                b = rng.randrange(a, min(n_tokens, a + 3))
-                chunks.append(Span(sentence.token_spans[a].start,
-                                   sentence.token_spans[b].end))
-            sentence = AnnotatedSentence(sentence.text, sentence.tokens,
-                                         sentence.pos,
-                                         sentence.np_chunks + tuple(chunks))
+            sentence = with_extra_chunks(rng, sentence)
             x = (sentence, triggers)
             weights = HashWeights(salt=7000 + trial)
             for kwargs, lexicon_space in modes:

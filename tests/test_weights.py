@@ -1,0 +1,310 @@
+"""Label rows: the `Weights` dict's second view, and the decoders that score
+through it against brute force on sparse weights."""
+
+import copy
+import pickle
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from eqparse.learning import (
+    ExhaustiveDecoder,
+    Weights,
+    add_scaled,
+    dot,
+    label_rows,
+    rows_of,
+)
+from eqparse.quantities import sentence_quantities
+from eqparse.relevance import (
+    RelevanceDecoder,
+    enumerate_assignments,
+    hamming_cost,
+)
+from eqparse.treeparse import CkyDecoder, enumerate_projective_trees
+from eqparse.variables import (
+    VariableDecoder,
+    candidate_cost,
+    enumerate_variable_candidates,
+)
+
+from helpers import (
+    LABELS,
+    HashWeights,
+    crosses_np_chunk,
+    random_np_instance,
+    random_relevance_instance,
+    random_tree_instance,
+    shared_location_instance,
+    tree_cost,
+    with_extra_chunks,
+)
+
+
+def reference_rows(flat: dict) -> dict:
+    """Label rows by index arithmetic: the label follows the last bar."""
+    rows: dict = {}
+    for name, value in flat.items():
+        if "|" in name:
+            cut = name.rindex("|")
+            rows.setdefault(name[:cut], {})[name[cut + 1:]] = value
+    return rows
+
+
+def sparse_weights(rng: random.Random, names, rows: float = 0.7,
+                   labels: float = 0.6) -> dict:
+    """Integer weights in [-3, 3] over `names`, grouped by feature (the name
+    before its last bar): a feature gets a row with probability `rows`, and
+    each of its names a weight with probability `labels`, so most rows are
+    partial; names without a bar are kept with probability `labels` too.
+    Coarse values keep ties common."""
+    by_feature: dict = {}
+    for name in sorted(names):
+        by_feature.setdefault(name.rpartition("|")[0], []).append(name)
+    weights = {}
+    for feature, group in by_feature.items():
+        if feature and rng.random() >= rows:
+            continue
+        for name in group:
+            if rng.random() < labels:
+                weights[name] = rng.randint(-3, 3)
+    return weights
+
+
+def draw_weights(rng: random.Random, names) -> dict:
+    """`sparse_weights` as in a trained bundle, where about 70% of the
+    features have a row, or far sparser, so that a candidate's parts may
+    have no weight under its label at all."""
+    if rng.random() < 0.25:
+        return sparse_weights(rng, names, rows=0.1, labels=0.3)
+    return sparse_weights(rng, names)
+
+
+class TestWeights:
+    def test_rows_of_a_plain_dict(self):
+        flat = {"qn_u=a|r=1": 2, "qn_u=a|r=0": -1, "qg_count=1/2": 5,
+                "tn_u=a|b|o=+": 3}
+        assert rows_of(flat) == label_rows(flat) == {
+            "qn_u=a": {"r=1": 2, "r=0": -1}, "tn_u=a|b": {"o=+": 3}}
+        assert Weights(flat).rows == label_rows(flat)
+
+    def test_flat_view_is_the_dict(self):
+        weights = Weights({"a|x": 1})
+        weights["b|y"] = 2
+        assert weights == {"a|x": 1, "b|y": 2}
+        assert dot(weights, {"a|x": 3, "b|y": 1}) == 5
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda w: pickle.loads(pickle.dumps(w))])
+    def test_a_copy_keeps_its_own_rows(self, copier):
+        weights = Weights({"a|x": 1})
+        rows = weights.rows
+        other = copier(weights)
+        assert type(other) is Weights and other == weights
+        other["a|y"] = 2
+        assert other.rows == {"a": {"x": 1, "y": 2}}
+        assert weights.rows is rows and rows == {"a": {"x": 1}}
+
+
+names = st.text(alphabet="ab|", max_size=4)
+values = st.integers(-3, 3)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("set"), names, values),
+    st.tuples(st.just("add_scaled"), st.dictionaries(names, values, max_size=4),
+              st.integers(-2, 2)),
+    st.tuples(st.just("rows")),
+    st.tuples(st.just("other"), st.sampled_from(
+        ["pop", "popitem", "clear", "update", "setdefault", "delitem",
+         "ior"]), names, values),
+), max_size=30)
+
+
+def other_mutator(weights, which, name, value):
+    if which == "pop":
+        weights.pop(name)
+    elif which == "popitem":
+        weights.popitem()
+    elif which == "clear":
+        weights.clear()
+    elif which == "update":
+        weights.update({name: value})
+    elif which == "setdefault":
+        weights.setdefault(name, value)
+    elif which == "delitem":
+        del weights[name]
+    else:
+        weights |= {name: value}
+
+
+@given(st.dictionaries(names, values, max_size=6), operations)
+def test_rows_stay_in_step(initial, ops):
+    # item assignment (add_scaled's too) updates built rows in place; any
+    # other mutator raises and changes neither view
+    weights = Weights(initial)
+    rows = None
+    for op, *args in ops:
+        if op == "set":
+            weights[args[0]] = args[1]
+        elif op == "add_scaled":
+            add_scaled(weights, *args)
+        elif op == "rows":
+            rows = weights.rows
+        else:
+            before = dict(weights)
+            with pytest.raises(TypeError):
+                other_mutator(weights, *args)
+            assert weights == before
+        if rows is not None:
+            assert weights.rows is rows
+            assert rows == reference_rows(dict(weights))
+    assert weights.rows == reference_rows(dict(weights))
+    assert weights.rows == label_rows(dict(weights))
+
+
+class FlatReads(Weights):
+    """Weights that record each flat lookup."""
+
+    def __init__(self, flat):
+        super().__init__(flat)
+        self.read = []
+
+    def get(self, name, default=None):
+        self.read.append(name)
+        return super().get(name, default)
+
+
+def test_decoders_read_labeled_names_only_through_rows():
+    # a flat lookup is left only for the relevance count feature and the
+    # lex_agree features of the lexicon-as-features mode
+    rng = random.Random(71)
+    sentence, triggers = random_tree_instance(rng, 4)
+    weights = FlatReads({})
+    RelevanceDecoder().decode(
+        (sentence, tuple(sentence_quantities(sentence))), weights)
+    VariableDecoder().decode(random_np_instance(rng, 3), weights)
+    for kwargs in ({}, {"use_lexicon": False}, {"lexicon_as_features": True}):
+        CkyDecoder(**kwargs).decode((sentence, triggers), weights)
+    assert weights.read
+    assert all("|" not in name or name.startswith("lex_agree=")
+               for name in weights.read)
+
+
+def test_hash_weights_rows_agree_with_get():
+    # the dense test weights give a decoder through their rows what they
+    # give `dot` through `get`
+    rng = random.Random(72)
+    hashed = HashWeights(salt=72)
+    row = hashed.rows.get("tn_u=sum")
+    assert row == {label: hashed.get(f"tn_u=sum|{label}") for label in LABELS}
+    decoder = CkyDecoder(use_lexicon=False)
+    for _ in range(20):
+        sentence, triggers = random_tree_instance(rng, 3)
+        x = (sentence, triggers)
+        space = enumerate_projective_trees(sentence, triggers,
+                                           use_lexicon=False)
+        flat = {name: hashed.get(name) for tree in space
+                for name in decoder.features(x, tree)}
+        for gold in (None, rng.choice(space)):
+            assert decoder.decode(x, hashed, gold=gold) == decoder.decode(
+                x, flat, gold=gold)
+
+
+class TestSparseWeights:
+    """Each decoder against brute force on weights drawn over the features
+    of its enumerated outputs, many with no row or a partial one, with and
+    without a gold output; a plain dict and a `Weights` decode alike."""
+
+    @staticmethod
+    def both(decoder, x, flat, gold=None, cost_unit=1):
+        got = decoder.decode(x, flat, gold=gold, cost_unit=cost_unit)
+        assert decoder.decode(x, Weights(flat), gold=gold,
+                              cost_unit=cost_unit) == got
+        return got
+
+    def test_relevance(self):
+        rng = random.Random(61)
+        decoder = RelevanceDecoder()
+        oracle = ExhaustiveDecoder(
+            lambda x: enumerate_assignments(len(x[1])), decoder.features,
+            hamming_cost)
+        for trial in range(150):
+            sentence = random_relevance_instance(rng, rng.randint(0, 6))
+            x = (sentence, tuple(sentence_quantities(sentence)))
+            space = list(enumerate_assignments(len(x[1])))
+            flat = draw_weights(rng, {name for y in space
+                                        for name in decoder.features(x, y)})
+            for gold in (None, rng.choice(space)):
+                for cost_unit in (1, 10):
+                    assert self.both(decoder, x, flat, gold, cost_unit) \
+                        == oracle.decode(x, flat, gold, cost_unit)
+
+    def test_variables(self):
+        rng = random.Random(62)
+        decoder = VariableDecoder()
+        oracle = ExhaustiveDecoder(enumerate_variable_candidates,
+                                   decoder.features, candidate_cost)
+        for trial in range(200):
+            sentence = random_np_instance(rng, rng.randint(1, 5))
+            space = enumerate_variable_candidates(sentence)
+            flat = draw_weights(rng, {name for y in space for name in
+                                        decoder.features(sentence, y)})
+            for gold in (None, rng.choice(space)):
+                for cost_unit in (1, 10):
+                    assert self.both(decoder, sentence, flat, gold,
+                                     cost_unit) \
+                        == oracle.decode(sentence, flat, gold, cost_unit)
+
+    def test_cky_in_every_mode(self):
+        # the oracle scores every tree of the mode's space; the syntactic
+        # mode's keeps the trees crossing no NP chunk, or all when none is
+        # left. Weights are drawn over the features of every mode's trees,
+        # lex_agree included
+        rng = random.Random(63)
+        modes = (({}, True), ({"use_lexicon": False}, False),
+                 ({"lexicon_as_features": True}, False),
+                 ({"conform_syntactic": True}, True))
+        for trial in range(90):
+            make = random_tree_instance if trial % 3 else shared_location_instance
+            sentence, triggers = make(rng, 2 + trial % 3)
+            sentence = with_extra_chunks(rng, sentence)
+            x = (sentence, triggers)
+            spaces = []
+            for kwargs, lexicon_space in modes:
+                decoder = CkyDecoder(**kwargs)
+                space = enumerate_projective_trees(sentence, triggers,
+                                                   use_lexicon=lexicon_space)
+                if decoder.conform_syntactic:
+                    space = ([t for t in space
+                              if not crosses_np_chunk(sentence, t)] or space)
+                spaces.append((decoder, space))
+            flat = draw_weights(rng, {
+                name for decoder, space in spaces for tree in space
+                for name in decoder.features(x, tree)})
+            for decoder, space in spaces:
+                scores = [dot(flat, decoder.features(x, t)) for t in space]
+                gold = rng.choice(space)
+                for g, cost_unit in ((None, 1), (gold, 1), (gold, 10)):
+                    def objective(i):
+                        cost = 0 if g is None else tree_cost(g, space[i])
+                        return scores[i] + cost_unit * cost
+
+                    got = self.both(decoder, x, flat, g, cost_unit)
+                    assert got in space
+                    assert objective(space.index(got)) == max(
+                        map(objective, range(len(space))))
+
+    def test_rows_are_sparse(self):
+        # the draw leaves features with no row and rows with missing labels
+        rng = random.Random(64)
+        sentence, triggers = random_tree_instance(rng, 4)
+        decoder = CkyDecoder(use_lexicon=False)
+        space = enumerate_projective_trees(sentence, triggers,
+                                           use_lexicon=False)
+        names = {name for tree in space
+                 for name in decoder.features((sentence, triggers), tree)}
+        rows = label_rows(sparse_weights(rng, names))
+        features = {name.rpartition("|")[0] for name in names}
+        labels = {name.rpartition("|")[2] for name in names}
+        assert 0.5 < len(rows) / len(features) < 0.9
+        assert any(len(row) < len(labels) for row in rows.values())
