@@ -143,16 +143,31 @@ def unparse_value(value: Fraction):
     return int(value) if value.denominator == 1 else str(value)
 
 
+def span_from_json(raw) -> Span:
+    """A span from its JSON form, `[start, end]` in integer offsets: a
+    float offset would load and then fail as a slice index."""
+    try:
+        start, end = raw
+    except (TypeError, ValueError):
+        start = end = None
+    if type(start) is not int or type(end) is not int:
+        raise ValueError(f"span must be [start, end] integers, got {raw!r}")
+    return Span(start, end)
+
+
 def sentence_from_json(obj: dict) -> AnnotatedSentence:
+    text = obj["text"]
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {text!r}")
     quantities = tuple(
-        QuantityTrigger(parse_value(q["value"]), Span(*q["span"]))
+        QuantityTrigger(parse_value(q["value"]), span_from_json(q["span"]))
         for q in obj.get("quantities", ())
     )
     return AnnotatedSentence(
-        text=obj["text"],
+        text=text,
         tokens=tuple(obj["tokens"]),
         pos=tuple(obj["pos"]),
-        np_chunks=tuple(Span(*c) for c in obj.get("np_chunks", ())),
+        np_chunks=tuple(map(span_from_json, obj.get("np_chunks", ()))),
         quantities=quantities,
     )
 
@@ -172,7 +187,8 @@ def sentence_to_json(sentence: AnnotatedSentence) -> dict:
 
 def example_from_json(obj: dict, source: str | None = None) -> AnnotatedExample:
     groundings = tuple(
-        tuple(VariableTrigger(g["label"], Span(*g["np_span"])) for g in grounding)
+        tuple(VariableTrigger(g["label"], span_from_json(g["np_span"]))
+              for g in grounding)
         for grounding in obj.get("groundings", ())
     )
     equation = obj["equation"]

@@ -9,7 +9,7 @@ weaker than algebraic equivalence: no distribution, no cross-multiplication.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -25,6 +25,7 @@ from .core import (
     SymExpr,
     Var,
     VariableTrigger,
+    evaluate_expr,
     expr,
     expr_sort_key,
     make_apply,
@@ -47,7 +48,7 @@ def canonicalize(e: SymExpr) -> SymExpr:
     left, right = (canonicalize(a) for a in e.args)
     if e.op in _ARITH_OPS and isinstance(left, Const) and isinstance(right, Const):
         try:
-            return Const(_fold(e.op, left.value, right.value))
+            return Const(evaluate_expr(Apply(e.op, (left, right))))
         except ZeroDivisionError:
             pass
     if e.op is Op.EQ:
@@ -55,16 +56,6 @@ def canonicalize(e: SymExpr) -> SymExpr:
             left, right = right, left
         return Apply(Op.EQ, (left, right))
     return make_apply(e.op, left, right)
-
-
-def _fold(op: Op, a: Fraction, b: Fraction) -> Fraction:
-    if op is Op.ADD:
-        return a + b
-    if op is Op.SUB:
-        return a - b
-    if op is Op.MUL:
-        return a * b
-    return a / b
 
 
 def swap_labels(e: SymExpr) -> SymExpr:
@@ -286,19 +277,11 @@ def fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
 
 
 def mean_metrics(per_fold: list[Metrics]) -> Metrics:
-    k = len(per_fold)
-    return Metrics(
-        equation_accuracy=sum(m.equation_accuracy for m in per_fold) / k,
-        equation_grounding_accuracy=sum(m.equation_grounding_accuracy
-                                        for m in per_fold) / k,
-        relevance_accuracy=sum(m.relevance_accuracy for m in per_fold) / k,
-        variable_accuracy=sum(m.variable_accuracy for m in per_fold) / k,
-        tree_accuracy_gold_pipeline=sum(m.tree_accuracy_gold_pipeline
-                                        for m in per_fold) / k,
-        tree_accuracy_predicted_pipeline=sum(m.tree_accuracy_predicted_pipeline
-                                             for m in per_fold) / k,
-        count=sum(m.count for m in per_fold),
-    )
+    """The fold accuracies averaged, and the counts summed."""
+    totals = {f.name: sum(getattr(m, f.name) for m in per_fold)
+              for f in fields(Metrics)}
+    return Metrics(**{name: total if name == "count" else total / len(per_fold)
+                      for name, total in totals.items()})
 
 
 def cross_validate(examples, k: int, seed: int, config) -> Metrics:

@@ -33,6 +33,17 @@ def add_scaled(acc: FeatureVector, features: FeatureVector, scale: int) -> None:
         acc[name] = acc.get(name, 0) + scale * value
 
 
+def tagged(parts) -> FeatureVector:
+    """The feature vector of `(names, label)` parts: each name conjoined
+    with its part's label as `name|label`, counted once per occurrence."""
+    feats: FeatureVector = {}
+    for names, label in parts:
+        for name in names:
+            name = f"{name}|{label}"
+            feats[name] = feats.get(name, 0) + 1
+    return feats
+
+
 def label_rows(weights: FeatureVector) -> dict[str, dict[str, int]]:
     """The weights as label rows, `{feature: {label: weight}}`: a name's
     label is its last `|`-separated segment, and its feature all before
@@ -154,7 +165,10 @@ def config_from_json(cls, raw: str, where: str):
                 or (wanted is float and type(value) is int)):
             raise ValueError(f"{where}: config key {key!r} must be "
                              f"{wanted.__name__}, got {value!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as e:  # the config's own checks
+        raise ValueError(f"{where}: {e}") from e
 
 
 def model_from_text(text: str, first_line: int = 1) -> LinearModel:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -60,6 +61,16 @@ class PipelineConfig:
     use_lexicon: bool = True
     lexicon_as_features: bool = False
     conform_syntactic: bool = False
+
+    def __post_init__(self):
+        for key, least in (("window", 0), ("epochs", 1), ("outer_iters", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"config key {key!r} must be at least "
+                                 f"{least}, got {getattr(self, key)!r}")
+        rate = self.learning_rate
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError("config key 'learning_rate' must be finite and "
+                             f"above 0, got {rate!r}")
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
@@ -192,7 +203,12 @@ class ModelBundle:
         """Inverse of to_text; errors give the 1-based line number. The
         config and each section are parsed, then checked against their
         footer lines, so a truncated or altered bundle fails to load."""
-        lines = text.splitlines()
+        # lines end at "\n" only: `splitlines` would also end one at a
+        # form feed or other separator that replaced a newline, and so read
+        # that damaged bundle as the original
+        lines = text.split("\n")
+        if lines[-1] == "":  # after the final newline
+            lines.pop()
         if lines and lines[0] in _OLD_HEADERS:
             raise ValueError(f"line 1: bundle format {lines[0].split()[-1]} "
                              f"({_OLD_HEADERS[lines[0]]}) is no longer read; "

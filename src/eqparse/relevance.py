@@ -16,15 +16,15 @@ from collections import Counter
 from fractions import Fraction
 
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel, label_scores, rows_of
+from .learning import FeatureVector, LinearModel, label_scores, rows_of, tagged
 
 RelevanceAssignment = tuple[bool, ...]
 
 
 def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
                    window: int = 3) -> list[str]:
-    """Per-quantity feature names, one per occurrence, before the bit tag
-    is appended."""
+    """Per-quantity feature names, one per occurrence, before they are
+    conjoined with the quantity's bit."""
     q = quantities[index]
     lo, hi = sentence.window(*sentence.token_range(q.span), window)
     names = sentence.token_names("qn", lo, hi)
@@ -38,22 +38,8 @@ def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
     return names
 
 
-def quantity_counts(sentence: AnnotatedSentence, quantities, index: int,
-                    window: int = 3) -> FeatureVector:
-    """Per-quantity feature counts, before the bit tag is appended."""
-    return dict(Counter(quantity_names(sentence, quantities, index, window)))
-
-
-def _bit_tag(relevant: bool) -> str:
-    return f"|r={int(relevant)}"
-
-
-def quantity_features(sentence: AnnotatedSentence, quantities, index: int,
-                      relevant: bool, window: int = 3) -> FeatureVector:
-    """Per-quantity features, conjoined with this quantity's bit only."""
-    tag = _bit_tag(relevant)
-    return {name + tag: value for name, value in quantity_counts(
-        sentence, quantities, index, window).items()}
+# the label of a quantity's names, by its bit
+_BITS = ("r=0", "r=1")
 
 
 def _count_feature(c: int, k: int) -> str:
@@ -63,12 +49,10 @@ def _count_feature(c: int, k: int) -> str:
 def relevance_features(sentence: AnnotatedSentence, quantities,
                        assignment: RelevanceAssignment,
                        window: int = 3) -> FeatureVector:
-    """Sum of per-quantity features plus the global relevant-count feature."""
-    feats: FeatureVector = {}
-    for i, relevant in enumerate(assignment):
-        for name, value in quantity_features(sentence, quantities, i,
-                                             relevant, window).items():
-            feats[name] = feats.get(name, 0) + value
+    """Each quantity's names conjoined with its bit, plus the global
+    relevant-count feature."""
+    feats = tagged((quantity_names(sentence, quantities, i, window),
+                    _BITS[relevant]) for i, relevant in enumerate(assignment))
     feats[_count_feature(sum(assignment), len(assignment))] = 1
     return feats
 
@@ -110,7 +94,7 @@ class RelevanceDecoder:
         sentence, quantities = x
         k = len(quantities)
         rows = rows_of(weights)
-        on, off = _bit_tag(True)[1:], _bit_tag(False)[1:]  # the bit labels
+        off, on = _BITS
         all_off = 0
         margins = []
         for i in range(k):

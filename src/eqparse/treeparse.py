@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -26,7 +25,7 @@ from .core import (
     validate_trigger_list,
 )
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, add_scaled, label_scores, rows_of
+from .learning import FeatureVector, add_scaled, label_scores, rows_of, tagged
 
 
 @dataclass(frozen=True)
@@ -266,50 +265,47 @@ class FieldTable:
         return mask
 
 
-# the suffix of each node feature name: the op, and the order for - and /
-_OP_TAGS = {(op, order): f"|o={op.value}{order.value}"
-            if op in (Op.SUB, Op.DIV) else f"|o={op.value}"
-            for op in Op for order in Order}
-
-
-def _labeled(ops):
-    """(op, order, label, lex_agree names by agreement) for each op: the
-    label is the tag without its bar."""
-    return tuple((op, order, _OP_TAGS[op, order][1:],
-                  tuple(f"lex_agree={agree}{_OP_TAGS[op, order]}"
-                        for agree in (0, 1)))
-                 for op, order in ops)
-
-
-# `_labeled` of each ops tuple `CkyDecoder.node_ops` can return: all
-# internal ops, or one op (a lexicon pin, or EQ at the root). The decode
-# tests INTERNAL_OPS by identity, since hashing its Enums runs Python code
-_INTERNAL_LABELED = _labeled(INTERNAL_OPS)
-_LABELED = {(pair,): _labeled((pair,)) for pair in _OP_TAGS}
+# the label of each node's names: the op, and the order for - and /
+_OP_LABELS = {(op, order): f"o={op.value}{order.value}"
+              if op in (Op.SUB, Op.DIV) else f"o={op.value}"
+              for op in Op for order in Order}
+# the (op, order, label) triples `CkyDecoder.node_ops` explores: all
+# internal ops, the root's EQ, or one pinned op
+_INTERNAL = tuple((op, order, _OP_LABELS[op, order])
+                  for op, order in INTERNAL_OPS)
+_ROOT = ((Op.EQ, Order.LR, _OP_LABELS[Op.EQ, Order.LR]),)
 
 
 # the number feature of a node joining two quantity leaves, by whether the
 # left value is the smaller
 _NUMBER_FEATURES = ("tnum_left_smaller=0", "tnum_left_smaller=1")
+# in lexicon-as-features mode, the feature of a node the lexicon matches,
+# by whether the node's (op, order) agrees with the match
+_AGREE = ("lex_agree=0", "lex_agree=1")
 
 
-def node_feature_parts(triggers, i: int, k: int, j: int):
-    """The parts whose counts make up the node over triggers[i:j) split at
-    k: the distinct boundary offsets (each a token window), the mid span as
-    character offsets, and the number feature name or None."""
-    a, b, c, d = (location(triggers[m]) for m in (i, k - 1, k, j - 1))
-    number = None
-    if k == i + 1 and j == k + 1:
-        left, right = triggers[i], triggers[k]
-        if isinstance(left, QuantityTrigger) and isinstance(right, QuantityTrigger):
-            number = _NUMBER_FEATURES[left.value < right.value]
-    return sorted({a, b, c, d}), (min(b, d), max(a, c)), number
+def _values(triggers) -> list:
+    """Each trigger's quantity value, or None for a variable."""
+    return [t.value if isinstance(t, QuantityTrigger) else None
+            for t in triggers]
+
+
+def _node_parts(locs, values, i: int, k: int, j: int) -> set:
+    """The parts whose names make up the node over triggers[i:j) split at
+    k, from the sorted trigger locations and `_values`: the distinct
+    boundary offsets (each a token window), the mid span as a (lo, hi)
+    character range, and the number feature name of two quantity leaves."""
+    b, c = locs[k - 1], locs[k]
+    parts = {locs[i], b, c, locs[j - 1], (b, c)}
+    if j - i == 2 and values[i] is not None and values[k] is not None:
+        parts.add(_NUMBER_FEATURES[values[i] < values[k]])
+    return parts
 
 
 def _part_names(sentence: AnnotatedSentence, part, window: int) -> list[str]:
     """The feature names of one node part, one per occurrence: a boundary
     offset names the neighborhood of its token, a (lo, hi) mid span the
-    tokens overlapping those characters, and a number feature itself."""
+    tokens overlapping those characters, and a feature name itself."""
     if isinstance(part, str):
         return [part]
     if isinstance(part, tuple):
@@ -318,24 +314,14 @@ def _part_names(sentence: AnnotatedSentence, part, window: int) -> list[str]:
     return sentence.token_names("tn", *sentence.window(ti, ti + 1, window))
 
 
-def node_feature_counts(sentence: AnnotatedSentence, triggers, i: int, k: int,
-                        j: int, window: int = 3) -> FeatureVector:
-    """Neighborhood, connecting-text, and number feature counts for the node
-    over triggers[i:j) split at k, before the op tag is appended: the sum
-    of its `node_feature_parts`."""
-    offsets, mid, number = node_feature_parts(triggers, i, k, j)
-    return dict(Counter(
-        name for part in offsets + [mid] + ([] if number is None else [number])
-        for name in _part_names(sentence, part, window)))
-
-
 def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
                        j: int, op: Op, order: Order,
                        window: int = 3) -> FeatureVector:
-    """`node_feature_counts` with each name tagged by the node's (op, order)."""
-    tag = _OP_TAGS[op, order]
-    return {name + tag: value for name, value in node_feature_counts(
-        sentence, triggers, i, k, j, window).items()}
+    """The names of the node's `_node_parts` conjoined with its op label."""
+    label = _OP_LABELS[op, order]
+    return tagged((_part_names(sentence, part, window), label)
+                  for part in _node_parts([location(t) for t in triggers],
+                                          _values(triggers), i, k, j))
 
 
 def tree_nodes(tree: EquationTree):
@@ -364,11 +350,11 @@ def tree_features(sentence: AnnotatedSentence, triggers, tree: EquationTree,
     leaves, nodes = tree_nodes(tree)
     if len(leaves) != len(triggers):
         raise ValueError("tree leaves do not match the trigger list")
-    feats: FeatureVector = {}
-    for i, k, j, node in nodes:
-        add_scaled(feats, tree_node_features(
-            sentence, triggers, i, k, j, node.op, node.order, window), 1)
-    return feats
+    locs, values = [location(t) for t in triggers], _values(triggers)
+    return tagged((_part_names(sentence, part, window),
+                   _OP_LABELS[node.op, node.order])
+                  for i, k, j, node in nodes
+                  for part in _node_parts(locs, values, i, k, j))
 
 
 def gold_node_set(tree: EquationTree) -> frozenset:
@@ -381,7 +367,7 @@ class _PartScores(dict):
     """part -> {op label: the weight of one node part's names under it},
     filled on first use in one pass over the names' label rows, for one
     decode. A part is a boundary offset (its token window), a (lo, hi) mid
-    span, or a number feature name."""
+    span, or a feature name (number or lexicon agreement)."""
 
     def __init__(self, sentence: AnnotatedSentence, weights, window: int):
         super().__init__()
@@ -412,16 +398,17 @@ class CkyDecoder:
         self.conform_syntactic = conform_syntactic
 
     def node_ops(self, table: FieldTable, i, k, j):
-        """(lexicon match or None, (op, order) pairs explored) for the node
-        over triggers[i:j) split at k. The root cell (0, n) is EQ only."""
+        """(lexicon match or None, (op, order, label) triples explored) for
+        the node over triggers[i:j) split at k. The root cell (0, n) is EQ
+        only."""
         if (i, j) == (0, len(table.locs)):
-            return None, ((Op.EQ, Order.LR),)
+            return None, _ROOT
         if not self.use_lexicon:
-            return None, INTERNAL_OPS
+            return None, _INTERNAL
         match = table.match(i, k, j)
         if match is None or self.lexicon_as_features:
-            return match, INTERNAL_OPS
-        return match, (match,)
+            return match, _INTERNAL
+        return match, ((*match, _OP_LABELS[match]),)
 
     def _allowed_interval(self, sentence, triggers, i, j):
         if j - i == 1 or (i, j) == (0, len(triggers)):
@@ -442,20 +429,21 @@ class CkyDecoder:
         validate_trigger_list(x[1])
         table = FieldTable(*x)
         scores = _PartScores(x[0], weights, self.window)
-        tree = self._decode(x, weights, table, scores, gold, cost_unit,
+        tree = self._decode(x, table, scores, gold, cost_unit,
                             strict=self.conform_syntactic)
         if tree is None:
             # syntactic conformance can exhaust the space; fall back
-            tree = self._decode(x, weights, table, scores, gold, cost_unit,
+            tree = self._decode(x, table, scores, gold, cost_unit,
                                 strict=False)
         return tree
 
-    def _decode(self, x, weights, table, scores, gold, cost_unit, strict):
+    def _decode(self, x, table, scores, gold, cost_unit, strict):
         sentence, triggers = x
         n = len(triggers)
-        locs = table.locs
-        values = [t.value if isinstance(t, QuantityTrigger) else None
-                  for t in triggers]
+        locs, values = table.locs, _values(triggers)
+        # lexicon agreement scores, (disagree, agree), in feature mode only
+        agree = (scores[_AGREE[0]], scores[_AGREE[1]]) \
+            if self.lexicon_as_features else None
         gold_nodes = gold_node_set(gold) if gold is not None else None
 
         chart: dict = {(i, i + 1): (0, Leaf(t)) for i, t in enumerate(triggers)}
@@ -470,22 +458,14 @@ class CkyDecoder:
                     if left is None or right is None:
                         continue
                     match, ops = self.node_ops(table, i, k, j)
-                    # the parts of `node_feature_parts`: the distinct
-                    # boundary offsets, the mid span and the number feature
-                    b, c = locs[k - 1], locs[k]
                     parts = [scores[part] for part in
-                             {locs[i], b, c, locs[j - 1], (b, c)}]
-                    if length == 2 and None not in (values[i], values[k]):
-                        parts.append(
-                            scores[_NUMBER_FEATURES[values[i] < values[k]]])
-                    for op, order, label, agree in (
-                            _INTERNAL_LABELED if ops is INTERNAL_OPS
-                            else _LABELED[ops]):
+                             _node_parts(locs, values, i, k, j)]
+                    for op, order, label in ops:
                         score = left[0] + right[0]
                         for acc in parts:
                             score += acc.get(label, 0)
-                        if self.lexicon_as_features and match is not None:
-                            score += weights.get(agree[(op, order) == match], 0)
+                        if agree is not None and match is not None:
+                            score += agree[(op, order) == match].get(label, 0)
                         if (gold_nodes is not None
                                 and (i, j, op, order) not in gold_nodes):
                             score += cost_unit  # margin cost per wrong node
@@ -505,15 +485,15 @@ class CkyDecoder:
         the lexicon runs in feature mode rather than as a constraint."""
         sentence, triggers = x
         feats = tree_features(sentence, triggers, tree, self.window)
-        if not self.lexicon_as_features:
-            return feats
-        table = FieldTable(sentence, triggers)
-        for i, k, j, node in tree_nodes(tree)[1]:
-            match, _ = self.node_ops(table, i, k, j)
-            if match is not None:
-                name = (f"lex_agree={int((node.op, node.order) == match)}"
-                        + _OP_TAGS[node.op, node.order])
-                feats[name] = feats.get(name, 0) + 1
+        if self.lexicon_as_features:
+            table = FieldTable(sentence, triggers)
+            agree = []
+            for i, k, j, node in tree_nodes(tree)[1]:
+                match = self.node_ops(table, i, k, j)[0]
+                if match is not None:
+                    pair = node.op, node.order
+                    agree.append(([_AGREE[pair == match]], _OP_LABELS[pair]))
+            add_scaled(feats, tagged(agree), 1)
         return feats
 
     def contains(self, x, tree) -> bool:
@@ -525,7 +505,8 @@ class CkyDecoder:
         if leaves != list(triggers):
             return False
         table = FieldTable(sentence, triggers)
-        return all((node.op, node.order) in self.node_ops(table, i, k, j)[1]
+        return all((node.op, node.order, _OP_LABELS[node.op, node.order])
+                   in self.node_ops(table, i, k, j)[1]
                    for i, k, j, node in nodes)
 
 

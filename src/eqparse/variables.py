@@ -8,12 +8,11 @@ Labels are then assigned by rule-based coreference.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 
 from .core import Span, VariableTrigger
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel, label_scores, rows_of
+from .learning import FeatureVector, LinearModel, label_scores, rows_of, tagged
 
 
 class Coref(Enum):
@@ -93,7 +92,7 @@ def enumerate_variable_candidates(sentence: AnnotatedSentence) -> list[VariableC
 def np_feature_names(sentence: AnnotatedSentence, np: Span,
                      window: int = 3) -> list[str]:
     """One NP's content and neighborhood feature names, one per occurrence,
-    before the pair tag is appended."""
+    before they are conjoined with the candidate's pair label."""
     lo, hi = sentence.token_range(np)
     wlo, whi = sentence.window(lo, hi, window)
     return (sentence.token_names("vp", lo, hi)
@@ -101,32 +100,22 @@ def np_feature_names(sentence: AnnotatedSentence, np: Span,
             + sentence.token_names("vn", hi, whi, bigrams=False))
 
 
-def np_feature_counts(sentence: AnnotatedSentence, np: Span,
-                      window: int = 3) -> FeatureVector:
-    """One NP's content and neighborhood feature counts, before the pair tag
-    is appended."""
-    return dict(Counter(np_feature_names(sentence, np, window)))
+# the label of a single NP, a pair of distinct NPs and a self-pair
+_SINGLE, _PAIR, _SELF = "t=0s=0", "t=1s=0", "t=1s=1"
 
 
-def _pair_tag(two_variables: bool, same_np: bool) -> str:
-    return f"|t={int(two_variables)}s={int(same_np)}"
-
-
-# single NP, pair of distinct NPs, self-pair
-_SINGLE, _PAIR, _SELF = (_pair_tag(False, False), _pair_tag(True, False),
-                         _pair_tag(True, True))
+def _label(candidate: VariableCandidate) -> str:
+    return (_SELF if candidate.same_np else _PAIR if candidate.two_variables
+            else _SINGLE)
 
 
 def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
                       window: int = 3) -> FeatureVector:
-    """The candidate's NP counts summed, conjoined with the pair flags; a
-    self-pair counts its NP twice."""
-    tag = _pair_tag(candidate.two_variables, candidate.same_np)
-    feats: FeatureVector = {}
-    for np in candidate.nps:
-        for name, value in np_feature_counts(sentence, np, window).items():
-            feats[name + tag] = feats.get(name + tag, 0) + value
-    return feats
+    """The names of the candidate's NPs conjoined with its pair label; a
+    self-pair lists its NP twice, so counts it twice."""
+    label = _label(candidate)
+    return tagged((np_feature_names(sentence, np, window), label)
+                  for np in candidate.nps)
 
 
 class VariableDecoder:
@@ -156,15 +145,12 @@ class VariableDecoder:
             if np not in scores:
                 scores[np] = label_scores(
                     rows, np_feature_names(sentence, np, self.window))
-        single, pair, self_pair = _SINGLE[1:], _PAIR[1:], _SELF[1:]
         best = best_score = None
         for candidate in enumerate_variable_candidates(sentence):
-            if candidate.same_np:
-                score = 2 * scores[candidate.nps[0]].get(self_pair, 0)
-            elif candidate.two_variables:
-                score = sum(scores[np].get(pair, 0) for np in candidate.nps)
-            else:
-                score = scores[candidate.nps[0]].get(single, 0)
+            label = _label(candidate)
+            score = 0
+            for np in candidate.nps:
+                score += scores[np].get(label, 0)
             if gold is not None:
                 score += cost_unit * candidate_cost(gold, candidate)
             if best_score is None or score > best_score:

@@ -18,15 +18,13 @@ from eqparse.core import (
     sort_triggers,
 )
 from eqparse.corpus import AnnotatedSentence
-from eqparse.relevance import _bit_tag
-from eqparse.treeparse import _OP_TAGS, DEFAULT_LEXICON, gold_node_set, tree_nodes
+from eqparse.relevance import _BITS
+from eqparse.treeparse import _OP_LABELS, DEFAULT_LEXICON, gold_node_set, tree_nodes
 from eqparse.variables import _PAIR, _SELF, _SINGLE
 
-# every label a decoder reads: the relevance bits, the variable pair flags
-# and the tree op tags, each a tag without its bar
-LABELS = tuple(sorted({tag[1:] for tag in (
-    _bit_tag(False), _bit_tag(True), _SINGLE, _PAIR, _SELF,
-    *_OP_TAGS.values())}))
+# every label a decoder reads: the relevance bits, the variable pair labels
+# and the tree op labels
+LABELS = tuple(sorted({*_BITS, _SINGLE, _PAIR, _SELF, *_OP_LABELS.values()}))
 
 
 class HashWeights(dict):

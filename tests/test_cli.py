@@ -42,6 +42,28 @@ class TestTrain:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--learning-rate", "-0.1"], "learning_rate"),
+        (["--learning-rate", "0"], "learning_rate"),
+        (["--learning-rate", "1e-400"], "learning_rate"),
+        (["--learning-rate", "inf"], "learning_rate"),
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--epochs", "-1"], "epochs"),
+        (["--epochs", "0"], "epochs"),
+        (["--window", "-2"], "window"),
+        (["--outer-iters", "0"], "outer_iters"),
+    ])
+    def test_invalid_setting_rejected(self, train_corpus_path, tmp_path,
+                                      capsys, flags, key):
+        model = tmp_path / "m.txt"
+        code, out, err = run_cli(
+            ["train", "--corpus", str(train_corpus_path),
+             "--model", str(model)] + flags, capsys)
+        assert code == 2
+        assert f"error: config key '{key}' must be" in err
+        assert not model.exists()
+        assert out == ""
+
     def test_tiny_corpus_rejected(self, synthetic_corpus, tmp_path, capsys):
         corpus = tmp_path / "one.jsonl"
         corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
@@ -120,6 +142,21 @@ class TestParse:
         assert code == 2
         assert str(twice_triple_input_path) in err
         assert "'1/0'" in err
+
+    @pytest.mark.parametrize("text", [5, None, ["a"]],
+                             ids=["number", "null", "list"])
+    def test_non_string_text(self, bundle_path, twice_triple_input_path,
+                             capsys, text):
+        obj = json.loads(twice_triple_input_path.read_text())
+        obj["text"] = text
+        twice_triple_input_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--input", str(twice_triple_input_path)], capsys)
+        assert code == 2
+        assert (f"{twice_triple_input_path}: malformed sentence object "
+                f"(text must be a string, got {text!r})") in err
+        assert "Traceback" not in err
 
     def test_whitespace_text_with_np_span(self, bundle_path, capsys):
         code, out, err = run_cli(
@@ -263,6 +300,36 @@ class TestDamagedBundle:
         assert "retrain" in err
         assert out == ""
 
+    @pytest.mark.parametrize("edit, key", [
+        (('"epochs": 5', '"epochs": 0'), "epochs"),
+        (('"window": 3', '"window": -2'), "window"),
+        (('"learning_rate": 0.1', '"learning_rate": -0.1'), "learning_rate"),
+        (('"learning_rate": 0.1', '"learning_rate": 1e999'), "learning_rate"),
+    ], ids=["epochs", "window", "negative-rate", "infinite-rate"])
+    def test_invalid_config_setting(self, bundle_path, tmp_path, capsys,
+                                    edit, key):
+        lines = bundle_path.read_text().split("\n")
+        assert edit[0] in lines[1]
+        lines[1] = lines[1].replace(*edit)
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert f"damaged.txt: line 2: config key '{key}' must be" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c"])
+    def test_newline_replaced_by_other_line_separator(self, bundle_path,
+                                                      tmp_path, capsys,
+                                                      separator):
+        # `str.splitlines` ends a line at each of these too, and read the
+        # damaged bundle as the original
+        text = bundle_path.read_text()
+        at = text.index("\n", len(text) // 2)
+        code, out, err = parse_with_bundle(
+            text[:at] + separator + text[at + 1:], tmp_path, capsys)
+        assert code == 2
+        assert "damaged.txt: line " in err
+        assert out == ""
+
     def test_changed_config_line(self, bundle_path, tmp_path, capsys):
         # what `sed -e '2s/"window": 3/"window": 1/'
         # -e '2s/"use_lexicon": true/"use_lexicon": false/'` does to the
@@ -315,6 +382,25 @@ class TestEval:
 
 
 class TestCorpusInput:
+    @pytest.mark.parametrize("text", [None, 5], ids=["null", "number"])
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_non_string_text_reported(self, command, text, bundle_path,
+                                      synthetic_corpus, tmp_path, capsys):
+        corpus = tmp_path / "bad-text.jsonl"
+        bad = example_to_json(synthetic_corpus[1])
+        bad["text"] = text
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + json.dumps(bad) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert (f"{corpus}:2: malformed corpus line: text must be a string, "
+                f"got {text!r}") in err
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("equation", [7, None], ids=["number", "null"])
     @pytest.mark.parametrize("command", ["train", "eval", "cv"])
     def test_non_string_equation_reported(self, command, equation, bundle_path,

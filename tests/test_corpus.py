@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,26 @@ def test_quantity_beyond_text_rejected(tmp_path):
     path = tmp_path / "far.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":1: malformed corpus line"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("span", [[0.0, 3], [0, 3.0], [True, 3], [0, 1, 2],
+                                  [0], "03", {"start": 0, "end": 3}])
+@pytest.mark.parametrize("field", ["np_chunks", "quantities", "groundings"])
+def test_span_must_be_two_integers(tmp_path, synthetic_corpus, field, span):
+    # a float offset used to load and then fail as a slice index
+    obj = example_to_json(synthetic_corpus[0])
+    if field == "np_chunks":
+        obj["np_chunks"][0] = span
+    elif field == "quantities":
+        obj["quantities"][0]["span"] = span
+    else:
+        obj["groundings"][0][0]["np_span"] = span
+    path = tmp_path / "span.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:1: malformed corpus line: span must be [start, end] "
+            f"integers, got {span!r}")):
         load_corpus(path)
 
 

@@ -25,6 +25,19 @@ class TestConfig:
         with pytest.raises(AttributeError):
             PipelineConfig().epochs = 9
 
+    @pytest.mark.parametrize("key, value", [
+        ("window", -1), ("epochs", 0), ("epochs", -1), ("outer_iters", 0),
+        ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", 0),
+        ("learning_rate", float("inf")), ("learning_rate", float("nan"))])
+    def test_invalid_setting_named(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            PipelineConfig(**{key: value})
+
+    def test_smallest_valid_settings(self):
+        config = PipelineConfig(window=0, epochs=1, outer_iters=1,
+                                learning_rate=1e-300)
+        assert config.train_config().learning_rate == 1e-300
+
 
 class TestSerialization:
     def test_default_bundle_is_golden(self, bundle_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eqparse.corpus import AnnotatedSentence
-from eqparse.learning import dot
+from eqparse.learning import dot, tagged
 from eqparse.quantities import sentence_quantities
 from eqparse.relevance import (
     RelevanceDecoder,
@@ -15,11 +15,17 @@ from eqparse.relevance import (
     enumerate_assignments,
     hamming_cost,
     predict_relevance,
-    quantity_features,
+    quantity_names,
     relevance_features,
 )
 
 from helpers import FILLER, HashWeights, random_relevance_instance
+
+
+def quantity_features(sentence, quantities, index, relevant):
+    """One quantity's names conjoined with its bit."""
+    return tagged([(quantity_names(sentence, quantities, index),
+                    f"r={int(relevant)}")])
 
 
 def brute_force(sentence, quantities, weights, gold=None, cost_unit=1):

@@ -15,6 +15,7 @@ from eqparse.learning import (
     dot,
     label_rows,
     rows_of,
+    tagged,
 )
 from eqparse.quantities import sentence_quantities
 from eqparse.relevance import (
@@ -162,12 +163,32 @@ def test_rows_stay_in_step(initial, ops):
     assert weights.rows == label_rows(dict(weights))
 
 
-class FlatReads(Weights):
-    """Weights that record each flat lookup."""
+def test_tagged_counts_each_occurrence_under_its_label():
+    feats = tagged([(["a", "b", "a"], "x"), (["a"], "y"), (["a"], "x"),
+                    ([], "z")])
+    assert feats == {"a|x": 3, "b|x": 1, "a|y": 1}
+    assert label_rows(feats) == {"a": {"x": 3, "y": 1}, "b": {"x": 1}}
 
-    def __init__(self, flat):
-        super().__init__(flat)
+
+class _RowReads(dict):
+    """Label rows that record each feature looked up."""
+
+    def __init__(self):
+        super().__init__()
         self.read = []
+
+    def get(self, feature, default=None):
+        self.read.append(feature)
+        return super().get(feature, default)
+
+
+class FlatReads(Weights):
+    """Empty weights that record each flat lookup and each row lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+        self._rows = _RowReads()
 
     def get(self, name, default=None):
         self.read.append(name)
@@ -175,19 +196,20 @@ class FlatReads(Weights):
 
 
 def test_decoders_read_labeled_names_only_through_rows():
-    # a flat lookup is left only for the relevance count feature and the
-    # lex_agree features of the lexicon-as-features mode
+    # a flat lookup is left only for the untagged relevance count feature;
+    # the lex_agree features of the lexicon-as-features mode are read
+    # through their rows too
     rng = random.Random(71)
     sentence, triggers = random_tree_instance(rng, 4)
-    weights = FlatReads({})
+    weights = FlatReads()
     RelevanceDecoder().decode(
         (sentence, tuple(sentence_quantities(sentence))), weights)
     VariableDecoder().decode(random_np_instance(rng, 3), weights)
     for kwargs in ({}, {"use_lexicon": False}, {"lexicon_as_features": True}):
         CkyDecoder(**kwargs).decode((sentence, triggers), weights)
     assert weights.read
-    assert all("|" not in name or name.startswith("lex_agree=")
-               for name in weights.read)
+    assert all("|" not in name for name in weights.read)
+    assert {"lex_agree=0", "lex_agree=1"} <= set(weights.rows.read)
 
 
 def test_hash_weights_rows_agree_with_get():
