@@ -125,26 +125,43 @@ def equations_equal(predicted: SymExpr, gold: SymExpr, mode: Mode,
 def align_gold_tree(gold: SymExpr, triggers) -> EquationTree | None:
     """A projective tree over the trigger list denoting the gold equation.
 
-    Tries contiguous splits recursively; commutative nodes may take their
-    operands in either text order, SUB/DIV in reversed order via the rl
-    flag. Returns None when no projective arrangement exists (for instance
-    when both mentions of a twice-used variable ground to one side of the
-    sentence).
+    Each leaf takes one trigger, so a subexpression with L leaves spans
+    exactly L triggers, and each arrangement of a node's operands fixes
+    its split. Commutative nodes may take their operands in either text
+    order, SUB/DIV in reversed order via the rl flag. The arrangements are
+    tried by ascending split, then in that order, and each (subexpression,
+    first trigger) is matched once, so the search is polynomial. Returns
+    None when no projective arrangement exists (for instance when both
+    mentions of a twice-used variable ground to one side of the sentence).
     """
 
-    def match(e: SymExpr, i: int, j: int) -> EquationTree | None:
+    # keyed by id: gold keeps every subexpression alive for the call, and
+    # an id hashes in constant time where a deep expression does not
+    sizes: dict[int, int] = {}  # subexpression -> its leaf count
+    memo: dict = {}  # (subexpression, i) -> its tree from triggers[i], or None
+
+    def count(e: SymExpr) -> int:
+        n = sizes[id(e)] = (count(e.args[0]) + count(e.args[1])
+                            if isinstance(e, Apply) else 1)
+        return n
+
+    def match(e: SymExpr, i: int) -> EquationTree | None:
+        """The tree of e over triggers[i:i + its size), or None."""
+        t = triggers[i]
         if isinstance(e, Const):
-            t = triggers[i]
-            if (j == i + 1 and isinstance(t, QuantityTrigger)
-                    and t.value == e.value):
+            if isinstance(t, QuantityTrigger) and t.value == e.value:
                 return Leaf(t)
             return None
         if isinstance(e, Var):
-            t = triggers[i]
-            if (j == i + 1 and isinstance(t, VariableTrigger)
-                    and t.label == e.label):
+            if isinstance(t, VariableTrigger) and t.label == e.label:
                 return Leaf(t)
             return None
+        key = (id(e), i)
+        if key not in memo:
+            memo[key] = arrange(e, i)
+        return memo[key]
+
+    def arrange(e: Apply, i: int) -> Node | None:
         a, b = e.args
         if e.op in (Op.SUB, Op.DIV):
             arrangements = [(a, b, Order.LR), (b, a, Order.RL)]
@@ -152,17 +169,20 @@ def align_gold_tree(gold: SymExpr, triggers) -> EquationTree | None:
             arrangements = [(a, b, Order.LR)]
         else:
             arrangements = [(a, b, Order.LR), (b, a, Order.LR)]
-        for k in range(i + 1, j):
-            for first, second, order in arrangements:
-                left = match(first, i, k)
-                if left is None:
-                    continue
-                right = match(second, k, j)
-                if right is not None:
-                    return Node(e.op, order, left, right)
+        if sizes[id(b)] < sizes[id(a)]:  # by ascending split, ties in order
+            arrangements.reverse()
+        for first, second, order in arrangements:
+            left = match(first, i)
+            if left is None:
+                continue
+            right = match(second, i + sizes[id(first)])
+            if right is not None:
+                return Node(e.op, order, left, right)
         return None
 
-    return match(gold, 0, len(triggers))
+    if count(gold) != len(triggers):
+        return None
+    return match(gold, 0)
 
 
 def gold_tree_instance(example):

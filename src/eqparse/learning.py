@@ -212,16 +212,22 @@ class ExhaustiveDecoder:
     """Argmax by scoring every candidate; ties keep the earliest candidate.
 
     The learner's decoder protocol, shared by RelevanceDecoder,
-    VariableDecoder and CkyDecoder: `decode(x, weights, gold=None,
-    cost_unit=1)` returns the best output, adding `cost_unit * cost_fn(gold,
-    y)` to each score given a gold output; `features(x, y)` is an output's
-    feature vector; `contains(x, y)` says whether y is in the search space.
+    VariableDecoder and CkyDecoder: `prepare(x)` returns the input with
+    what does not depend on the weights built once, and returns a prepared
+    input as is; `decode(x, weights, gold=None, cost_unit=1)` returns the
+    best output, adding `cost_unit * cost_fn(gold, y)` to each score given
+    a gold output; `features(x, y)` is an output's feature vector;
+    `contains(x, y)` says whether y is in the search space. The last three
+    take x raw or prepared alike. Here `prepare` is the identity.
     """
 
     def __init__(self, candidates_fn, feature_fn, cost_fn=zero_one_cost):
         self.candidates_fn = candidates_fn
         self.features = feature_fn
         self.cost_fn = cost_fn
+
+    def prepare(self, x):
+        return x
 
     def decode(self, x, weights, gold=None, cost_unit: int = 1):
         best = None
@@ -248,10 +254,14 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     With the learning rate num/den, weights are kept in units of 1/den: an
     update adds num * delta and the decode's cost unit is den. The result is
     the averaged weight vector times den * (number of steps), in integers.
+    Each input is prepared once, and each gold output's features are
+    computed on its first update.
     """
+    examples = [(decoder.prepare(x), gold) for x, gold in examples]
     for x, gold in examples:
         if not decoder.contains(x, gold):
             raise ValueError(f"gold output outside the candidate space: {gold!r}")
+    gold_features: list[FeatureVector | None] = [None] * len(examples)
     rate = Fraction(str(config.learning_rate))
     num, den = rate.numerator, rate.denominator
     weights = Weights()
@@ -265,8 +275,9 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
             x, gold = examples[i]
             guess = decoder.decode(x, weights, gold=gold, cost_unit=den)
             if guess != gold:
-                delta = subtract(decoder.features(x, gold),
-                                 decoder.features(x, guess))
+                if gold_features[i] is None:
+                    gold_features[i] = decoder.features(x, gold)
+                delta = subtract(gold_features[i], decoder.features(x, guess))
                 add_scaled(weights, delta, num)
                 add_scaled(lagged, delta, num * (step - 1))
             step += 1
@@ -285,26 +296,28 @@ def train_superset(examples, decoder, config: TrainConfig) -> LinearModel:
     Repeatedly pick the best-scoring valid output per example under the
     current weights (first listed wins ties, so the zero model picks the
     first), retrain from scratch on those picks, and stop once the picks
-    repeat or max_outer_iters is reached.
+    repeat or max_outer_iters is reached. Each input is prepared, and each
+    option's features computed, once.
     """
     for ex in examples:
         if not ex.gold_set:
             raise ValueError("superset example with empty gold set")
+    xs = [decoder.prepare(ex.x) for ex in examples]
+    options = [[(y, decoder.features(x, y)) for y in ex.gold_set]
+               for x, ex in zip(xs, examples)]
     model = LinearModel({}, config)
     previous = None
     for _ in range(config.max_outer_iters):
         selected = []
-        for ex in examples:
+        for scored in options:
             best, best_score = None, None
-            for y in ex.gold_set:
-                score = model.score(decoder.features(ex.x, y))
+            for y, features in scored:
+                score = model.score(features)
                 if best_score is None or score > best_score:
                     best, best_score = y, score
             selected.append(best)
         if selected == previous:
             break
-        model = train_structured(
-            [(ex.x, y) for ex, y in zip(examples, selected)],
-            decoder, config)
+        model = train_structured(list(zip(xs, selected)), decoder, config)
         previous = selected
     return model

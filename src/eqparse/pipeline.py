@@ -276,27 +276,51 @@ def _relevance_instances(examples):
     return out
 
 
-def _variable_instances(examples):
+def _variable_instances(examples, decoder: VariableDecoder):
+    """A superset example, on the input the decoder prepared, of each
+    example with a grounding. A grounding outside the decoder's candidate
+    space raises ValueError naming the example's source."""
     out = []
     for ex in examples:
+        x = decoder.prepare(ex.sentence)
+        where = f"{ex.source}: " if ex.source else ""
+        chunks = set(ex.sentence.np_chunks)
         candidates = []
         for grounding in ex.groundings:
-            candidate = candidate_from_grounding(grounding)
+            for trigger in grounding:
+                if trigger.span not in chunks:
+                    raise ValueError(
+                        f"{where}grounding of {trigger.label} at "
+                        f"[{trigger.span.start}, {trigger.span.end}] is not "
+                        "an NP chunk of the sentence")
+            try:
+                candidate = candidate_from_grounding(grounding)
+            except ValueError as e:
+                raise ValueError(f"{where}grounding: {e}") from e
+            if not decoder.contains(x, candidate):
+                spans = [[np.start, np.end] for np in candidate.nps]
+                raise ValueError(
+                    f"{where}grounding in the NPs {spans} is outside the "
+                    "candidate space: an NP grounds both variables only "
+                    "when it mentions two")
             if candidate not in candidates:
                 candidates.append(candidate)
         if candidates:
-            out.append(SupersetExample(ex.sentence, tuple(candidates)))
+            out.append(SupersetExample(x, tuple(candidates)))
     return out
 
 
 def _tree_instances(examples, decoder: CkyDecoder):
+    """(prepared input, gold tree) of each example whose gold tree the
+    decoder reaches."""
     out = []
     for ex in examples:
         instance = gold_tree_instance(ex)
         if instance is not None:
             sentence, triggers, tree = instance
-            if decoder.contains((sentence, triggers), tree):
-                out.append(((sentence, triggers), tree))
+            x = decoder.prepare((sentence, triggers))
+            if decoder.contains(x, tree):
+                out.append((x, tree))
                 continue
         print(f"skipping unreachable gold tree: {ex.sentence.text[:60]!r}",
               file=sys.stderr)
@@ -308,7 +332,9 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
 
     Examples whose gold tree is not reachable by the decoder (no projective
     arrangement, or pruned by the lexicon) are left out of the tree stage
-    with a note on stderr; they still train the other stages.
+    with a note on stderr; they still train the other stages. A grounding
+    outside the variable candidate space, such as a span that is not an NP
+    chunk of its sentence, raises ValueError naming the example's source.
     """
     if not examples:
         raise ValueError("empty training corpus")
@@ -317,10 +343,11 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
 
     rel_model = train_structured(
         _relevance_instances(examples), RelevanceDecoder(window), tcfg)
+    var_decoder = VariableDecoder(window)
     var_model = train_superset(
-        _variable_instances(examples), VariableDecoder(window), tcfg)
-    decoder = config.tree_decoder()
+        _variable_instances(examples, var_decoder), var_decoder, tcfg)
+    tree_decoder = config.tree_decoder()
     tree_model = train_structured(
-        _tree_instances(examples, decoder), decoder, tcfg)
+        _tree_instances(examples, tree_decoder), tree_decoder, tcfg)
 
     return ModelBundle(rel_model, var_model, tree_model, config)

@@ -51,10 +51,8 @@ def relevance_features(sentence: AnnotatedSentence, quantities,
                        window: int = 3) -> FeatureVector:
     """Each quantity's names conjoined with its bit, plus the global
     relevant-count feature."""
-    feats = tagged((quantity_names(sentence, quantities, i, window),
-                    _BITS[relevant]) for i, relevant in enumerate(assignment))
-    feats[_count_feature(sum(assignment), len(assignment))] = 1
-    return feats
+    return RelevanceDecoder(window).features((sentence, quantities),
+                                             assignment)
 
 
 def enumerate_assignments(k: int):
@@ -62,44 +60,74 @@ def enumerate_assignments(k: int):
     return itertools.product((True, False), repeat=k)
 
 
+class QuantityNames:
+    """A `RelevanceDecoder` input prepared for one window: the sentence, its
+    quantities, each quantity's `quantity_names` and the count feature of
+    each number of relevant quantities."""
+
+    __slots__ = ("sentence", "quantities", "window", "names", "counts")
+
+    def __init__(self, sentence: AnnotatedSentence, quantities, window: int):
+        self.sentence, self.quantities, self.window = (sentence, quantities,
+                                                       window)
+        k = len(quantities)
+        self.names = [quantity_names(sentence, quantities, i, window)
+                      for i in range(k)]
+        self.counts = [_count_feature(c, k) for c in range(k + 1)]
+
+
 class RelevanceDecoder:
     """Exact joint argmax over relevance assignments; x is (sentence,
     quantities).
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
-    Hamming cost. Each quantity's names are built once and scored under
-    both bits by one label row lookup each; its margin is score(on) -
-    score(off), plus its cost difference given a gold output. Finalist c
-    turns on the c largest margins, ties to the lower index, and scores the all-off score plus
-    those margins plus its count weight. Ties keep the assignment earliest
-    in `enumerate_assignments` order: among equal-scoring assignments with
-    c bits on that is finalist c, and between finalists the one with more
-    bits on, since it adds bits to the other's.
+    Hamming cost; `prepare` gives a `QuantityNames`. Each quantity's names
+    are scored under both bits by one label row lookup each; its margin is
+    score(on) - score(off), plus its cost difference given a gold output.
+    Finalist c turns on the c largest margins, ties to the lower index, and
+    scores the all-off score plus those margins plus its count weight. Ties
+    keep the assignment earliest in `enumerate_assignments` order: among
+    equal-scoring assignments with c bits on that is finalist c, and
+    between finalists the one with more bits on, since it adds bits to the
+    other's.
     """
 
     def __init__(self, window: int = 3):
         self.window = window
 
-    def features(self, x, assignment: RelevanceAssignment) -> FeatureVector:
+    def prepare(self, x) -> QuantityNames:
+        if isinstance(x, QuantityNames):
+            if x.window == self.window:
+                return x
+            x = x.sentence, x.quantities
         sentence, quantities = x
-        return relevance_features(sentence, quantities, assignment, self.window)
+        return QuantityNames(sentence, quantities, self.window)
+
+    def features(self, x, assignment: RelevanceAssignment) -> FeatureVector:
+        """Each quantity's names conjoined with its bit, plus the global
+        relevant-count feature."""
+        x = self.prepare(x)
+        feats = tagged((x.names[i], _BITS[relevant])
+                       for i, relevant in enumerate(assignment))
+        feats[_count_feature(sum(assignment), len(assignment))] = 1
+        return feats
 
     def contains(self, x, assignment) -> bool:
+        x = self.prepare(x)
         return (isinstance(assignment, tuple)
-                and len(assignment) == len(x[1])
+                and len(assignment) == len(x.quantities)
                 and all(isinstance(bit, bool) for bit in assignment))
 
     def decode(self, x, weights, gold: RelevanceAssignment | None = None,
                cost_unit: int = 1) -> RelevanceAssignment:
-        sentence, quantities = x
-        k = len(quantities)
+        x = self.prepare(x)
+        k = len(x.quantities)
         rows = rows_of(weights)
         off, on = _BITS
         all_off = 0
         margins = []
         for i in range(k):
-            scores = label_scores(rows, quantity_names(sentence, quantities,
-                                                       i, self.window))
+            scores = label_scores(rows, x.names[i])
             score_on, score_off = scores.get(on, 0), scores.get(off, 0)
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
@@ -110,11 +138,12 @@ class RelevanceDecoder:
             margins.append(score_on - score_off)
 
         order = sorted(range(k), key=lambda i: (-margins[i], i))
-        best_c, best = 0, all_off + weights.get(_count_feature(0, k), 0)
+        counts = x.counts
+        best_c, best = 0, all_off + weights.get(counts[0], 0)
         score = all_off
         for c in range(1, k + 1):
             score += margins[order[c - 1]]
-            total = score + weights.get(_count_feature(c, k), 0)
+            total = score + weights.get(counts[c], 0)
             if total >= best:  # equal: more bits on is earlier
                 best_c, best = c, total
         chosen = set(order[:best_c])

@@ -25,7 +25,7 @@ from .core import (
     validate_trigger_list,
 )
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, add_scaled, label_scores, rows_of, tagged
+from .learning import FeatureVector, label_scores, rows_of, tagged
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ class FieldTable:
     and `token` depend only on a node's first trigger i, `mid` only on its
     split k, and `right` only on its end j. So a trigger list has O(n)
     distinct fields, and a node's match is a few mask tests. A table
-    serves one `decode`, `features` or `contains` call.
+    serves one prepared input (`TreeInput`), so every call made on it.
     """
 
     def __init__(self, sentence: AnnotatedSentence, triggers):
@@ -347,14 +347,7 @@ def tree_nodes(tree: EquationTree):
 def tree_features(sentence: AnnotatedSentence, triggers, tree: EquationTree,
                   window: int = 3) -> FeatureVector:
     """Whole-tree feature vector: the sum over all internal nodes."""
-    leaves, nodes = tree_nodes(tree)
-    if len(leaves) != len(triggers):
-        raise ValueError("tree leaves do not match the trigger list")
-    locs, values = [location(t) for t in triggers], _values(triggers)
-    return tagged((_part_names(sentence, part, window),
-                   _OP_LABELS[node.op, node.order])
-                  for i, k, j, node in nodes
-                  for part in _node_parts(locs, values, i, k, j))
+    return CkyDecoder(window).features((sentence, triggers), tree)
 
 
 def gold_node_set(tree: EquationTree) -> frozenset:
@@ -363,30 +356,66 @@ def gold_node_set(tree: EquationTree) -> frozenset:
                      for i, _, j, node in tree_nodes(tree)[1])
 
 
-class _PartScores(dict):
-    """part -> {op label: the weight of one node part's names under it},
-    filled on first use in one pass over the names' label rows, for one
-    decode. A part is a boundary offset (its token window), a (lo, hi) mid
-    span, or a feature name (number or lexicon agreement)."""
+class TreeInput:
+    """A `CkyDecoder` input prepared for one window: the sentence and its
+    trigger list, with the trigger locations and `_values`, and, each
+    built on first use, the list's validation, its `FieldTable`, every
+    node's `parts` and every part's `names`."""
 
-    def __init__(self, sentence: AnnotatedSentence, weights, window: int):
-        super().__init__()
-        self.sentence, self.window = sentence, window
-        self.rows = rows_of(weights)
+    __slots__ = ("sentence", "triggers", "window", "locs", "values",
+                 "_valid", "_table", "_parts", "_names")
 
-    def __missing__(self, part):
-        scores = self[part] = label_scores(
-            self.rows, _part_names(self.sentence, part, self.window))
-        return scores
+    def __init__(self, sentence: AnnotatedSentence, triggers, window: int):
+        self.sentence, self.triggers, self.window = sentence, triggers, window
+        self.locs = [location(t) for t in triggers]
+        self.values = _values(triggers)
+        self._valid = False
+        self._table = self._parts = self._names = None
+
+    def validate(self) -> None:
+        """`validate_trigger_list`, until it has passed once."""
+        if not self._valid:
+            validate_trigger_list(self.triggers)
+            self._valid = True
+
+    @property
+    def table(self) -> FieldTable:
+        if self._table is None:
+            self._table = FieldTable(self.sentence, self.triggers)
+        return self._table
+
+    @property
+    def parts(self) -> dict:
+        """(i, k, j) -> the `_node_parts` of the node over triggers[i:j)
+        split at k, for every node."""
+        if self._parts is None:
+            locs, values, n = self.locs, self.values, len(self.triggers)
+            self._parts = {(i, k, j): tuple(_node_parts(locs, values, i, k, j))
+                           for i in range(n) for j in range(i + 2, n + 1)
+                           for k in range(i + 1, j)}
+        return self._parts
+
+    @property
+    def names(self) -> dict:
+        """part -> its `_part_names`, for every part of every node."""
+        if self._names is None:
+            names = self._names = {}
+            for parts in self.parts.values():
+                for part in parts:
+                    if part not in names:
+                        names[part] = _part_names(self.sentence, part,
+                                                  self.window)
+        return self._names
 
 
 class CkyDecoder:
     """Bottom-up search for the best projective equation tree.
 
-    x is (sentence, triggers) with triggers in trigger-list order. Ties
-    prefer the smaller split point, then ops in declaration order, with lr
-    before rl. When a lexicon rule matches a node, only its (op, order) is
-    explored, unless the lexicon is disabled or demoted to features.
+    x is (sentence, triggers) with triggers in trigger-list order, and
+    `prepare` gives a `TreeInput`. Ties prefer the smaller split point,
+    then ops in declaration order, with lr before rl. When a lexicon rule
+    matches a node, only its (op, order) is explored, unless the lexicon
+    is disabled or demoted to features.
     """
 
     def __init__(self, window: int = 3, use_lexicon: bool = True,
@@ -396,6 +425,14 @@ class CkyDecoder:
         self.use_lexicon = use_lexicon
         self.lexicon_as_features = lexicon_as_features
         self.conform_syntactic = conform_syntactic
+
+    def prepare(self, x) -> TreeInput:
+        if isinstance(x, TreeInput):
+            if x.window == self.window:
+                return x
+            x = x.sentence, x.triggers
+        sentence, triggers = x
+        return TreeInput(sentence, triggers, self.window)
 
     def node_ops(self, table: FieldTable, i, k, j):
         """(lexicon match or None, (op, order, label) triples explored) for
@@ -426,31 +463,40 @@ class CkyDecoder:
     def decode(self, x, weights, gold=None, cost_unit: int = 1):
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit."""
-        validate_trigger_list(x[1])
-        table = FieldTable(*x)
-        scores = _PartScores(x[0], weights, self.window)
-        tree = self._decode(x, table, scores, gold, cost_unit,
+        x = self.prepare(x)
+        x.validate()
+        rows = rows_of(weights)
+        # part -> {op label: the weight of its names under it}
+        scores = {part: label_scores(rows, names)
+                  for part, names in x.names.items()}
+        # lexicon agreement scores, (disagree, agree), in feature mode only
+        agree = tuple(label_scores(rows, [name]) for name in _AGREE) \
+            if self.lexicon_as_features else None
+        tree = self._decode(x, scores, agree, gold, cost_unit,
                             strict=self.conform_syntactic)
         if tree is None:
             # syntactic conformance can exhaust the space; fall back
-            tree = self._decode(x, table, scores, gold, cost_unit,
+            tree = self._decode(x, scores, agree, gold, cost_unit,
                                 strict=False)
         return tree
 
-    def _decode(self, x, table, scores, gold, cost_unit, strict):
-        sentence, triggers = x
+    def _decode(self, x: TreeInput, scores, agree, gold, cost_unit, strict):
+        triggers, table, node_parts = x.triggers, x.table, x.parts
         n = len(triggers)
-        locs, values = table.locs, _values(triggers)
-        # lexicon agreement scores, (disagree, agree), in feature mode only
-        agree = (scores[_AGREE[0]], scores[_AGREE[1]]) \
-            if self.lexicon_as_features else None
-        gold_nodes = gold_node_set(gold) if gold is not None else None
+        # the gold tree's nodes as (i, j, op label): a label names its
+        # (op, order), and a string key hashes faster than enum members
+        gold_nodes = None if gold is None else {
+            (i, j, _OP_LABELS[op, order])
+            for i, j, op, order in gold_node_set(gold)}
 
-        chart: dict = {(i, i + 1): (0, Leaf(t)) for i, t in enumerate(triggers)}
+        # cell (i, j) -> (best score, its split k, op, order); a leaf's
+        # cell scores 0, and the tree is built from the root's cell at the end
+        chart: dict = {(i, i + 1): (0,) for i in range(n)}
         for length in range(2, n + 1):
             for i in range(n - length + 1):
                 j = i + length
-                if strict and not self._allowed_interval(sentence, triggers, i, j):
+                if strict and not self._allowed_interval(x.sentence, triggers,
+                                                         i, j):
                     continue
                 best = None
                 for k in range(i + 1, j):
@@ -458,19 +504,19 @@ class CkyDecoder:
                     if left is None or right is None:
                         continue
                     match, ops = self.node_ops(table, i, k, j)
-                    parts = [scores[part] for part in
-                             _node_parts(locs, values, i, k, j)]
+                    parts = [scores[part] for part in node_parts[i, k, j]]
+                    below = left[0] + right[0]
                     for op, order, label in ops:
-                        score = left[0] + right[0]
+                        score = below
                         for acc in parts:
                             score += acc.get(label, 0)
                         if agree is not None and match is not None:
                             score += agree[(op, order) == match].get(label, 0)
                         if (gold_nodes is not None
-                                and (i, j, op, order) not in gold_nodes):
+                                and (i, j, label) not in gold_nodes):
                             score += cost_unit  # margin cost per wrong node
                         if best is None or score > best[0]:
-                            best = (score, Node(op, order, left[1], right[1]))
+                            best = (score, k, op, order)
                 if best is not None:
                     chart[(i, j)] = best
 
@@ -478,35 +524,43 @@ class CkyDecoder:
             if strict:
                 return None
             raise ValueError("no full-span tree")
-        return chart[(0, n)][1]
+
+        def build(i, j):
+            if j - i == 1:
+                return Leaf(triggers[i])
+            _, k, op, order = chart[i, j]
+            return Node(op, order, build(i, k), build(k, j))
+
+        return build(0, n)
 
     def features(self, x, tree) -> FeatureVector:
-        """Whole-tree features, including lexicon-agreement features when
-        the lexicon runs in feature mode rather than as a constraint."""
-        sentence, triggers = x
-        feats = tree_features(sentence, triggers, tree, self.window)
+        """Whole-tree features: each node's parts under its op label, and
+        the lexicon-agreement features when the lexicon runs in feature
+        mode rather than as a constraint."""
+        x = self.prepare(x)
+        leaves, nodes = tree_nodes(tree)
+        if len(leaves) != len(x.triggers):
+            raise ValueError("tree leaves do not match the trigger list")
+        parts = [(x.names[part], _OP_LABELS[node.op, node.order])
+                 for i, k, j, node in nodes for part in x.parts[i, k, j]]
         if self.lexicon_as_features:
-            table = FieldTable(sentence, triggers)
-            agree = []
-            for i, k, j, node in tree_nodes(tree)[1]:
-                match = self.node_ops(table, i, k, j)[0]
+            for i, k, j, node in nodes:
+                match = self.node_ops(x.table, i, k, j)[0]
                 if match is not None:
                     pair = node.op, node.order
-                    agree.append(([_AGREE[pair == match]], _OP_LABELS[pair]))
-            add_scaled(feats, tagged(agree), 1)
-        return feats
+                    parts.append(([_AGREE[pair == match]], _OP_LABELS[pair]))
+        return tagged(parts)
 
     def contains(self, x, tree) -> bool:
         """Whether the decoder's search space includes this exact tree."""
-        sentence, triggers = x
+        x = self.prepare(x)
         if not isinstance(tree, Node):
             return False
         leaves, nodes = tree_nodes(tree)
-        if leaves != list(triggers):
+        if leaves != list(x.triggers):
             return False
-        table = FieldTable(sentence, triggers)
         return all((node.op, node.order, _OP_LABELS[node.op, node.order])
-                   in self.node_ops(table, i, k, j)[1]
+                   in self.node_ops(x.table, i, k, j)[1]
                    for i, k, j, node in nodes)
 
 

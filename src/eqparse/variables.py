@@ -113,41 +113,76 @@ def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
                       window: int = 3) -> FeatureVector:
     """The names of the candidate's NPs conjoined with its pair label; a
     self-pair lists its NP twice, so counts it twice."""
-    label = _label(candidate)
-    return tagged((np_feature_names(sentence, np, window), label)
-                  for np in candidate.nps)
+    return VariableDecoder(window).features(sentence, candidate)
+
+
+class NpNames:
+    """A `VariableDecoder` input prepared for one window: the sentence, the
+    `np_feature_names` of each NP chunk, and the candidates in
+    `enumerate_variable_candidates` order with their pair labels, listed
+    on first use."""
+
+    __slots__ = ("sentence", "window", "names", "_candidates")
+
+    def __init__(self, sentence: AnnotatedSentence, window: int):
+        self.sentence, self.window = sentence, window
+        names = self.names = {}
+        for np in sentence.np_chunks:
+            if np not in names:
+                names[np] = np_feature_names(sentence, np, window)
+        self._candidates = None
+
+    @property
+    def candidates(self) -> list[tuple[VariableCandidate, str]]:
+        if self._candidates is None:
+            self._candidates = [
+                (candidate, _label(candidate))
+                for candidate in enumerate_variable_candidates(self.sentence)]
+        return self._candidates
 
 
 class VariableDecoder:
     """Best NP candidate; x is the sentence.
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
-    `candidate_cost`. Each NP's names are built once and scored under every
-    pair label in one pass over their label rows; a candidate's score is
-    the sum of its NPs' scores under its label. Ties keep the earliest
-    candidate in `enumerate_variable_candidates` order.
+    `candidate_cost`; `prepare` gives an `NpNames`. Each NP's names are
+    scored under every pair label in one pass over their label rows; a
+    candidate's score is the sum of its NPs' scores under its label. Ties
+    keep the earliest candidate in `enumerate_variable_candidates` order.
     """
 
     def __init__(self, window: int = 3):
         self.window = window
 
+    def prepare(self, sentence) -> NpNames:
+        if isinstance(sentence, NpNames):
+            if sentence.window == self.window:
+                return sentence
+            sentence = sentence.sentence
+        return NpNames(sentence, self.window)
+
     def features(self, sentence, candidate: VariableCandidate) -> FeatureVector:
-        return variable_features(sentence, candidate, self.window)
+        """The names of the candidate's NPs conjoined with its pair label;
+        a self-pair lists its NP twice, so counts it twice."""
+        x = self.prepare(sentence)
+        label = _label(candidate)
+        return tagged((x.names[np] if np in x.names
+                       else np_feature_names(x.sentence, np, self.window),
+                       label) for np in candidate.nps)
 
     def contains(self, sentence, candidate) -> bool:
-        return candidate in enumerate_variable_candidates(sentence)
+        x = self.prepare(sentence)
+        return any(c == candidate for c, _ in x.candidates)
 
     def decode(self, sentence, weights, gold: VariableCandidate | None = None,
                cost_unit: int = 1) -> VariableCandidate:
+        x = self.prepare(sentence)
         rows = rows_of(weights)
-        scores = {}  # NP -> {pair label: the NP's score under it}
-        for np in sentence.np_chunks:
-            if np not in scores:
-                scores[np] = label_scores(
-                    rows, np_feature_names(sentence, np, self.window))
+        # NP -> {pair label: the NP's score under it}
+        scores = {np: label_scores(rows, names)
+                  for np, names in x.names.items()}
         best = best_score = None
-        for candidate in enumerate_variable_candidates(sentence):
-            label = _label(candidate)
+        for candidate, label in x.candidates:
             score = 0
             for np in candidate.nps:
                 score += scores[np].get(label, 0)

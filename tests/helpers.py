@@ -9,7 +9,10 @@ from fractions import Fraction
 from eqparse.core import (
     Apply,
     Const,
+    Leaf,
+    Node,
     Op,
+    Order,
     QuantityTrigger,
     Span,
     Var,
@@ -61,6 +64,35 @@ class _DenseRows(dict):
             row = self[feature] = {label: self.weights.get(f"{feature}|{label}")
                                    for label in LABELS}
         return row
+
+
+def sparse_weights(rng: random.Random, names, rows: float = 0.7,
+                   labels: float = 0.6) -> dict:
+    """Integer weights in [-3, 3] over `names`, grouped by feature (the name
+    before its last bar): a feature gets a row with probability `rows`, and
+    each of its names a weight with probability `labels`, so most rows are
+    partial; names without a bar are kept with probability `labels` too.
+    Coarse values keep ties common."""
+    by_feature: dict = {}
+    for name in sorted(names):
+        by_feature.setdefault(name.rpartition("|")[0], []).append(name)
+    weights = {}
+    for feature, group in by_feature.items():
+        if feature and rng.random() >= rows:
+            continue
+        for name in group:
+            if rng.random() < labels:
+                weights[name] = rng.randint(-3, 3)
+    return weights
+
+
+def draw_weights(rng: random.Random, names) -> dict:
+    """`sparse_weights` as in a trained bundle, where about 70% of the
+    features have a row, or far sparser, so that a candidate's parts may
+    have no weight under its label at all."""
+    if rng.random() < 0.25:
+        return sparse_weights(rng, names, rows=0.1, labels=0.3)
+    return sparse_weights(rng, names)
 
 
 def with_extra_chunks(rng: random.Random,
@@ -273,3 +305,71 @@ def commute(e, rng: random.Random):
     if e.op in (Op.ADD, Op.MUL, Op.EQ) and rng.random() < 0.5:
         a, b = b, a
     return Apply(e.op, (a, b))
+
+
+def search_gold_tree(gold, triggers):
+    """`evaluation.align_gold_tree` by exhaustive search: every split k of
+    every subexpression's interval, each operand arrangement in turn, with
+    no memo and no size test. Exponential in the trigger count; an oracle
+    for small lists."""
+
+    def match(e, i, j):
+        if isinstance(e, Const):
+            t = triggers[i]
+            if (j == i + 1 and isinstance(t, QuantityTrigger)
+                    and t.value == e.value):
+                return Leaf(t)
+            return None
+        if isinstance(e, Var):
+            t = triggers[i]
+            if (j == i + 1 and isinstance(t, VariableTrigger)
+                    and t.label == e.label):
+                return Leaf(t)
+            return None
+        a, b = e.args
+        if e.op in (Op.SUB, Op.DIV):
+            arrangements = [(a, b, Order.LR), (b, a, Order.RL)]
+        elif a == b:
+            arrangements = [(a, b, Order.LR)]
+        else:
+            arrangements = [(a, b, Order.LR), (b, a, Order.LR)]
+        for k in range(i + 1, j):
+            for first, second, order in arrangements:
+                left = match(first, i, k)
+                if left is None:
+                    continue
+                right = match(second, k, j)
+                if right is not None:
+                    return Node(e.op, order, left, right)
+        return None
+
+    return match(gold, 0, len(triggers))
+
+
+def random_sized_arith(rng: random.Random, leaves: int, values=range(1, 5)):
+    """An arithmetic expression with exactly `leaves` leaves: constants
+    from `values` and V1/V2, so equal operands and repeated values occur."""
+    if leaves == 1:
+        if rng.random() < 0.6:
+            return Const(Fraction(rng.choice(values)))
+        return Var(rng.choice(("V1", "V2")))
+    left = rng.randint(1, leaves - 1)
+    op = rng.choice((Op.ADD, Op.SUB, Op.MUL, Op.DIV))
+    return Apply(op, (random_sized_arith(rng, left, values),
+                      random_sized_arith(rng, leaves - left, values)))
+
+
+def leaf_triggers(leaves):
+    """One trigger per `Const`/`Var` leaf, in the given order, at offsets
+    0, 3, 6, ..."""
+    return tuple(QuantityTrigger(leaf.value, Span(3 * i, 3 * i + 1))
+                 if isinstance(leaf, Const)
+                 else VariableTrigger(leaf.label, Span(3 * i, 3 * i + 1))
+                 for i, leaf in enumerate(leaves))
+
+
+def expr_leaves(e) -> list:
+    """The `Const`/`Var` leaves of an expression, left to right."""
+    if isinstance(e, Apply):
+        return [leaf for arg in e.args for leaf in expr_leaves(arg)]
+    return [e]

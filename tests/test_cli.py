@@ -441,6 +441,48 @@ class TestCorpusInput:
         assert "Traceback" not in err
         assert out == ""
 
+    # line 4 grounds V1 and V2 in the chunk [11, 20], "two books"; each
+    # edit of its grounding, and the message that names it
+    BAD_GROUNDINGS = {
+        # [11, 21] ends one character later, inside no chunk
+        "one-mention-off-chunk": (
+            lambda g: g[1].update(np_span=[11, 21]),
+            "grounding of V2 at [11, 21] is not an NP chunk of the sentence"),
+        "both-mentions-off-chunk": (
+            lambda g: [m.update(np_span=[11, 21]) for m in g],
+            "grounding of V1 at [11, 21] is not an NP chunk of the sentence"),
+        # "The sum" does not mention two, so it cannot ground both
+        "self-pair-without-two": (
+            lambda g: [m.update(np_span=[0, 7]) for m in g],
+            "grounding in the NPs [[0, 7], [0, 7]] is outside the candidate "
+            "space: an NP grounds both variables only when it mentions two"),
+        "three-mentions": (
+            lambda g: g.append({"label": "V1", "np_span": [0, 7]}),
+            "grounding: candidate must hold 1 or 2 NPs"),
+    }
+
+    @pytest.mark.parametrize("edit", BAD_GROUNDINGS)
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_grounding_outside_candidate_space_reported(
+            self, command, edit, synthetic_corpus, tmp_path, capsys):
+        # checked when the variable stage's instances are built, not at load
+        lines = [json.dumps(example_to_json(ex)) for ex in synthetic_corpus]
+        bad = json.loads(lines[3])
+        assert bad["np_chunks"] == [[0, 7], [11, 20]]
+        change, message = self.BAD_GROUNDINGS[edit]
+        change(bad["groundings"][0])
+        lines[3] = json.dumps(bad)
+        corpus = tmp_path / "bad-grounding.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"{corpus}:4: {message}" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestCv:
     def test_deterministic_and_at_most_eval_on_train(self, train_corpus_path,

@@ -1,6 +1,7 @@
 """Equation equivalence, gold tree alignment, and corpus metrics."""
 
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from eqparse.core import (
     expr,
     format_expr,
     parse_equation,
+    sort_triggers,
 )
 from eqparse.evaluation import (
     Metrics,
@@ -37,7 +39,14 @@ from eqparse.evaluation import (
 from eqparse.quantities import sentence_quantities
 from eqparse.relevance import derive_gold_relevance
 
-from helpers import commute, random_equation
+from helpers import (
+    commute,
+    expr_leaves,
+    leaf_triggers,
+    random_equation,
+    random_sized_arith,
+    search_gold_tree,
+)
 
 
 def eq(text):
@@ -186,6 +195,69 @@ class TestAlignGoldTree:
         triggers = (QuantityTrigger(Fraction(7), Span(0, 1)),
                     VariableTrigger("V1", Span(4, 9)))
         assert align_gold_tree(eq("(= V1 5)"), triggers) is None
+
+    def test_matches_exhaustive_search_on_shipped_corpus(
+            self, synthetic_corpus, multiplier_corpus):
+        # every grounding's trigger list, as `gold_tree_instance` builds it
+        checked = 0
+        for example in synthetic_corpus + multiplier_corpus:
+            gold = example.gold_expr()
+            quantities = sentence_quantities(example.sentence)
+            bits = derive_gold_relevance(quantities, expr_constants(gold))
+            relevant = [q for q, bit in zip(quantities, bits) if bit]
+            for grounding in example.groundings or ((),):
+                triggers = sort_triggers(relevant + list(grounding))
+                assert align_gold_tree(gold, triggers) == search_gold_tree(
+                    gold, triggers)
+                checked += 1
+        assert checked >= len(synthetic_corpus) + len(multiplier_corpus)
+
+    def test_matches_exhaustive_search_on_random_instances(self):
+        # trigger lists in the leaf order of a commuted gold (alignable),
+        # shuffled (mostly not), or one trigger short; values repeat and
+        # operands can be equal, so the first arrangement found matters
+        rng = random.Random(43)
+        outcomes = set()
+        for trial in range(600):
+            n = rng.randint(2, 10)
+            left = rng.randint(1, n - 1)
+            gold = Apply(Op.EQ, (random_sized_arith(rng, left),
+                                 random_sized_arith(rng, n - left)))
+            leaves = expr_leaves(commute(gold, rng))
+            if trial % 3 == 1:
+                rng.shuffle(leaves)
+            elif trial % 3 == 2:
+                del leaves[rng.randrange(n)]
+            triggers = leaf_triggers(leaves)
+            got = align_gold_tree(gold, triggers)
+            assert got == search_gold_tree(gold, triggers)
+            if got is not None:
+                assert canonicalize(expr(got)) == canonicalize(gold)
+            outcomes.add((trial % 3, got is None))
+        assert outcomes >= {(0, False), (1, False), (1, True), (2, True)}
+
+    @pytest.mark.parametrize("v1_at", [0, 15], ids=["alignable", "unalignable"])
+    def test_thirty_triggers_align_in_polynomial_time(self, v1_at):
+        # (= (+ (+ ... (+ 1 2) ... 28) 29) V1) over 30 triggers, V1 first
+        # (aligned with the sum's operands swapped at the root) or amid the
+        # constants (no projective tree). `search_gold_tree` takes over
+        # 10 s on this shape from n = 24 (Python 3.11)
+        total = Const(Fraction(1))
+        for value in range(2, 30):
+            total = Apply(Op.ADD, (total, Const(Fraction(value))))
+        gold = Apply(Op.EQ, (total, Var("V1")))
+        leaves = expr_leaves(total)
+        leaves.insert(v1_at, Var("V1"))
+        triggers = leaf_triggers(leaves)
+        start = time.perf_counter()
+        tree = align_gold_tree(gold, triggers)
+        assert time.perf_counter() - start < 2.0
+        if v1_at == 0:
+            assert tree is not None
+            assert canonicalize(expr(tree)) == canonicalize(gold)
+            assert tree.left.trigger is triggers[0]
+        else:
+            assert tree is None
 
 
 class OracleBundle:

@@ -34,10 +34,12 @@ from helpers import (
     LABELS,
     HashWeights,
     crosses_np_chunk,
+    draw_weights,
     random_np_instance,
     random_relevance_instance,
     random_tree_instance,
     shared_location_instance,
+    sparse_weights,
     tree_cost,
     with_extra_chunks,
 )
@@ -51,35 +53,6 @@ def reference_rows(flat: dict) -> dict:
             cut = name.rindex("|")
             rows.setdefault(name[:cut], {})[name[cut + 1:]] = value
     return rows
-
-
-def sparse_weights(rng: random.Random, names, rows: float = 0.7,
-                   labels: float = 0.6) -> dict:
-    """Integer weights in [-3, 3] over `names`, grouped by feature (the name
-    before its last bar): a feature gets a row with probability `rows`, and
-    each of its names a weight with probability `labels`, so most rows are
-    partial; names without a bar are kept with probability `labels` too.
-    Coarse values keep ties common."""
-    by_feature: dict = {}
-    for name in sorted(names):
-        by_feature.setdefault(name.rpartition("|")[0], []).append(name)
-    weights = {}
-    for feature, group in by_feature.items():
-        if feature and rng.random() >= rows:
-            continue
-        for name in group:
-            if rng.random() < labels:
-                weights[name] = rng.randint(-3, 3)
-    return weights
-
-
-def draw_weights(rng: random.Random, names) -> dict:
-    """`sparse_weights` as in a trained bundle, where about 70% of the
-    features have a row, or far sparser, so that a candidate's parts may
-    have no weight under its label at all."""
-    if rng.random() < 0.25:
-        return sparse_weights(rng, names, rows=0.1, labels=0.3)
-    return sparse_weights(rng, names)
 
 
 class TestWeights:
