@@ -21,7 +21,9 @@ from .pipeline import ModelBundle, PipelineConfig, train_bundle
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, default=3,
                         help="token window for neighborhood features")
-    parser.add_argument("--epochs", type=int, default=5)
+    parser.add_argument("--epochs", type=int, default=5,
+                        help="most training epochs per stage; training "
+                        "stops after the first epoch without a mistake")
     parser.add_argument("--learning-rate", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--outer-iters", type=int, default=10,

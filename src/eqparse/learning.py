@@ -1,9 +1,12 @@
 """Structured linear models over sparse string-keyed feature vectors.
 
 Training runs epoch-based cost-augmented online margin updates with weight
-averaging. Superset supervision (a set of valid outputs per example)
-alternates between selecting the current best valid output and retraining on
-the selections until the selection reaches a fixed point.
+averaging, for at most `epochs` epochs: it stops after the first epoch
+without a mistake, and the averaging counts the steps it skipped, so the
+weights are those of the full run. Superset supervision (a set of valid
+outputs per example) alternates between selecting the current best valid
+output and retraining on the selections until the selection reaches a
+fixed point.
 
 Every feature value, weight and score is an exact integer, so sums come out
 the same in any order. The learning rate num/den scales each update by num
@@ -256,6 +259,12 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     the averaged weight vector times den * (number of steps), in integers.
     Each input is prepared once, and each gold output's features are
     computed on its first update.
+
+    `epochs` is an upper bound: training stops after the first epoch
+    without a mistake. Decoding is deterministic, so such an epoch leaves
+    the weights as they were, and every later epoch, in any order, would
+    decode each example to its gold again. The averaging counts the steps
+    of those epochs, so the result is the one the full run returns.
     """
     examples = [(decoder.prepare(x), gold) for x, gold in examples]
     for x, gold in examples:
@@ -269,18 +278,23 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     step = 1
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         rng.shuffle(order)
+        mistakes = 0
         for i in order:
             x, gold = examples[i]
             guess = decoder.decode(x, weights, gold=gold, cost_unit=den)
             if guess != gold:
+                mistakes += 1
                 if gold_features[i] is None:
                     gold_features[i] = decoder.features(x, gold)
                 delta = subtract(gold_features[i], decoder.features(x, guess))
                 add_scaled(weights, delta, num)
                 add_scaled(lagged, delta, num * (step - 1))
             step += 1
+        if not mistakes:  # the later epochs would repeat this one
+            step += (config.epochs - epoch - 1) * len(examples)
+            break
     total = step - 1
     if total:
         averaged = {name: value * total - lagged.get(name, 0)

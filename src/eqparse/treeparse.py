@@ -356,21 +356,37 @@ def gold_node_set(tree: EquationTree) -> frozenset:
                      for i, _, j, node in tree_nodes(tree)[1])
 
 
+def _crosses_np(sentence: AnnotatedSentence, triggers, i: int, j: int) -> bool:
+    """Whether the character extent of triggers[i:j) overlaps an NP chunk
+    without nesting in it or around it."""
+    lo = min(t.span.start for t in triggers[i:j])
+    hi = max(t.span.end for t in triggers[i:j])
+    for chunk in sentence.np_chunks:
+        overlap = max(lo, chunk.start) < min(hi, chunk.end)
+        nested = (chunk.start <= lo and hi <= chunk.end) or \
+                 (lo <= chunk.start and chunk.end <= hi)
+        if overlap and not nested:
+            return True
+    return False
+
+
 class TreeInput:
     """A `CkyDecoder` input prepared for one window: the sentence and its
     trigger list, with the trigger locations and `_values`, and, each
     built on first use, the list's validation, its `FieldTable`, every
-    node's `parts` and every part's `names`."""
+    node's `parts`, each part's names and the `crossing` cells."""
 
     __slots__ = ("sentence", "triggers", "window", "locs", "values",
-                 "_valid", "_table", "_parts", "_names")
+                 "_valid", "_table", "_parts", "_names", "_all_named",
+                 "_crossing")
 
     def __init__(self, sentence: AnnotatedSentence, triggers, window: int):
         self.sentence, self.triggers, self.window = sentence, triggers, window
         self.locs = [location(t) for t in triggers]
         self.values = _values(triggers)
-        self._valid = False
-        self._table = self._parts = self._names = None
+        self._valid = self._all_named = False
+        self._table = self._parts = self._crossing = None
+        self._names = {}
 
     def validate(self) -> None:
         """`validate_trigger_list`, until it has passed once."""
@@ -395,17 +411,42 @@ class TreeInput:
                            for k in range(i + 1, j)}
         return self._parts
 
+    def node_parts(self, i: int, k: int, j: int) -> tuple:
+        """One node's `_node_parts`: read from `parts` once they are built,
+        so an input that only scores a few trees builds no others."""
+        if self._parts is not None:
+            return self._parts[i, k, j]
+        return tuple(_node_parts(self.locs, self.values, i, k, j))
+
+    def part_names(self, part) -> list[str]:
+        """The part's `_part_names`, built on first use."""
+        names = self._names.get(part)
+        if names is None:
+            names = self._names[part] = _part_names(self.sentence, part,
+                                                    self.window)
+        return names
+
     @property
     def names(self) -> dict:
         """part -> its `_part_names`, for every part of every node."""
-        if self._names is None:
-            names = self._names = {}
+        if not self._all_named:
             for parts in self.parts.values():
                 for part in parts:
-                    if part not in names:
-                        names[part] = _part_names(self.sentence, part,
-                                                  self.window)
+                    self.part_names(part)
+            self._all_named = True
         return self._names
+
+    @property
+    def crossing(self) -> frozenset:
+        """The (i, j) cells whose triggers `_crosses_np`, apart from the
+        leaves and the root, which are always allowed."""
+        if self._crossing is None:
+            n = len(self.triggers)
+            self._crossing = frozenset(
+                (i, j) for i in range(n) for j in range(i + 2, n + 1)
+                if (i, j) != (0, n)
+                and _crosses_np(self.sentence, self.triggers, i, j))
+        return self._crossing
 
 
 class CkyDecoder:
@@ -447,19 +488,6 @@ class CkyDecoder:
             return match, _INTERNAL
         return match, ((*match, _OP_LABELS[match]),)
 
-    def _allowed_interval(self, sentence, triggers, i, j):
-        if j - i == 1 or (i, j) == (0, len(triggers)):
-            return True
-        lo = min(t.span.start for t in triggers[i:j])
-        hi = max(t.span.end for t in triggers[i:j])
-        for chunk in sentence.np_chunks:
-            overlap = max(lo, chunk.start) < min(hi, chunk.end)
-            nested = (chunk.start <= lo and hi <= chunk.end) or \
-                     (lo <= chunk.start and chunk.end <= hi)
-            if overlap and not nested:
-                return False
-        return True
-
     def decode(self, x, weights, gold=None, cost_unit: int = 1):
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit."""
@@ -482,6 +510,7 @@ class CkyDecoder:
 
     def _decode(self, x: TreeInput, scores, agree, gold, cost_unit, strict):
         triggers, table, node_parts = x.triggers, x.table, x.parts
+        crossing = x.crossing if strict else None
         n = len(triggers)
         # the gold tree's nodes as (i, j, op label): a label names its
         # (op, order), and a string key hashes faster than enum members
@@ -495,8 +524,7 @@ class CkyDecoder:
         for length in range(2, n + 1):
             for i in range(n - length + 1):
                 j = i + length
-                if strict and not self._allowed_interval(x.sentence, triggers,
-                                                         i, j):
+                if strict and (i, j) in crossing:
                     continue
                 best = None
                 for k in range(i + 1, j):
@@ -541,8 +569,8 @@ class CkyDecoder:
         leaves, nodes = tree_nodes(tree)
         if len(leaves) != len(x.triggers):
             raise ValueError("tree leaves do not match the trigger list")
-        parts = [(x.names[part], _OP_LABELS[node.op, node.order])
-                 for i, k, j, node in nodes for part in x.parts[i, k, j]]
+        parts = [(x.part_names(part), _OP_LABELS[node.op, node.order])
+                 for i, k, j, node in nodes for part in x.node_parts(i, k, j)]
         if self.lexicon_as_features:
             for i, k, j, node in nodes:
                 match = self.node_ops(x.table, i, k, j)[0]

@@ -118,11 +118,12 @@ def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
 
 class NpNames:
     """A `VariableDecoder` input prepared for one window: the sentence, the
-    `np_feature_names` of each NP chunk, and the candidates in
+    `np_feature_names` of each NP chunk, the candidates in
     `enumerate_variable_candidates` order with their pair labels, listed
-    on first use."""
+    on first use, and their costs to each gold output it is decoded
+    against."""
 
-    __slots__ = ("sentence", "window", "names", "_candidates")
+    __slots__ = ("sentence", "window", "names", "_candidates", "_costs")
 
     def __init__(self, sentence: AnnotatedSentence, window: int):
         self.sentence, self.window = sentence, window
@@ -131,6 +132,7 @@ class NpNames:
             if np not in names:
                 names[np] = np_feature_names(sentence, np, window)
         self._candidates = None
+        self._costs = {}
 
     @property
     def candidates(self) -> list[tuple[VariableCandidate, str]]:
@@ -139,6 +141,15 @@ class NpNames:
                 (candidate, _label(candidate))
                 for candidate in enumerate_variable_candidates(self.sentence)]
         return self._candidates
+
+    def costs(self, gold: VariableCandidate) -> list[int]:
+        """`candidate_cost(gold, candidate)` of each candidate, in order,
+        computed on first use for each gold."""
+        costs = self._costs.get(gold)
+        if costs is None:
+            costs = self._costs[gold] = [candidate_cost(gold, candidate)
+                                         for candidate, _ in self.candidates]
+        return costs
 
 
 class VariableDecoder:
@@ -181,13 +192,14 @@ class VariableDecoder:
         # NP -> {pair label: the NP's score under it}
         scores = {np: label_scores(rows, names)
                   for np, names in x.names.items()}
+        costs = None if gold is None else iter(x.costs(gold))
         best = best_score = None
         for candidate, label in x.candidates:
             score = 0
             for np in candidate.nps:
                 score += scores[np].get(label, 0)
-            if gold is not None:
-                score += cost_unit * candidate_cost(gold, candidate)
+            if costs is not None:
+                score += cost_unit * next(costs)
             if best_score is None or score > best_score:
                 best, best_score = candidate, score
         if best is None:

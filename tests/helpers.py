@@ -21,6 +21,7 @@ from eqparse.core import (
     sort_triggers,
 )
 from eqparse.corpus import AnnotatedSentence
+from eqparse.learning import LinearModel, add_scaled, subtract
 from eqparse.relevance import _BITS
 from eqparse.treeparse import _OP_LABELS, DEFAULT_LEXICON, gold_node_set, tree_nodes
 from eqparse.variables import _PAIR, _SELF, _SINGLE
@@ -28,6 +29,12 @@ from eqparse.variables import _PAIR, _SELF, _SINGLE
 # every label a decoder reads: the relevance bits, the variable pair labels
 # and the tree op labels
 LABELS = tuple(sorted({*_BITS, _SINGLE, _PAIR, _SELF, *_OP_LABELS.values()}))
+
+# the `CkyDecoder` keyword arguments of each decoder mode, and their test ids
+CKY_MODES = ({}, {"use_lexicon": False}, {"lexicon_as_features": True},
+             {"conform_syntactic": True})
+CKY_MODE_IDS = ["default", "no-lexicon", "lexicon-as-features",
+                "conform-syntactic"]
 
 
 class HashWeights(dict):
@@ -373,3 +380,57 @@ def expr_leaves(e) -> list:
     if isinstance(e, Apply):
         return [leaf for arg in e.args for leaf in expr_leaves(arg)]
     return [e]
+
+
+def run_epochs(examples, decoder, config, scale, cost_unit):
+    """The averaged online learner over every one of `config.epochs`
+    epochs, in `train_structured`'s seed-shuffled order: a decode adds
+    `cost_unit` per unit of cost, and an update adds `scale` times the
+    feature difference to the weights and `scale * (step - 1)` times it to
+    the lagged sum. Returns (weights, lagged, steps, mistakes per epoch)."""
+    weights, lagged, step, mistakes = {}, {}, 1, []
+    order = list(range(len(examples)))
+    shuffler = random.Random(config.seed)
+    for _ in range(config.epochs):
+        shuffler.shuffle(order)
+        mistakes.append(0)
+        for i in order:
+            x, gold = examples[i]
+            guess = decoder.decode(x, weights, gold=gold, cost_unit=cost_unit)
+            if guess != gold:
+                mistakes[-1] += 1
+                delta = subtract(decoder.features(x, gold),
+                                 decoder.features(x, guess))
+                add_scaled(weights, delta, scale)
+                add_scaled(lagged, delta, scale * (step - 1))
+            step += 1
+    return weights, lagged, step - 1, mistakes
+
+
+def full_epoch_learner(examples, decoder, config) -> LinearModel:
+    """`train_structured` without its stop, in integers: every epoch runs,
+    with the learning rate num/den read as an update scale num and a cost
+    unit den, and the averaged weights are `steps * weights - lagged`."""
+    rate = Fraction(str(config.learning_rate))
+    examples = [(decoder.prepare(x), gold) for x, gold in examples]
+    weights, lagged, total, _ = run_epochs(
+        examples, decoder, config, rate.numerator, rate.denominator)
+    averaged = {name: value * total - lagged.get(name, 0)
+                for name, value in weights.items()}
+    return LinearModel({name: value for name, value in averaged.items()
+                        if value}, config)
+
+
+class CountingDecoder:
+    """A decoder that counts its `decode` calls and passes every call on."""
+
+    def __init__(self, decoder):
+        self.decoder = decoder
+        self.decodes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.decoder, name)
+
+    def decode(self, *args, **kwargs):
+        self.decodes += 1
+        return self.decoder.decode(*args, **kwargs)

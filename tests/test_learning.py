@@ -1,11 +1,13 @@
 """Linear models, decoders, and the two training loops."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from eqparse import learning, pipeline
 from eqparse.learning import (
     ExhaustiveDecoder,
     LinearModel,
@@ -19,6 +21,15 @@ from eqparse.learning import (
     subtract,
     train_structured,
     train_superset,
+)
+from eqparse.pipeline import PipelineConfig, _tree_instances, train_bundle
+
+from helpers import (
+    CKY_MODE_IDS,
+    CKY_MODES,
+    CountingDecoder,
+    full_epoch_learner,
+    run_epochs,
 )
 
 
@@ -181,21 +192,8 @@ class TestTrainStructured:
         for lr in (0.1, 0.25, 1, 0.003):
             config = TrainConfig(learning_rate=lr, epochs=4, seed=2)
             rate = Fraction(str(lr))
-            weights, lagged, step = {}, {}, 1
-            order = list(range(len(examples)))
-            shuffler = random.Random(config.seed)
-            for _ in range(config.epochs):
-                shuffler.shuffle(order)
-                for i in order:
-                    x, gold = examples[i]
-                    guess = decoder.decode(x, weights, gold=gold)
-                    if guess != gold:
-                        delta = subtract(decoder.features(x, gold),
-                                         decoder.features(x, guess))
-                        add_scaled(weights, delta, rate)
-                        add_scaled(lagged, delta, rate * (step - 1))
-                    step += 1
-            total = step - 1
+            weights, lagged, total, _ = run_epochs(examples, decoder, config,
+                                                   rate, 1)
             exact = {name: value - lagged.get(name, 0) / total
                      for name, value in weights.items()}
             model = train_structured(examples, decoder, config)
@@ -208,6 +206,115 @@ class TestTrainStructured:
         with pytest.raises(ValueError, match="candidate space"):
             train_structured([(0, "z")], toy_decoder(["a", "b"]),
                              TrainConfig())
+
+
+def random_toy(rng: random.Random):
+    """A random `ExhaustiveDecoder` toy and its examples: a space of 1 to
+    6 outputs, shared and per-input indicator features, and a random gold
+    per input. A one-output space converges in the first epoch, and a toy
+    whose features cannot separate its golds never does."""
+    space = list(range(rng.choice((1, 2, 3, 4, 6))))
+    m = rng.randint(1, 4)
+    decoder = ExhaustiveDecoder(
+        lambda x: space,
+        lambda x, y: {f"y={y}": 1, f"x={x % m}:y={y}": 1,
+                      f"x={x}:y={y % 2}": 2})
+    return decoder, [(x, rng.choice(space))
+                     for x in range(rng.randint(1, 8))]
+
+
+def first_clean_epoch(examples, decoder, config):
+    """The 1-based epoch of the full-epoch learner that makes no mistake
+    first, or None when every epoch makes one."""
+    rate = Fraction(str(config.learning_rate))
+    mistakes = run_epochs(examples, decoder, config, rate.numerator,
+                          rate.denominator)[3]
+    return mistakes.index(0) + 1 if 0 in mistakes else None
+
+
+class TestEarlyStop:
+    """`train_structured` stops after the first epoch without a mistake
+    and returns the full-epoch learner's model."""
+
+    def test_toys_converging_in_every_epoch(self):
+        rng = random.Random(17)
+        epochs = 6
+        seen = set()
+        for trial in range(300):
+            decoder, examples = random_toy(rng)
+            config = TrainConfig(epochs=epochs, seed=trial,
+                                 learning_rate=rng.choice((0.1, 0.25, 1)))
+            clean = first_clean_epoch(examples, decoder, config)
+            seen.add(clean)
+            counting = CountingDecoder(decoder)
+            model = train_structured(examples, counting, config)
+            assert counting.decodes == len(examples) * (clean or epochs)
+            reference = full_epoch_learner(examples, decoder, config)
+            assert model.weights == reference.weights
+            assert model_to_text(model) == model_to_text(reference)
+        assert seen == {*range(1, epochs + 1), None}
+
+    def test_non_separable_toy_runs_every_epoch(self):
+        # one input with two golds: each epoch errs on one of them
+        examples = [(0, "a"), (0, "b")]
+        for epochs in (1, 5, 50):
+            config = TrainConfig(epochs=epochs)
+            decoder = CountingDecoder(toy_decoder(["a", "b"]))
+            model = train_structured(examples, decoder, config)
+            assert decoder.decodes == epochs * len(examples)
+            reference = full_epoch_learner(examples, decoder, config)
+            assert model.weights == reference.weights
+            assert model_to_text(model) == model_to_text(reference)
+
+    def test_one_epoch_and_no_examples(self):
+        rng = random.Random(18)
+        for trial in range(40):
+            decoder, examples = random_toy(rng)
+            for config in (TrainConfig(epochs=1, seed=trial),
+                           TrainConfig(seed=trial)):
+                for pairs in (examples, []):
+                    model = train_structured(pairs, decoder, config)
+                    reference = full_epoch_learner(pairs, decoder, config)
+                    assert model.weights == reference.weights
+                    assert model_to_text(model) == model_to_text(reference)
+
+    @pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
+    def test_shipped_corpora_bundles_match_the_full_epoch_learner(
+            self, kwargs, synthetic_corpus, multiplier_corpus, monkeypatch):
+        # every stage, and every outer iteration of the variable stage,
+        # trained by the full-epoch learner gives the same bundle bytes
+        examples = synthetic_corpus + multiplier_corpus
+        config = PipelineConfig(**kwargs)
+        stopped = train_bundle(examples, config)
+        for module in (learning, pipeline):
+            monkeypatch.setattr(module, "train_structured",
+                                full_epoch_learner)
+        full = train_bundle(examples, config)
+        for stage in ("relevance_model", "variable_model", "tree_model"):
+            model, reference = getattr(stopped, stage), getattr(full, stage)
+            assert model.weights == reference.weights
+            assert model_to_text(model) == model_to_text(reference)
+        assert stopped.to_text() == full.to_text()
+
+    @pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
+    def test_shipped_tree_stage_stops_early(self, kwargs, synthetic_corpus,
+                                            multiplier_corpus):
+        examples = synthetic_corpus + multiplier_corpus
+        config = PipelineConfig(**kwargs)
+        instances = _tree_instances(examples, config.tree_decoder())
+        decodes = {}
+        for epochs in (5, 50):
+            tcfg = dataclasses.replace(config.train_config(), epochs=epochs)
+            decoder = CountingDecoder(config.tree_decoder())
+            train_structured(instances, decoder, tcfg)
+            decodes[epochs] = decoder.decodes
+        clean = first_clean_epoch(instances, config.tree_decoder(),
+                                  config.train_config())
+        assert clean is not None
+        assert decodes == {5: clean * len(instances),
+                           50: clean * len(instances)}
+        if not kwargs:
+            assert decodes[5] <= 2 * len(instances)
 
 
 class TestTrainSuperset:

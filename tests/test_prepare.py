@@ -17,6 +17,8 @@ from eqparse.treeparse import CkyDecoder, enumerate_projective_trees
 from eqparse.variables import VariableDecoder, enumerate_variable_candidates
 
 from helpers import (
+    CKY_MODE_IDS,
+    CKY_MODES,
     HashWeights,
     draw_weights,
     random_np_instance,
@@ -25,9 +27,6 @@ from helpers import (
     shared_location_instance,
     with_extra_chunks,
 )
-
-CKY_MODES = ({}, {"use_lexicon": False}, {"lexicon_as_features": True},
-             {"conform_syntactic": True})
 
 
 def instances(rng: random.Random, trials: int):
@@ -124,9 +123,7 @@ def test_prepared_tree_input_rejects_what_a_raw_one_does(
             decoder.decode(single, {})
 
 
-@pytest.mark.parametrize("kwargs", CKY_MODES,
-                         ids=["default", "no-lexicon", "lexicon-as-features",
-                              "conform-syntactic"])
+@pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
 def test_training_builds_each_input_once(kwargs, synthetic_corpus,
                                          multiplier_corpus, monkeypatch):
     # names, lexicon tables and candidate lists are built at most once per
@@ -155,8 +152,47 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
              lambda sentence, part, window: (id(sentence), part))
     counting(treeparse, "FieldTable",
              lambda sentence, triggers: id(sentence))
+    counting(treeparse, "_crosses_np",
+             lambda sentence, triggers, i, j: (id(sentence), i, j))
+    counting(variables, "candidate_cost",
+             lambda gold, other: (id(gold), id(other)))
     assert train_bundle(examples, config).to_text() == expected
     assert {name for name, _ in built} == {
         "quantity_names", "np_feature_names",
-        "enumerate_variable_candidates", "_part_names", "FieldTable"}
+        "enumerate_variable_candidates", "_part_names", "FieldTable",
+        "candidate_cost", *["_crosses_np"] * config.conform_syntactic}
     assert max(built.values()) == 1
+
+
+def test_raw_tree_features_name_only_the_trees_parts(monkeypatch):
+    # a raw input's features build the parts and names of the tree's
+    # n - 1 nodes, not of every node of the trigger list
+    rng = random.Random(94)
+    node_parts, part_names = treeparse._node_parts, treeparse._part_names
+    built = []
+
+    def counted_nodes(locs, values, i, k, j):
+        built.append((i, k, j))
+        return node_parts(locs, values, i, k, j)
+
+    def counted_parts(sentence, part, window):
+        built.append(part)
+        return part_names(sentence, part, window)
+
+    for trial in range(20):
+        sentence, triggers = random_tree_instance(rng, 6)
+        decoder = CkyDecoder()
+        tree = decoder.decode((sentence, triggers), HashWeights(salt=trial))
+        locs = [treeparse.location(t) for t in triggers]
+        values = treeparse._values(triggers)
+        nodes = [(i, k, j) for i, k, j, _ in treeparse.tree_nodes(tree)[1]]
+        own = {part for node in nodes
+               for part in node_parts(locs, values, *node)}
+        with monkeypatch.context() as patch:
+            patch.setattr(treeparse, "_node_parts", counted_nodes)
+            patch.setattr(treeparse, "_part_names", counted_parts)
+            built.clear()
+            features = decoder.features((sentence, triggers), tree)
+        assert sorted(map(repr, built)) == sorted(map(repr, [*nodes, *own]))
+        assert features == decoder.features(
+            decoder.prepare((sentence, triggers)), tree)
