@@ -79,11 +79,14 @@ def _parse_np_span(raw: str) -> Span:
 
 def _sentence_from_args(args) -> AnnotatedSentence:
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{args.input}: not valid JSON ({e})") from e
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{args.input}: not valid UTF-8 ({e})") from e
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{args.input}: not valid JSON ({e})") from e
         try:
             return sentence_from_json(obj)
         except (KeyError, TypeError, ValueError) as e:

@@ -39,6 +39,8 @@ class AnnotatedSentence:
         for span in self.np_chunks:
             if span.end > len(self.text):
                 raise ValueError(f"np chunk {span} beyond text")
+            if span.start == span.end:
+                raise ValueError(f"np chunk {span} is empty")
             # tokens are ordered and disjoint: only the last one starting
             # before the chunk ends can overlap it
             last = bisect.bisect_left(starts, span.end) - 1
@@ -214,18 +216,22 @@ def example_to_json(example: AnnotatedExample) -> dict:
 
 
 def load_corpus(path) -> list[AnnotatedExample]:
-    """Read a JSON-lines corpus; errors carry the 1-based line number."""
+    """Read a JSON-lines corpus; errors carry the 1-based line number.
+    Each line is decoded on its own, so a byte that is not UTF-8 fails with
+    its line; the lines split as a text-mode reader splits them."""
     examples = []
     name = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                examples.append(example_from_json(json.loads(line),
-                                                  f"{name}:{lineno}"))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed corpus line: {exc}") from exc
+            examples.append(example_from_json(json.loads(line),
+                                              f"{name}:{lineno}"))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed corpus line: {exc}") from exc
     return examples
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -201,70 +202,6 @@ def _field_mask(field: str, text: str | None) -> int:
     return mask
 
 
-class FieldTable:
-    """The lexicon atoms of each node-context field over one sorted trigger
-    list, each computed on first use, and the lexicon match of a node.
-
-    On sorted locations the fields of `node_context_spans` factor: `left`
-    and `token` depend only on a node's first trigger i, `mid` only on its
-    split k, and `right` only on its end j. So a trigger list has O(n)
-    distinct fields, and a node's match is a few mask tests. A table
-    serves one prepared input (`TreeInput`), so every call made on it.
-    """
-
-    def __init__(self, sentence: AnnotatedSentence, triggers):
-        self.text = sentence.text
-        self.triggers = triggers
-        self.locs = [location(t) for t in triggers]
-        if any(a > b for a, b in zip(self.locs, self.locs[1:])):
-            raise ValueError("trigger list out of order")
-        n = len(triggers)
-        self._left = [None] * n    # by i: last location before locs[i]
-        self._token = [None] * n   # by i: the surface of triggers[i]
-        self._mid = [None] * n     # by k: text[locs[k-1]:locs[k]]
-        self._right = [None] * (n + 1)  # by j: first location after locs[j-1]
-        self._matches: dict = {}
-
-    def match(self, i: int, k: int, j: int) -> tuple[Op, Order] | None:
-        """`lexicon_match(node_context_spans(sentence, triggers, i, k, j))`:
-        the first rule whose every clause meets the node's atoms."""
-        mask = self.mask(i, k, j)
-        if mask not in self._matches:
-            self._matches[mask] = next(
-                (match for match, clauses in _COMPILED
-                 if all(clause & mask for clause in clauses)), None)
-        return self._matches[mask]
-
-    def mask(self, i: int, k: int, j: int) -> int:
-        """The bits of the atoms that the node's context fields contain."""
-        locs, text = self.locs, self.text
-        left = self._left[i]
-        if left is None:
-            start = locs[i]
-            before = [p for p in locs[:i] if p < start]
-            left = self._left[i] = _field_mask(
-                "left", text[before[-1] if before else 0:start])
-        mid = self._mid[k]
-        if mid is None:
-            span = text[locs[k - 1]:locs[k]]
-            mid = self._mid[k] = _field_mask("mid", span) | (
-                0 if span.strip() else _MID_EMPTY)
-        right = self._right[j]
-        if right is None:
-            end = locs[j - 1]
-            after = [p for p in locs[j:] if p > end]
-            right = self._right[j] = _field_mask(
-                "right", text[end:after[0] if after else len(text)])
-        mask = left | mid | right
-        if k == i + 1:
-            token = self._token[i]
-            if token is None:
-                token = self._token[i] = _field_mask(
-                    "token", self.triggers[i].span.text(text))
-            mask |= token
-        return mask
-
-
 # the label of each node's names: the op, and the order for - and /
 _OP_LABELS = {(op, order): f"o={op.value}{order.value}"
               if op in (Op.SUB, Op.DIV) else f"o={op.value}"
@@ -373,32 +310,67 @@ def _crosses_np(sentence: AnnotatedSentence, triggers, i: int, j: int) -> bool:
 class TreeInput:
     """A `CkyDecoder` input prepared for one window: the sentence and its
     trigger list, with the trigger locations and `_values`, and, each
-    built on first use, the list's validation, its `FieldTable`, every
-    node's `parts`, each part's names and the `crossing` cells."""
+    built on first use, the lexicon atoms of every node-context field,
+    every node's `parts`, each part's names and the `crossing` cells.
+
+    On sorted locations the fields of `node_context_spans` factor: `left`
+    and `token` depend only on a node's first trigger i, `mid` only on its
+    split k, and `right` only on its end j. So a trigger list has O(n)
+    distinct fields, and a node's lexicon match is a few mask tests."""
 
     __slots__ = ("sentence", "triggers", "window", "locs", "values",
-                 "_valid", "_table", "_parts", "_names", "_all_named",
+                 "_fields", "_matches", "_parts", "_names", "_all_named",
                  "_crossing")
 
     def __init__(self, sentence: AnnotatedSentence, triggers, window: int):
         self.sentence, self.triggers, self.window = sentence, triggers, window
         self.locs = [location(t) for t in triggers]
         self.values = _values(triggers)
-        self._valid = self._all_named = False
-        self._table = self._parts = self._crossing = None
+        self._all_named = False
+        self._fields = self._parts = self._crossing = None
+        self._matches = {}
         self._names = {}
 
-    def validate(self) -> None:
-        """`validate_trigger_list`, until it has passed once."""
-        if not self._valid:
-            validate_trigger_list(self.triggers)
-            self._valid = True
+    def _field_masks(self) -> tuple:
+        """(left by i, token by i, mid by k, right by j): the atom masks of
+        the fields that the nodes below the root read, i <= n - 2,
+        1 <= k <= n - 1 and j >= 2; the root's are among them. `left`
+        runs from the last location before locs[i], `right` to the first
+        location after locs[j - 1]."""
+        locs, text = self.locs, self.sentence.text
+        if any(a > b for a, b in zip(locs, locs[1:])):
+            raise ValueError("trigger list out of order")
+        starts, ends = [0, *locs], [*locs, len(text)]
+        left = [_field_mask("left", text[starts[bisect_left(locs, p)]:p])
+                for p in locs[:-1]]
+        token = [_field_mask("token", t.span.text(text))
+                 for t in self.triggers[:-1]]
+        mids = (text[a:b] for a, b in zip(locs, locs[1:]))
+        mid = [0, *(_field_mask("mid", span)
+                    | (0 if span.strip() else _MID_EMPTY) for span in mids)]
+        right = [0, 0, *(_field_mask("right",
+                                     text[p:ends[bisect_right(locs, p)]])
+                         for p in locs[1:])]
+        return left, token, mid, right
 
-    @property
-    def table(self) -> FieldTable:
-        if self._table is None:
-            self._table = FieldTable(self.sentence, self.triggers)
-        return self._table
+    def mask(self, i: int, k: int, j: int) -> int:
+        """The bits of the atoms that the context fields of the node over
+        triggers[i:j) split at k contain."""
+        if self._fields is None:
+            self._fields = self._field_masks()
+        left, token, mid, right = self._fields
+        mask = left[i] | mid[k] | right[j]
+        return mask | token[i] if k == i + 1 else mask
+
+    def match(self, i: int, k: int, j: int) -> tuple[Op, Order] | None:
+        """`lexicon_match(node_context_spans(sentence, triggers, i, k, j))`:
+        the first rule whose every clause meets the node's atoms."""
+        mask = self.mask(i, k, j)
+        if mask not in self._matches:
+            self._matches[mask] = next(
+                (match for match, clauses in _COMPILED
+                 if all(clause & mask for clause in clauses)), None)
+        return self._matches[mask]
 
     @property
     def parts(self) -> dict:
@@ -453,10 +425,11 @@ class CkyDecoder:
     """Bottom-up search for the best projective equation tree.
 
     x is (sentence, triggers) with triggers in trigger-list order, and
-    `prepare` gives a `TreeInput`. Ties prefer the smaller split point,
-    then ops in declaration order, with lr before rl. When a lexicon rule
-    matches a node, only its (op, order) is explored, unless the lexicon
-    is disabled or demoted to features.
+    `prepare` gives a `TreeInput`; `decode` checks the list with
+    `validate_trigger_list`. Ties prefer the smaller split point, then ops
+    in declaration order, with lr before rl. When a lexicon rule matches a
+    node (`TreeInput.match`), only its (op, order) is explored, unless the
+    lexicon is disabled or demoted to features.
     """
 
     def __init__(self, window: int = 3, use_lexicon: bool = True,
@@ -475,15 +448,15 @@ class CkyDecoder:
         sentence, triggers = x
         return TreeInput(sentence, triggers, self.window)
 
-    def node_ops(self, table: FieldTable, i, k, j):
+    def node_ops(self, x: TreeInput, i, k, j):
         """(lexicon match or None, (op, order, label) triples explored) for
         the node over triggers[i:j) split at k. The root cell (0, n) is EQ
         only."""
-        if (i, j) == (0, len(table.locs)):
+        if (i, j) == (0, len(x.locs)):
             return None, _ROOT
         if not self.use_lexicon:
             return None, _INTERNAL
-        match = table.match(i, k, j)
+        match = x.match(i, k, j)
         if match is None or self.lexicon_as_features:
             return match, _INTERNAL
         return match, ((*match, _OP_LABELS[match]),)
@@ -492,7 +465,7 @@ class CkyDecoder:
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit."""
         x = self.prepare(x)
-        x.validate()
+        validate_trigger_list(x.triggers)
         rows = rows_of(weights)
         # part -> {op label: the weight of its names under it}
         scores = {part: label_scores(rows, names)
@@ -509,7 +482,7 @@ class CkyDecoder:
         return tree
 
     def _decode(self, x: TreeInput, scores, agree, gold, cost_unit, strict):
-        triggers, table, node_parts = x.triggers, x.table, x.parts
+        triggers, node_parts = x.triggers, x.parts
         crossing = x.crossing if strict else None
         n = len(triggers)
         # the gold tree's nodes as (i, j, op label): a label names its
@@ -531,7 +504,7 @@ class CkyDecoder:
                     left, right = chart.get((i, k)), chart.get((k, j))
                     if left is None or right is None:
                         continue
-                    match, ops = self.node_ops(table, i, k, j)
+                    match, ops = self.node_ops(x, i, k, j)
                     parts = [scores[part] for part in node_parts[i, k, j]]
                     below = left[0] + right[0]
                     for op, order, label in ops:
@@ -573,7 +546,7 @@ class CkyDecoder:
                  for i, k, j, node in nodes for part in x.node_parts(i, k, j)]
         if self.lexicon_as_features:
             for i, k, j, node in nodes:
-                match = self.node_ops(x.table, i, k, j)[0]
+                match = self.node_ops(x, i, k, j)[0]
                 if match is not None:
                     pair = node.op, node.order
                     parts.append(([_AGREE[pair == match]], _OP_LABELS[pair]))
@@ -588,7 +561,7 @@ class CkyDecoder:
         if leaves != list(x.triggers):
             return False
         return all((node.op, node.order, _OP_LABELS[node.op, node.order])
-                   in self.node_ops(x.table, i, k, j)[1]
+                   in self.node_ops(x, i, k, j)[1]
                    for i, k, j, node in nodes)
 
 

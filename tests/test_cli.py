@@ -113,6 +113,39 @@ class TestParse:
         assert code == 2
         assert "--np-span" in err
 
+    def test_empty_np_span(self, bundle_path, capsys):
+        # [4, 4) falls inside "number" but covers nothing of it
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--text", "A number plus 5 is 12.", "--np-span", "4:4"], capsys)
+        assert code == 2
+        assert "np chunk Span(start=4, end=4) is empty" in err
+        assert out == ""
+
+    def test_empty_np_chunk_in_input(self, bundle_path,
+                                     twice_triple_input_path, capsys):
+        obj = json.loads(twice_triple_input_path.read_text())
+        obj["np_chunks"][0] = [10, 10]  # inside "number"
+        twice_triple_input_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--input", str(twice_triple_input_path)], capsys)
+        assert code == 2
+        assert (f"{twice_triple_input_path}: malformed sentence object "
+                "(np chunk Span(start=10, end=10) is empty)") in err
+
+    def test_input_not_utf8(self, bundle_path, twice_triple_input_path,
+                            capsys):
+        data = twice_triple_input_path.read_bytes()
+        twice_triple_input_path.write_bytes(
+            data.replace(b'"text": "', b'"text": "\xff', 1))
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--input", str(twice_triple_input_path)], capsys)
+        assert code == 2
+        assert (f"{twice_triple_input_path}: not valid UTF-8 ('utf-8' codec "
+                "can't decode byte 0xff") in err
+
     def test_input_not_json(self, bundle_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -399,6 +432,43 @@ class TestCorpusInput:
         assert (f"{corpus}:2: malformed corpus line: text must be a string, "
                 f"got {text!r}") in err
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_empty_np_chunk_reported(self, command, bundle_path,
+                                     synthetic_corpus, tmp_path, capsys):
+        corpus = tmp_path / "empty-chunk.jsonl"
+        bad = example_to_json(synthetic_corpus[1])
+        start = bad["np_chunks"][0][0] + 1  # inside the chunk's first word
+        bad["np_chunks"][0] = [start, start]
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + json.dumps(bad) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert (f"{corpus}:2: malformed corpus line: np chunk "
+                f"Span(start={start}, end={start}) is empty") in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_non_utf8_line_reported(self, command, bundle_path,
+                                    synthetic_corpus, tmp_path, capsys):
+        # the byte sits on line 2 of 3; a reader that decodes ahead of the
+        # line it hands out would fail without a line, or on the wrong one
+        corpus = tmp_path / "latin.jsonl"
+        lines = [json.dumps(example_to_json(ex)).encode()
+                 for ex in synthetic_corpus[:3]]
+        lines[1] = lines[1].replace(b'"text": "', b'"text": "\xff', 1)
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert (f"{corpus}:2: malformed corpus line: 'utf-8' codec can't "
+                "decode byte 0xff") in err
         assert out == ""
 
     @pytest.mark.parametrize("equation", [7, None], ids=["number", "null"])

@@ -186,3 +186,15 @@ def test_load_corpus_skips_blank_lines(tmp_path, synthetic_corpus):
     dump_corpus(synthetic_corpus[:2], path)
     path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
     assert len(load_corpus(path)) == 2
+
+
+def test_load_corpus_splits_lines_as_a_text_reader(tmp_path, synthetic_corpus):
+    # lines are read as bytes and decoded one by one; "\r\n" and a lone
+    # "\r" still end a line, so the line numbers stay those of a text reader
+    lines = [json.dumps(example_to_json(ex)) for ex in synthetic_corpus[:3]]
+    path = tmp_path / "endings.jsonl"
+    path.write_bytes("\r\n".join(lines[:2]).encode() + b"\r\r"
+                     + lines[2].encode())
+    loaded = load_corpus(path)
+    assert loaded == synthetic_corpus[:3]
+    assert [ex.source for ex in loaded] == [f"{path}:{n}" for n in (1, 2, 4)]

@@ -107,9 +107,9 @@ def test_exhaustive_decoder_prepares_nothing():
 
 def test_prepared_tree_input_rejects_what_a_raw_one_does(
         twice_triple_sentence):
-    # validation and the lexicon table are built on use, so `contains`
-    # still answers False for a leaf over an out-of-order list, and every
-    # decode of it raises, the first and the next alike
+    # the lexicon fields are built on use, so `contains` still answers
+    # False for a leaf over an out-of-order list, and every decode of it
+    # raises, the first and the next alike
     triggers = tuple(sentence_quantities(twice_triple_sentence))[::-1]
     decoder = CkyDecoder()
     prepared = decoder.prepare((twice_triple_sentence, triggers))
@@ -126,9 +126,10 @@ def test_prepared_tree_input_rejects_what_a_raw_one_does(
 @pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
 def test_training_builds_each_input_once(kwargs, synthetic_corpus,
                                          multiplier_corpus, monkeypatch):
-    # names, lexicon tables and candidate lists are built at most once per
-    # example (and quantity, NP or node part) during `train_bundle`, and
-    # the bundle is the one trained without the counters
+    # names, lexicon fields and candidate lists are built at most once per
+    # example (and quantity, NP or node part) during `train_bundle`, the
+    # lexicon fields never without the lexicon, and the bundle is the one
+    # trained without the counters
     examples = synthetic_corpus + multiplier_corpus
     config = PipelineConfig(**kwargs)
     expected = train_bundle(examples, config).to_text()
@@ -150,8 +151,8 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
     counting(variables, "enumerate_variable_candidates", id)
     counting(treeparse, "_part_names",
              lambda sentence, part, window: (id(sentence), part))
-    counting(treeparse, "FieldTable",
-             lambda sentence, triggers: id(sentence))
+    counting(treeparse.TreeInput, "_field_masks",
+             lambda x: id(x.sentence))
     counting(treeparse, "_crosses_np",
              lambda sentence, triggers, i, j: (id(sentence), i, j))
     counting(variables, "candidate_cost",
@@ -159,8 +160,9 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
     assert train_bundle(examples, config).to_text() == expected
     assert {name for name, _ in built} == {
         "quantity_names", "np_feature_names",
-        "enumerate_variable_candidates", "_part_names", "FieldTable",
-        "candidate_cost", *["_crosses_np"] * config.conform_syntactic}
+        "enumerate_variable_candidates", "_part_names", "candidate_cost",
+        *["_field_masks"] * config.use_lexicon,
+        *["_crosses_np"] * config.conform_syntactic}
     assert max(built.values()) == 1
 
 
