@@ -78,7 +78,7 @@ def _parse_np_span(raw: str) -> Span:
 
 
 def _sentence_from_args(args) -> AnnotatedSentence:
-    if args.input:
+    if args.input is not None:
         with open(args.input, "rb") as fh:
             data = fh.read()
         try:
@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--text", help="raw sentence; tokens split on whitespace, "
                                     "quantities detected, POS tagged UNK")
     p_parse.add_argument("--np-span", action="append", metavar="START:END",
-                         help="NP chunk span for --text mode (repeatable)")
+                         help="NP chunk span for --text mode (repeatable; "
+                         "not allowed with --input)")
     p_parse.set_defaults(func=cmd_parse)
 
     p_eval = sub.add_parser("eval", help="score a bundle on a corpus")
@@ -180,6 +181,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "parse" and args.input is not None and args.np_span:
+            # the file carries its own chunks; a dropped flag would go unseen
+            parser.error("argument --np-span: not allowed with argument --input")
     except SystemExit as e:
         # argparse exits 2 on usage problems; 0 stays 0 (e.g. --help)
         return 0 if e.code == 0 else 1

@@ -18,24 +18,30 @@ from .core import QuantityTrigger, Span, SymExpr, VariableTrigger, parse_equatio
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    """Sentence text with token, POS, NP-chunk, and quantity annotations."""
+    """Sentence text with token, POS, NP-chunk, and quantity annotations.
+
+    Token offsets are aligned once, at construction, into two int tuples,
+    `token_starts` and `token_ends`; `token_spans` builds a `Span` per
+    token only when it is read."""
 
     text: str
     tokens: tuple[str, ...]
     pos: tuple[str, ...]
     np_chunks: tuple[Span, ...]
     quantities: tuple[QuantityTrigger, ...] = ()
-    token_spans: tuple[Span, ...] = field(init=False)
-    # token start offsets, ascending: the bisect key of the lookups below;
-    # a tuple of ints, which the garbage collector stops tracking
+    # token start and end offsets, both ascending (tokens are ordered and
+    # disjoint): the bisect keys of the lookups below; tuples of ints,
+    # which the garbage collector stops tracking. Derived from text and
+    # tokens, so equality and hashing leave them out
     token_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    token_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tokens) != len(self.pos):
             raise ValueError("tokens and pos must align")
-        object.__setattr__(self, "token_spans", align_tokens(self.text, self.tokens))
-        starts = [s.start for s in self.token_spans]
-        object.__setattr__(self, "token_starts", tuple(starts))
+        starts, ends = _token_offsets(self.text, self.tokens)
+        object.__setattr__(self, "token_starts", starts)
+        object.__setattr__(self, "token_ends", ends)
         for span in self.np_chunks:
             if span.end > len(self.text):
                 raise ValueError(f"np chunk {span} beyond text")
@@ -44,16 +50,23 @@ class AnnotatedSentence:
             # tokens are ordered and disjoint: only the last one starting
             # before the chunk ends can overlap it
             last = bisect.bisect_left(starts, span.end) - 1
-            if last < 0 or self.token_spans[last].end <= span.start:
+            if last < 0 or ends[last] <= span.start:
                 raise ValueError(f"np chunk {span} covers no token")
         for q in self.quantities:
             if q.span.end > len(self.text):
                 raise ValueError(f"quantity span {q.span} beyond text")
+            if q.span.start == q.span.end:
+                raise ValueError(f"quantity span {q.span} is empty")
+
+    @property
+    def token_spans(self) -> tuple[Span, ...]:
+        """The character span of each token, built on each read."""
+        return tuple(map(Span, self.token_starts, self.token_ends))
 
     def token_index_at(self, offset: int) -> int:
         """Index of the token containing offset, or the next token after it."""
         i = bisect.bisect_right(self.token_starts, offset) - 1
-        if i >= 0 and offset < self.token_spans[i].end:
+        if i >= 0 and offset < self.token_ends[i]:
             return i
         return min(i + 1, len(self.tokens) - 1)
 
@@ -65,7 +78,7 @@ class AnnotatedSentence:
         # span.start only the last can end after it
         starts = self.token_starts
         lo = bisect.bisect_right(starts, span.start)
-        if lo and self.token_spans[lo - 1].end > span.start:
+        if lo and self.token_ends[lo - 1] > span.start:
             lo -= 1
         hi = bisect.bisect_left(starts, span.end)
         if lo >= hi:
@@ -90,19 +103,30 @@ class AnnotatedSentence:
         return names
 
 
-def align_tokens(text: str, tokens: tuple[str, ...]) -> tuple[Span, ...]:
-    """Map tokens to character spans; tokens must partition text modulo spaces."""
-    spans = []
+def _token_offsets(text: str, tokens: tuple[str, ...]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The start and the end offset of each token in text, as two int
+    tuples; tokens must partition text modulo spaces."""
+    starts = []
+    ends = []
     pos = 0
     for tok in tokens:
         idx = text.find(tok, pos)
         if idx < 0 or text[pos:idx].strip():
             raise ValueError(f"token {tok!r} does not align with text at {pos}")
-        spans.append(Span(idx, idx + len(tok)))
+        starts.append(idx)
         pos = idx + len(tok)
+        ends.append(pos)
     if text[pos:].strip():
         raise ValueError(f"unaligned trailing text {text[pos:]!r}")
-    return tuple(spans)
+    return tuple(starts), tuple(ends)
+
+
+def align_tokens(text: str, tokens: tuple[str, ...]) -> tuple[Span, ...]:
+    """Map tokens to character spans; tokens must partition text modulo
+    spaces. `AnnotatedSentence` keeps the offsets as int tuples instead
+    (`_token_offsets`) and builds these spans only on access."""
+    return tuple(map(Span, *_token_offsets(text, tokens)))
 
 
 @dataclass(frozen=True)

@@ -41,18 +41,20 @@ def detect_quantities(sentence: AnnotatedSentence) -> tuple[QuantityTrigger, ...
     prefix. Returned triggers are sorted by span start and never overlap.
     """
     found = []
-    for tok, span in zip(sentence.tokens, sentence.token_spans):
+    for tok, start, end in zip(sentence.tokens, sentence.token_starts,
+                               sentence.token_ends):
         if _DIGITS_RE.fullmatch(tok):
-            found.append(QuantityTrigger(Fraction(tok.replace(",", "")), span))
+            found.append(QuantityTrigger(Fraction(tok.replace(",", "")),
+                                         Span(start, end)))
             continue
         m = _PREFIXED_RE.fullmatch(tok)
         if m:
             found.append(QuantityTrigger(
-                Fraction(m.group(1)), Span(span.start, span.start + len(m.group(1)))))
+                Fraction(m.group(1)), Span(start, start + len(m.group(1)))))
             continue
         value = DEFAULT_NUMBER_WORDS.get(tok.lower())
         if value is not None:
-            found.append(QuantityTrigger(value, span))
+            found.append(QuantityTrigger(value, Span(start, end)))
     return tuple(found)
 
 

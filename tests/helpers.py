@@ -155,6 +155,23 @@ MULTIPLIERS = (("twice", 2), ("double", 2), ("thrice", 3), ("triple", 3),
                ("half", Fraction(1, 2)))
 
 
+def reference_align_tokens(text: str, tokens) -> tuple[Span, ...]:
+    """`corpus.align_tokens` as a per-token `find`/`strip`/`Span` loop: the
+    reference for the int-offset alignment that `AnnotatedSentence` keeps,
+    its spans and its error messages alike."""
+    spans = []
+    pos = 0
+    for tok in tokens:
+        idx = text.find(tok, pos)
+        if idx < 0 or text[pos:idx].strip():
+            raise ValueError(f"token {tok!r} does not align with text at {pos}")
+        spans.append(Span(idx, idx + len(tok)))
+        pos = idx + len(tok)
+    if text[pos:].strip():
+        raise ValueError(f"unaligned trailing text {text[pos:]!r}")
+    return tuple(spans)
+
+
 def scan_token_index_at(sentence: AnnotatedSentence, offset: int) -> int:
     """`AnnotatedSentence.token_index_at` by a linear scan: the token that
     contains offset, or else the first one after it (the last token when

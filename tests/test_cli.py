@@ -134,6 +134,39 @@ class TestParse:
         assert (f"{twice_triple_input_path}: malformed sentence object "
                 "(np chunk Span(start=10, end=10) is empty)") in err
 
+    def test_empty_quantity_span_in_input(self, bundle_path, synthetic_corpus,
+                                          tmp_path, capsys):
+        obj = example_to_json(synthetic_corpus[0])
+        obj["quantities"][0] = {"value": 2, "span": [4, 4]}
+        path = tmp_path / "sentence.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path), "--input", str(path)],
+            capsys)
+        assert code == 2
+        assert (f"{path}: malformed sentence object "
+                "(quantity span Span(start=4, end=4) is empty)") in err
+        assert out == ""
+
+    def test_np_span_with_input_refused(self, bundle_path,
+                                        twice_triple_input_path, capsys):
+        # the file's chunks would be parsed and the flag silently dropped
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--input", str(twice_triple_input_path), "--np-span", "0:1"],
+            capsys)
+        assert code == 1
+        assert "argument --np-span: not allowed with argument --input" in err
+        assert out == ""
+
+    def test_empty_input_path(self, bundle_path, capsys):
+        # an empty path is a path that does not exist, not a missing --input
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path), "--input", ""], capsys)
+        assert code == 2
+        assert "No such file or directory: ''" in err
+        assert "Traceback" not in err
+
     def test_input_not_utf8(self, bundle_path, twice_triple_input_path,
                             capsys):
         data = twice_triple_input_path.read_bytes()
@@ -450,6 +483,23 @@ class TestCorpusInput:
         assert code == 2
         assert (f"{corpus}:2: malformed corpus line: np chunk "
                 f"Span(start={start}, end={start}) is empty") in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_empty_quantity_span_reported(self, command, bundle_path,
+                                          synthetic_corpus, tmp_path, capsys):
+        corpus = tmp_path / "empty-quantity.jsonl"
+        bad = example_to_json(synthetic_corpus[1])
+        bad["quantities"][0] = {"value": 2, "span": [4, 4]}
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + json.dumps(bad) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert (f"{corpus}:2: malformed corpus line: quantity span "
+                "Span(start=4, end=4) is empty") in err
         assert out == ""
 
     @pytest.mark.parametrize("command", ["train", "eval", "cv"])

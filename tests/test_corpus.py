@@ -4,9 +4,11 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from eqparse import core
 from eqparse.core import QuantityTrigger, Span
 from eqparse.corpus import (
     AnnotatedSentence,
@@ -20,8 +22,16 @@ from eqparse.corpus import (
     sentence_to_json,
     unparse_value,
 )
+from eqparse.quantities import detect_quantities
 
-from helpers import random_token_sentence, scan_token_index_at, scan_token_range
+from helpers import (
+    random_token_sentence,
+    reference_align_tokens,
+    scan_token_index_at,
+    scan_token_range,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_align_tokens_skips_whitespace():
@@ -38,6 +48,91 @@ def test_align_tokens_rejects_gap_text():
 def test_align_tokens_rejects_trailing_text():
     with pytest.raises(ValueError):
         align_tokens("The sum is 80.", ("The", "sum"))
+
+
+def alignment(align, text, tokens):
+    """What `align` makes of text and tokens: its spans, or its error."""
+    try:
+        return align(text, tokens)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def sentence_spans(text, tokens):
+    return AnnotatedSentence(text, tokens, ("X",) * len(tokens), ()).token_spans
+
+
+def test_alignment_matches_reference():
+    # the int offsets against the per-token Span loop, on random sentences
+    # with empty tokens and uneven spacing, and on copies whose text has one
+    # character inserted, dropped or appended, which mostly fail to align
+    rng = random.Random(67)
+    for _ in range(400):
+        s = random_token_sentence(rng)
+        spans = reference_align_tokens(s.text, s.tokens)
+        assert s.token_spans == spans
+        assert align_tokens(s.text, s.tokens) == spans
+        assert s.token_starts == tuple(span.start for span in spans)
+        assert s.token_ends == tuple(span.end for span in spans)
+        at = rng.randint(0, len(s.text))
+        for text in (s.text[:at] + rng.choice("xa8 ") + s.text[at:],
+                     s.text[:at] + s.text[at + 1:], s.text + "z"):
+            expected = alignment(reference_align_tokens, text, s.tokens)
+            assert alignment(align_tokens, text, s.tokens) == expected
+            assert alignment(sentence_spans, text, s.tokens) == expected
+
+
+@pytest.mark.parametrize("text,tokens,message", [
+    ("The big sum", ("The", "sum"), "token 'sum' does not align with text at 3"),
+    ("The sum", ("The", "total"), "token 'total' does not align with text at 3"),
+    ("The sum is 80.", ("The", "sum"), "unaligned trailing text ' is 80.'"),
+], ids=["gap-text", "unfound-token", "trailing-text"])
+def test_alignment_failures_keep_reference_messages(text, tokens, message):
+    with pytest.raises(ValueError) as ref:
+        reference_align_tokens(text, tokens)
+    assert str(ref.value) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        align_tokens(text, tokens)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sentence_spans(text, tokens)
+
+
+def test_load_builds_no_span_per_token(monkeypatch):
+    # one Span per NP chunk, quantity and grounding span of the file, and
+    # none per token: a count, so a per-token Span fails here every time
+    path = DATA / "synthetic_corpus.jsonl"
+    objs = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    annotated = sum(len(obj["np_chunks"]) + len(obj["quantities"])
+                    + sum(map(len, obj["groundings"])) for obj in objs)
+    tokens = sum(len(obj["tokens"]) for obj in objs)
+    assert tokens > annotated
+    built = 0
+    check = core.Span.__post_init__
+
+    def counting(span):
+        nonlocal built
+        built += 1
+        check(span)
+
+    monkeypatch.setattr(core.Span, "__post_init__", counting)
+    corpus = load_corpus(path)
+    assert 0 < built <= annotated
+    built = 0
+    for example in corpus:
+        sentence = example.sentence
+        AnnotatedSentence(sentence.text, sentence.tokens, sentence.pos, ())
+        assert built == 0
+        detect_quantities(sentence)
+        assert built == len(sentence.quantities)
+        built = 0
+
+
+@pytest.mark.parametrize("name", ["synthetic_corpus.jsonl",
+                                  "multiplier_pairs.jsonl"])
+def test_shipped_corpus_rewrites_byte_for_byte(tmp_path, name):
+    copy = tmp_path / name
+    dump_corpus(load_corpus(DATA / name), copy)
+    assert copy.read_bytes() == (DATA / name).read_bytes()
 
 
 def test_sentence_requires_pos_per_token():
@@ -82,6 +177,21 @@ def test_span_must_be_two_integers(tmp_path, synthetic_corpus, field, span):
         load_corpus(path)
 
 
+def test_empty_quantity_span_rejected(synthetic_corpus, tmp_path):
+    # inside the first quantity's token: the quantity twin of an empty chunk
+    obj = example_to_json(synthetic_corpus[0])
+    start = obj["quantities"][0]["span"][0]
+    obj["quantities"][0] = {"value": 2, "span": [start, start]}
+    message = f"quantity span Span(start={start}, end={start}) is empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sentence_from_json(obj)
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:1: malformed corpus line: {message}")):
+        load_corpus(path)
+
+
 def test_token_range_overlap():
     s = AnnotatedSentence("The sum is 80.", ("The", "sum", "is", "80", "."),
                           ("DT", "NN", "VBZ", "CD", "."), ())
@@ -105,8 +215,11 @@ def test_token_lookups_match_linear_scan():
 def test_token_starts_not_compared():
     a = AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), ())
     assert a.token_starts == (0, 2)
-    assert a == AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), ())
-    assert "token_starts" not in repr(a)
+    assert a.token_ends == (1, 3)
+    assert a.token_spans == (Span(0, 1), Span(2, 3))
+    b = AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), ())
+    assert a == b and hash(a) == hash(b)
+    assert "token_starts" not in repr(a) and "token_ends" not in repr(a)
 
 
 def test_window_clamps():
