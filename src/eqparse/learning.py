@@ -13,6 +13,19 @@ the same in any order. The learning rate num/den scales each update by num
 and the decode cost by den: the training weights are den times those of a
 learner in exact fractions, and the averaged ones (`total * weights -
 lagged`) den * total times its averages. Positive multiples change no argmax.
+
+A decoder reads the weights through a `PackedTable`: one integer per
+feature (a labeled name's part before its last `|`) holding its weight under
+every label. Label s, in the order labels are first seen, owns bits
+[s*W, (s+1)*W): a feature's integer is the sum of w << s*W over its
+labels' weights w, so a sum of such integers holds each label's summed
+weight in that label's field. W is the bit length of the largest |weight|
+plus 41 (or more, once weights shrink), so a sum of fewer than 2**40 names
+has |field| < 2**(W-1), the half offset. Adding the half offset of every
+slot (the bias) makes every field non-negative and below 2**W, so no field
+borrows from the one above, and one label's sum is
+`(((total + bias) >> s*W) & mask) - half`. Python integers are unbounded,
+so this is exact for any weights, and the sum itself runs in C.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import random
 import sys
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from itertools import repeat
 
 FeatureVector = dict[str, int]
 
@@ -47,60 +61,104 @@ def tagged(parts) -> FeatureVector:
     return feats
 
 
-def label_rows(weights: FeatureVector) -> dict[str, dict[str, int]]:
-    """The weights as label rows, `{feature: {label: weight}}`: a name's
-    label is its last `|`-separated segment, and its feature all before
-    it. A name without `|` has no label and is in no row."""
-    rows: dict[str, dict[str, int]] = {}
-    for name, value in weights.items():
-        feature, bar, label = name.rpartition("|")
-        if bar:
-            rows.setdefault(feature, {})[sys.intern(label)] = value
-    return rows
+# the bits a slot has beyond its widest weight: a sum of fewer than 2**40
+# names stays inside the slot's field
+_HEADROOM = 41
 
 
-def rows_of(weights: FeatureVector) -> dict[str, dict[str, int]]:
-    """The label rows a decoder scores through: those a `Weights` keeps,
-    or a plain dict's built afresh."""
-    rows = getattr(weights, "rows", None)
-    return label_rows(weights) if rows is None else rows
+class PackedTable(dict):
+    """`feature -> packed integer`: the feature's weight under every label,
+    one `width`-bit slot per label (see the module docstring). A feature
+    with no labeled weight reads 0, and so does a label with no slot: it
+    reads the spare slot above the others, which holds no weight.
+
+    Built from flat weights, the width is the bit length of the largest
+    |weight| of a labeled name plus 41; `add` keeps it as long as every
+    weight `fits`.
+    """
+
+    def __init__(self, weights: FeatureVector):
+        super().__init__()
+        labeled = []
+        for name, value in weights.items():
+            feature, bar, label = name.rpartition("|")
+            if bar:
+                labeled.append((feature, label, value))
+        self.width = _HEADROOM + max(
+            (abs(value).bit_length() for _, _, value in labeled), default=0)
+        self.mask = (1 << self.width) - 1
+        self.half = 1 << (self.width - 1)
+        self.shifts: dict[str, int] = {}  # label -> s * width
+        self.spare = 0  # the shift of the spare slot
+        self.bias = self.half  # the half offset of every slot
+        for feature, label, value in labeled:
+            self.add(feature, label, value)
+
+    def fits(self, value: int) -> bool:
+        return abs(value).bit_length() + _HEADROOM <= self.width
+
+    def add(self, feature: str, label: str, delta: int) -> None:
+        """Add delta to the feature's weight under the label, giving the
+        label the spare slot if it has none; the sum must fit."""
+        shift = self.shifts.get(label)
+        if shift is None:
+            shift = self.shifts[sys.intern(label)] = self.spare
+            self.spare += self.width
+            self.bias += self.half << self.spare
+        self[feature] = dict.get(self, feature, 0) + (delta << shift)
+
+    def shift(self, label: str) -> int:
+        """Where the label's field starts in a total."""
+        return self.shifts.get(label, self.spare)
+
+    def total(self, names) -> int:
+        """The packed sum of the names' weights; a name counts once per
+        occurrence. Totals add up to the total of all their names."""
+        return sum(map(self.get, names, repeat(0)))
+
+    def score(self, total: int, label: str) -> int:
+        """The summed weight under the label of a total's names."""
+        return (((total + self.bias) >> self.shift(label)) & self.mask) \
+            - self.half
 
 
-def label_scores(rows: dict[str, dict[str, int]], names) -> dict[str, int]:
-    """`{label: the summed weight of names under it}`, read from their
-    label rows, one lookup per name; a name counts once per occurrence."""
-    scores: dict[str, int] = {}
-    for row in map(rows.get, names):
-        if row is not None:
-            for label, weight in row.items():
-                scores[label] = scores.get(label, 0) + weight
-    return scores
+def packed_of(weights: FeatureVector) -> PackedTable:
+    """The packed table a decoder scores through: the one a `Weights`
+    keeps, or a plain dict's built afresh."""
+    packed = getattr(weights, "packed", None)
+    return PackedTable(weights) if packed is None else packed
 
 
 class Weights(dict):
-    """Flat `name -> weight` dict that also keeps its `label_rows`, so a
+    """Flat `name -> weight` dict that also keeps its `PackedTable`, so a
     decoder reads a feature's weight under every label with one lookup.
 
-    The rows are built on first use of `rows` and kept in step by item
-    assignment, the only mutator allowed; every other one raises.
+    The table is built on first use of `packed` and kept in step by item
+    assignment, the only mutator allowed; every other one raises. A
+    weight too wide for the table's slots lays the table out again.
     """
 
-    _rows = None
+    _packed = None
 
     @property
-    def rows(self) -> dict[str, dict[str, int]]:
-        if self._rows is None:
-            self._rows = label_rows(self)
-        return self._rows
+    def packed(self) -> PackedTable:
+        if self._packed is None:
+            self._packed = PackedTable(self)
+        return self._packed
 
     def __setitem__(self, name: str, value: int) -> None:
+        old = dict.get(self, name, 0)
         super().__setitem__(name, value)
-        if self._rows is not None:
-            feature, bar, label = name.rpartition("|")
-            if bar:
-                self._rows.setdefault(feature, {})[sys.intern(label)] = value
+        packed = self._packed
+        feature, bar, label = name.rpartition("|")
+        if packed is None or not bar:
+            return
+        if packed.fits(value):
+            packed.add(feature, label, value - old)
+        else:
+            self._packed = PackedTable(self)
 
-    def __reduce__(self):  # a copy builds its own rows, never shares them
+    def __reduce__(self):  # a copy builds its own table, never shares it
         return Weights, (dict(self),)
 
     def _refuse(self, *args, **kwargs):

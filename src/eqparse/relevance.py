@@ -16,9 +16,12 @@ from collections import Counter
 from fractions import Fraction
 
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel, label_scores, rows_of, tagged
+from .learning import FeatureVector, LinearModel, packed_of, tagged
 
 RelevanceAssignment = tuple[bool, ...]
+
+# the values whose quantities get the `qq_small` name
+_SMALL = (Fraction(1), Fraction(2))
 
 
 def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
@@ -31,7 +34,7 @@ def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
     phrase = [w.lower() for w in q.span.text(sentence.text).split()]
     names += [f"qq_u={w}" for w in phrase]
     names += [f"qq_b={a} {b}" for a, b in zip(phrase, phrase[1:])]
-    if q.value in (Fraction(1), Fraction(2)):
+    if q.value in _SMALL:
         names.append("qq_small")
     if len(quantities) == 1:
         names.append("qq_only")
@@ -82,8 +85,9 @@ class RelevanceDecoder:
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
     Hamming cost; `prepare` gives a `QuantityNames`. Each quantity's names
-    are scored under both bits by one label row lookup each; its margin is
-    score(on) - score(off), plus its cost difference given a gold output.
+    are totalled once in the packed table, and both bits' scores read from
+    the total; its margin is score(on) - score(off), plus its cost
+    difference given a gold output.
     Finalist c turns on the c largest margins, ties to the lower index, and
     scores the all-off score plus those margins plus its count weight. Ties
     keep the assignment earliest in `enumerate_assignments` order: among
@@ -122,13 +126,14 @@ class RelevanceDecoder:
                cost_unit: int = 1) -> RelevanceAssignment:
         x = self.prepare(x)
         k = len(x.quantities)
-        rows = rows_of(weights)
+        packed = packed_of(weights)
         off, on = _BITS
         all_off = 0
         margins = []
         for i in range(k):
-            scores = label_scores(rows, x.names[i])
-            score_on, score_off = scores.get(on, 0), scores.get(off, 0)
+            total = packed.total(x.names[i])
+            score_on, score_off = (packed.score(total, on),
+                                   packed.score(total, off))
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
                     score_off += cost_unit

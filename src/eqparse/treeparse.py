@@ -26,7 +26,7 @@ from .core import (
     validate_trigger_list,
 )
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, label_scores, rows_of, tagged
+from .learning import FeatureVector, packed_of, tagged
 
 
 @dataclass(frozen=True)
@@ -466,23 +466,25 @@ class CkyDecoder:
         +cost_unit."""
         x = self.prepare(x)
         validate_trigger_list(x.triggers)
-        rows = rows_of(weights)
-        # part -> {op label: the weight of its names under it}
-        scores = {part: label_scores(rows, names)
-                  for part, names in x.names.items()}
-        # lexicon agreement scores, (disagree, agree), in feature mode only
-        agree = tuple(label_scores(rows, [name]) for name in _AGREE) \
+        packed = packed_of(weights)
+        # part -> the packed total of its names
+        totals = {part: packed.total(names) for part, names in x.names.items()}
+        # lexicon agreement totals, (disagree, agree), in feature mode only
+        agree = tuple(packed.total([name]) for name in _AGREE) \
             if self.lexicon_as_features else None
-        tree = self._decode(x, scores, agree, gold, cost_unit,
+        tree = self._decode(x, packed, totals, agree, gold, cost_unit,
                             strict=self.conform_syntactic)
         if tree is None:
             # syntactic conformance can exhaust the space; fall back
-            tree = self._decode(x, scores, agree, gold, cost_unit,
+            tree = self._decode(x, packed, totals, agree, gold, cost_unit,
                                 strict=False)
         return tree
 
-    def _decode(self, x: TreeInput, scores, agree, gold, cost_unit, strict):
+    def _decode(self, x: TreeInput, packed, totals, agree, gold, cost_unit,
+                strict):
         triggers, node_parts = x.triggers, x.parts
+        bias, mask, half = packed.bias, packed.mask, packed.half
+        shifts = {label: packed.shift(label) for label in _OP_LABELS.values()}
         crossing = x.crossing if strict else None
         n = len(triggers)
         # the gold tree's nodes as (i, j, op label): a label names its
@@ -505,14 +507,16 @@ class CkyDecoder:
                     if left is None or right is None:
                         continue
                     match, ops = self.node_ops(x, i, k, j)
-                    parts = [scores[part] for part in node_parts[i, k, j]]
-                    below = left[0] + right[0]
+                    # the node's parts summed once, biased for extraction;
+                    # each op's field then reads its score plus `half`
+                    total = bias + sum(map(totals.__getitem__,
+                                           node_parts[i, k, j]))
+                    below = left[0] + right[0] - half
                     for op, order, label in ops:
-                        score = below
-                        for acc in parts:
-                            score += acc.get(label, 0)
+                        node = total
                         if agree is not None and match is not None:
-                            score += agree[(op, order) == match].get(label, 0)
+                            node += agree[(op, order) == match]
+                        score = below + ((node >> shifts[label]) & mask)
                         if (gold_nodes is not None
                                 and (i, j, label) not in gold_nodes):
                             score += cost_unit  # margin cost per wrong node

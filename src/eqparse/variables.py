@@ -12,7 +12,7 @@ from enum import Enum
 
 from .core import Span, VariableTrigger
 from .corpus import AnnotatedSentence
-from .learning import FeatureVector, LinearModel, label_scores, rows_of, tagged
+from .learning import FeatureVector, LinearModel, packed_of, tagged
 
 
 class Coref(Enum):
@@ -117,49 +117,45 @@ def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
 
 
 class NpNames:
-    """A `VariableDecoder` input prepared for one window: the sentence, the
-    `np_feature_names` of each NP chunk, the candidates in
-    `enumerate_variable_candidates` order with their pair labels, listed
-    on first use, and their costs to each gold output it is decoded
-    against."""
+    """A `VariableDecoder` input prepared for one window: the sentence, its
+    distinct NP chunks in position order, each one's index, its
+    `np_feature_names` and whether it mentions "two"."""
 
-    __slots__ = ("sentence", "window", "names", "_candidates", "_costs")
+    __slots__ = ("sentence", "window", "chunks", "index", "names", "twos")
 
     def __init__(self, sentence: AnnotatedSentence, window: int):
         self.sentence, self.window = sentence, window
-        names = self.names = {}
-        for np in sentence.np_chunks:
-            if np not in names:
-                names[np] = np_feature_names(sentence, np, window)
-        self._candidates = None
-        self._costs = {}
+        self.chunks = sorted(set(sentence.np_chunks))
+        self.index = {np: c for c, np in enumerate(self.chunks)}
+        self.names = [np_feature_names(sentence, np, window)
+                      for np in self.chunks]
+        self.twos = [_mentions_two(sentence, np) for np in self.chunks]
 
-    @property
-    def candidates(self) -> list[tuple[VariableCandidate, str]]:
-        if self._candidates is None:
-            self._candidates = [
-                (candidate, _label(candidate))
-                for candidate in enumerate_variable_candidates(self.sentence)]
-        return self._candidates
 
-    def costs(self, gold: VariableCandidate) -> list[int]:
-        """`candidate_cost(gold, candidate)` of each candidate, in order,
-        computed on first use for each gold."""
-        costs = self._costs.get(gold)
-        if costs is None:
-            costs = self._costs[gold] = [candidate_cost(gold, candidate)
-                                         for candidate, _ in self.candidates]
-        return costs
+def _label_costs(gold: VariableCandidate) -> dict[str, int]:
+    """{label: cost}: `candidate_cost(gold, candidate)` is the cost of the
+    candidate's label less 2 for each distinct NP it shares with gold."""
+    size = len(set(gold.nps))
+    two, same = gold.two_variables, gold.same_np
+    return {_SINGLE: size + 1 + two + same,
+            _PAIR: size + 2 + (not two) + same,
+            _SELF: size + 1 + (not two) + (not same)}
 
 
 class VariableDecoder:
     """Best NP candidate; x is the sentence.
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
-    `candidate_cost`; `prepare` gives an `NpNames`. Each NP's names are
-    scored under every pair label in one pass over their label rows; a
-    candidate's score is the sum of its NPs' scores under its label. Ties
-    keep the earliest candidate in `enumerate_variable_candidates` order.
+    `candidate_cost`; `prepare` gives an `NpNames`. Ties keep the earliest
+    candidate in `enumerate_variable_candidates` order, which the decode
+    reaches in closed form: each distinct chunk's names are totalled once,
+    and the winner is the earliest best of three kinds of finalist. The
+    best single is the earliest maximum under the single label; the best
+    pair of distinct chunks the two largest under the pair label, ties to
+    the earlier chunk, since pairs come in position order; and each chunk
+    that mentions "two" has its self-pair, twice its score under the
+    self-pair label. The cost splits the same way: -2 per chunk in the
+    gold output, once for a self-pair, plus a constant per label.
     """
 
     def __init__(self, window: int = 3):
@@ -177,34 +173,55 @@ class VariableDecoder:
         a self-pair lists its NP twice, so counts it twice."""
         x = self.prepare(sentence)
         label = _label(candidate)
-        return tagged((x.names[np] if np in x.names
+        return tagged((x.names[x.index[np]] if np in x.index
                        else np_feature_names(x.sentence, np, self.window),
                        label) for np in candidate.nps)
 
     def contains(self, sentence, candidate) -> bool:
         x = self.prepare(sentence)
-        return any(c == candidate for c, _ in x.candidates)
+        return (isinstance(candidate, VariableCandidate)
+                and all(np in x.index for np in candidate.nps)
+                and (not candidate.same_np
+                     or x.twos[x.index[candidate.nps[0]]]))
 
     def decode(self, sentence, weights, gold: VariableCandidate | None = None,
                cost_unit: int = 1) -> VariableCandidate:
         x = self.prepare(sentence)
-        rows = rows_of(weights)
-        # NP -> {pair label: the NP's score under it}
-        scores = {np: label_scores(rows, names)
-                  for np, names in x.names.items()}
-        costs = None if gold is None else iter(x.costs(gold))
-        best = best_score = None
-        for candidate, label in x.candidates:
-            score = 0
-            for np in candidate.nps:
-                score += scores[np].get(label, 0)
-            if costs is not None:
-                score += cost_unit * next(costs)
-            if best_score is None or score > best_score:
-                best, best_score = candidate, score
-        if best is None:
+        m = len(x.chunks)
+        if not m:
             raise ValueError("sentence has no NP chunks")
-        return best
+        # -2 cost units for each chunk in the gold output
+        hits = [0] * m
+        costs = dict.fromkeys((_SINGLE, _PAIR, _SELF), 0)
+        if gold is not None:
+            for np in set(gold.nps):
+                if np in x.index:
+                    hits[x.index[np]] = -2 * cost_unit
+            costs = {label: cost_unit * cost
+                     for label, cost in _label_costs(gold).items()}
+        packed = packed_of(weights)
+        singles, pairs = [], []
+        # (score, key) of each finalist; its key, (0, chunk) for a single
+        # and (1, chunk, chunk) for a pair, sorts in enumeration order
+        finalists = []
+        for c, names in enumerate(x.names):
+            total = packed.total(names)
+            singles.append(packed.score(total, _SINGLE) + hits[c])
+            pairs.append(packed.score(total, _PAIR) + hits[c])
+            if x.twos[c]:
+                finalists.append((2 * packed.score(total, _SELF) + hits[c]
+                                  + costs[_SELF], (1, c, c)))
+        best = max(range(m), key=singles.__getitem__)  # the first maximum
+        finalists.append((singles[best] + costs[_SINGLE], (0, best)))
+        if m > 1:
+            # a stable sort: equal scores keep position order
+            first, second = sorted(sorted(range(m),
+                                          key=lambda c: -pairs[c])[:2])
+            finalists.append((pairs[first] + pairs[second] + costs[_PAIR],
+                              (1, first, second)))
+        # the highest score, the earliest key on ties
+        _, (_, *chosen) = min(finalists, key=lambda f: (-f[0], f[1]))
+        return VariableCandidate(tuple(x.chunks[c] for c in chosen))
 
 
 def assign_labels(sentence: AnnotatedSentence,

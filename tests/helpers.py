@@ -21,7 +21,7 @@ from eqparse.core import (
     sort_triggers,
 )
 from eqparse.corpus import AnnotatedSentence
-from eqparse.learning import LinearModel, add_scaled, subtract
+from eqparse.learning import LinearModel, PackedTable, add_scaled, subtract
 from eqparse.relevance import _BITS
 from eqparse.treeparse import _OP_LABELS, DEFAULT_LEXICON, gold_node_set, tree_nodes
 from eqparse.variables import _PAIR, _SELF, _SINGLE
@@ -43,34 +43,62 @@ class HashWeights(dict):
     Every feature gets a reproducible small integer weight in [-3, 3],
     derived from its name, a third of them zero; coarse integers make ties
     common, so argmax comparisons against brute-force oracles test the
-    tie-breaking too. No feature collection pass is needed. Its `rows` are
-    as dense: every feature has a row over all of `LABELS` that agrees
-    with `get`.
+    tie-breaking too. No feature collection pass is needed. Its `packed`
+    table is as dense: every feature packs a weight under each of `LABELS`
+    that agrees with `get`.
     """
 
     def __init__(self, salt: int = 0):
         super().__init__()
         self.salt = salt
-        self.rows = _DenseRows(self)
+        self.packed = _DensePacked(self)
 
     def get(self, key, default=0):
         r = zlib.crc32(f"{self.salt}:{key}".encode("utf-8")) % 9
         return 0 if r < 3 else (-3, -2, -1, 1, 2, 3)[r - 3]
 
 
-class _DenseRows(dict):
-    """The label rows of a `HashWeights`, each built on its first `get`."""
+class _DensePacked(PackedTable):
+    """The packed table of a `HashWeights`, each feature packed on its
+    first `get`."""
 
     def __init__(self, weights: HashWeights):
-        super().__init__()
+        # a slot for every label, as wide as the widest hashed weight
+        super().__init__({f"|{label}": 3 for label in LABELS})
+        self.clear()
         self.weights = weights
 
     def get(self, feature, default=None):
-        row = dict.get(self, feature)
-        if row is None:
-            row = self[feature] = {label: self.weights.get(f"{feature}|{label}")
-                                   for label in LABELS}
-        return row
+        packed = dict.get(self, feature)
+        if packed is None:
+            packed = self[feature] = sum(
+                self.weights.get(f"{feature}|{label}") << self.shift(label)
+                for label in LABELS)
+        return packed
+
+
+def label_rows(weights: dict) -> dict[str, dict[str, int]]:
+    """The weights as label rows, `{feature: {label: weight}}`: a name's
+    label is its last `|`-separated segment, and its feature all before
+    it. A name without `|` has no label and is in no row. The reference
+    for a `PackedTable`."""
+    rows: dict[str, dict[str, int]] = {}
+    for name, value in weights.items():
+        feature, bar, label = name.rpartition("|")
+        if bar:
+            rows.setdefault(feature, {})[label] = value
+    return rows
+
+
+def label_scores(rows: dict[str, dict[str, int]], names) -> dict[str, int]:
+    """`{label: the summed weight of names under it}`, read from their
+    label rows, one lookup per name; a name counts once per occurrence."""
+    scores: dict[str, int] = {}
+    for row in map(rows.get, names):
+        if row is not None:
+            for label, weight in row.items():
+                scores[label] = scores.get(label, 0) + weight
+    return scores
 
 
 def sparse_weights(rng: random.Random, names, rows: float = 0.7,
@@ -287,22 +315,24 @@ def random_relevance_instance(rng: random.Random, k: int) -> AnnotatedSentence:
     return AnnotatedSentence(" ".join(tokens), tuple(tokens), tuple(pos), ())
 
 
-def random_np_instance(rng: random.Random, m: int) -> AnnotatedSentence:
-    """A sentence with m NP chunks, each a noun after an optional "two"."""
+def random_np_instance(rng: random.Random, m: int,
+                       two: float = 0.3) -> AnnotatedSentence:
+    """A sentence with m NP chunks, each a noun after a "two" with
+    probability `two`."""
     tokens, pos, extents = [], [], []
     for _ in range(m):
         tokens.append(rng.choice(FILLER))
         pos.append(rng.choice(FILLER_POS))
         first = len(tokens)
-        if rng.random() < 0.3:
+        if rng.random() < two:
             tokens.append("two")
             pos.append("CD")
         tokens.append(rng.choice(NOUNS))
         pos.append("NN")
         extents.append((first, len(tokens) - 1))
     bare = AnnotatedSentence(" ".join(tokens), tuple(tokens), tuple(pos), ())
-    chunks = tuple(Span(bare.token_spans[a].start, bare.token_spans[b].end)
-                   for a, b in extents)
+    spans = bare.token_spans
+    chunks = tuple(Span(spans[a].start, spans[b].end) for a, b in extents)
     return AnnotatedSentence(bare.text, bare.tokens, bare.pos, chunks)
 
 

@@ -1,6 +1,6 @@
 """Prepared decoder inputs: `prepare(x)` changes no call's result, keeps no
 weight-dependent state, and training builds each input's names, lexicon
-tables and candidate lists once."""
+tables and NP flags once."""
 
 import random
 from collections import Counter
@@ -126,7 +126,7 @@ def test_prepared_tree_input_rejects_what_a_raw_one_does(
 @pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
 def test_training_builds_each_input_once(kwargs, synthetic_corpus,
                                          multiplier_corpus, monkeypatch):
-    # names, lexicon fields and candidate lists are built at most once per
+    # names, lexicon fields and NP flags are built at most once per
     # example (and quantity, NP or node part) during `train_bundle`, the
     # lexicon fields never without the lexicon, and the bundle is the one
     # trained without the counters
@@ -148,19 +148,18 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
              lambda sentence, quantities, i, window: (id(sentence), i))
     counting(variables, "np_feature_names",
              lambda sentence, np, window: (id(sentence), np))
-    counting(variables, "enumerate_variable_candidates", id)
+    counting(variables, "_mentions_two",
+             lambda sentence, np: (id(sentence), np))
     counting(treeparse, "_part_names",
              lambda sentence, part, window: (id(sentence), part))
     counting(treeparse.TreeInput, "_field_masks",
              lambda x: id(x.sentence))
     counting(treeparse, "_crosses_np",
              lambda sentence, triggers, i, j: (id(sentence), i, j))
-    counting(variables, "candidate_cost",
-             lambda gold, other: (id(gold), id(other)))
     assert train_bundle(examples, config).to_text() == expected
     assert {name for name, _ in built} == {
-        "quantity_names", "np_feature_names",
-        "enumerate_variable_candidates", "_part_names", "candidate_cost",
+        "quantity_names", "np_feature_names", "_mentions_two",
+        "_part_names",
         *["_field_masks"] * config.use_lexicon,
         *["_crosses_np"] * config.conform_syntactic}
     assert max(built.values()) == 1

@@ -1,12 +1,13 @@
 """Variable grounding: coreference rules, candidate space, labeling."""
 
 import random
+import time
 
 import pytest
 
 from eqparse.core import Span
 from eqparse.corpus import AnnotatedSentence
-from eqparse.learning import ExhaustiveDecoder, LinearModel, dot
+from eqparse.learning import ExhaustiveDecoder, LinearModel, Weights, dot
 from eqparse.variables import (
     Coref,
     VariableCandidate,
@@ -18,12 +19,26 @@ from eqparse.variables import (
     predict_variable_triggers,
     variable_features,
 )
+from eqparse.variables import _label, _label_costs
 
-from helpers import HashWeights, random_np_instance
+from helpers import HashWeights, draw_weights, random_np_instance
 
 
 def np_texts(sentence, triggers):
     return [t.span.text(sentence.text) for t in triggers]
+
+
+def np_instance(rng: random.Random, m: int) -> AnnotatedSentence:
+    """`random_np_instance` with m chunks, often most of them mentioning
+    "two", and half the time with some chunks listed again, in any
+    order."""
+    sentence = random_np_instance(rng, m, two=rng.choice((0.3, 0.8)))
+    chunks = list(sentence.np_chunks)
+    if rng.random() < 0.5:
+        chunks += rng.choices(chunks, k=rng.randint(1, 3))
+        rng.shuffle(chunks)
+    return AnnotatedSentence(sentence.text, sentence.tokens, sentence.pos,
+                             tuple(chunks))
 
 
 class TestCoreference:
@@ -233,21 +248,31 @@ class TestCost:
 
 class TestVariableDecoder:
     def test_by_parts_matches_exhaustive_decoder(self):
-        # NP scores summed per candidate against scoring every candidate's
-        # whole feature dict, with and without gold, at cost units 1 and
-        # 10; self-pairs count their NP twice in both
+        # the closed-form decode against scoring every candidate's whole
+        # feature dict, with and without gold, at cost units 1 and 10;
+        # self-pairs count their NP twice in both. Dense hashed, sparse
+        # drawn, 0/1 and zero weights, the last two forcing ties; duplicate
+        # chunks and several chunks that mention "two"; a few sentences
+        # with many chunks
         rng = random.Random(29)
         decoder = VariableDecoder()
         oracle = ExhaustiveDecoder(enumerate_variable_candidates,
                                    variable_features, candidate_cost)
-        for trial in range(300):
-            sentence = random_np_instance(rng, rng.randint(1, 5))
-            candidates = enumerate_variable_candidates(sentence)
-            weights = HashWeights(salt=6000 + trial)
-            for gold in (None, rng.choice(candidates)):
-                for cost_unit in (1, 10):
-                    assert decoder.decode(sentence, weights, gold, cost_unit) \
-                        == oracle.decode(sentence, weights, gold, cost_unit)
+        for trial in range(200):
+            sentence = np_instance(rng, 12 if trial % 50 == 0
+                                   else rng.randint(1, 6))
+            space = enumerate_variable_candidates(sentence)
+            names = {name for y in space
+                     for name in decoder.features(sentence, y)}
+            ties = {name: rng.randint(0, 1) for name in names}
+            for weights in (HashWeights(salt=6000 + trial),
+                            Weights(draw_weights(rng, names)), ties, {}):
+                for gold in (None, rng.choice(space)):
+                    for cost_unit in (1, 10):
+                        assert decoder.decode(sentence, weights, gold,
+                                              cost_unit) \
+                            == oracle.decode(sentence, weights, gold,
+                                             cost_unit)
 
     def test_ties_keep_the_earliest_candidate(self, sum_sentence):
         assert VariableDecoder().decode(sum_sentence, {}) == \
@@ -261,3 +286,47 @@ class TestVariableDecoder:
         assert not decoder.contains(sum_sentence, VariableCandidate((Span(0, 3),)))
         assert decoder.features(sum_sentence, pair) == variable_features(
             sum_sentence, pair)
+
+    def test_cost_splits_per_np(self):
+        # candidate_cost is a constant per label less 2 for each distinct
+        # NP shared with the gold output
+        rng = random.Random(32)
+        for _ in range(100):
+            space = enumerate_variable_candidates(
+                np_instance(rng, rng.randint(1, 4)))
+            for gold in space:
+                for other in space:
+                    shared = len(set(gold.nps) & set(other.nps))
+                    assert _label_costs(gold)[_label(other)] - 2 * shared \
+                        == candidate_cost(gold, other)
+
+    def test_contains_is_membership(self):
+        # candidates of 1-2 spans drawn from the chunks and from every
+        # token's span, most of which are no chunk
+        rng = random.Random(33)
+        decoder = VariableDecoder()
+        for _ in range(200):
+            sentence = np_instance(rng, rng.randint(1, 5))
+            space = enumerate_variable_candidates(sentence)
+            spans = [*sentence.np_chunks, *sentence.token_spans]
+            prepared = decoder.prepare(sentence)
+            for _ in range(20):
+                candidate = VariableCandidate(tuple(
+                    rng.choice(spans) for _ in range(rng.randint(1, 2))))
+                assert decoder.contains(sentence, candidate) \
+                    == decoder.contains(prepared, candidate) \
+                    == (candidate in space)
+            assert not decoder.contains(sentence, space[0].nps)
+
+    def test_two_thousand_chunks_decode_in_under_a_second(self):
+        # enumeration would build about two million candidates
+        rng = random.Random(34)
+        sentence = random_np_instance(rng, 2000)
+        weights = HashWeights(salt=34)
+        gold = VariableCandidate(sentence.np_chunks[5:7])
+        decoder = VariableDecoder()
+        start = time.perf_counter()
+        x = decoder.prepare(sentence)
+        for g in (None, gold):
+            assert decoder.decode(x, weights, g).nps[0] in x.index
+        assert time.perf_counter() - start < 1.0

@@ -1,5 +1,7 @@
-"""Label rows: the `Weights` dict's second view, and the decoders that score
-through it against brute force on sparse weights."""
+"""Packed label rows: the `Weights` dict's second view, one integer per
+feature holding its weight under every label, against the dict rows it
+replaced; and the decoders that score through it against brute force on
+sparse weights."""
 
 import copy
 import pickle
@@ -10,11 +12,11 @@ from hypothesis import given, strategies as st
 
 from eqparse.learning import (
     ExhaustiveDecoder,
+    PackedTable,
     Weights,
     add_scaled,
     dot,
-    label_rows,
-    rows_of,
+    packed_of,
     tagged,
 )
 from eqparse.quantities import sentence_quantities
@@ -35,6 +37,8 @@ from helpers import (
     HashWeights,
     crosses_np_chunk,
     draw_weights,
+    label_rows,
+    label_scores,
     random_np_instance,
     random_relevance_instance,
     random_tree_instance,
@@ -55,13 +59,47 @@ def reference_rows(flat: dict) -> dict:
     return rows
 
 
+def unpacked(packed: PackedTable, labels) -> dict:
+    """The table read back as label rows over `labels`, zeros left out."""
+    rows: dict = {}
+    for feature, total in packed.items():
+        for label in labels:
+            weight = packed.score(total, label)
+            if weight:
+                rows.setdefault(feature, {})[label] = weight
+    return rows
+
+
+def nonzero(rows: dict) -> dict:
+    return {feature: {label: w for label, w in row.items() if w}
+            for feature, row in rows.items() if any(row.values())}
+
+
+def assert_packs(weights, multisets=()) -> None:
+    """The packed table of the weights reads, under every label it has and
+    one it has not, what their dict rows give: for each feature, and for
+    the total of each multiset of names."""
+    packed = packed_of(weights)
+    rows = label_rows(dict(weights))
+    labels = {label for row in rows.values() for label in row} | {"unseen"}
+    assert unpacked(packed, labels) == nonzero(rows)
+    for names in multisets:
+        total = packed.total(names)
+        expected = label_scores(rows, names)
+        for label in labels:
+            assert packed.score(total, label) == expected.get(label, 0)
+
+
 class TestWeights:
     def test_rows_of_a_plain_dict(self):
         flat = {"qn_u=a|r=1": 2, "qn_u=a|r=0": -1, "qg_count=1/2": 5,
                 "tn_u=a|b|o=+": 3}
-        assert rows_of(flat) == label_rows(flat) == {
-            "qn_u=a": {"r=1": 2, "r=0": -1}, "tn_u=a|b": {"o=+": 3}}
-        assert Weights(flat).rows == label_rows(flat)
+        for weights in (flat, Weights(flat)):
+            packed = packed_of(weights)
+            assert set(packed) == {"qn_u=a", "tn_u=a|b"}
+            assert unpacked(packed, ["r=0", "r=1", "o=+", "o=-lr"]) == {
+                "qn_u=a": {"r=1": 2, "r=0": -1}, "tn_u=a|b": {"o=+": 3}}
+        assert Weights(flat).packed == PackedTable(flat)
 
     def test_flat_view_is_the_dict(self):
         weights = Weights({"a|x": 1})
@@ -73,12 +111,50 @@ class TestWeights:
                                         lambda w: pickle.loads(pickle.dumps(w))])
     def test_a_copy_keeps_its_own_rows(self, copier):
         weights = Weights({"a|x": 1})
-        rows = weights.rows
+        packed = weights.packed
         other = copier(weights)
         assert type(other) is Weights and other == weights
         other["a|y"] = 2
-        assert other.rows == {"a": {"x": 1, "y": 2}}
-        assert weights.rows is rows and rows == {"a": {"x": 1}}
+        assert unpacked(other.packed, "xy") == {"a": {"x": 1, "y": 2}}
+        assert weights.packed is packed
+        assert unpacked(packed, "xy") == {"a": {"x": 1}}
+
+    def test_width_is_the_widest_weight_plus_41_bits(self):
+        assert PackedTable({}).width == 41
+        assert PackedTable({"a|x": -8, "b|y": 7, "wide": 2 ** 90}).width \
+            == 4 + 41
+        weights = Weights({"a|x": 3})
+        packed = weights.packed
+        weights["b|x"] = -3  # fits: the table is kept
+        assert weights.packed is packed and packed.width == 43
+        weights["a|y"] = -(2 ** 64)  # outgrows it: laid out again
+        assert weights.packed is not packed
+        assert weights.packed.width == 65 + 41
+        assert_packs(weights, [["a", "b", "a"]])
+
+    def test_a_slot_reads_through_negative_lower_slots(self):
+        # the bias holds the half offset of every slot: with only the read
+        # slot's, a negative field below borrows one from the read one
+        flat = {"f|a": -5, "f|b": -7, "f|c": 4, "g|a": -1, "g|c": 9}
+        packed = PackedTable(flat)
+        assert list(packed.shifts) == ["a", "b", "c"]
+        for names in (["f"], ["f", "g"], ["f"] * 1000 + ["g"] * 3):
+            total = packed.total(names)
+            expected = label_scores(label_rows(flat), names)
+            for label in "abc":
+                assert packed.score(total, label) == expected[label]
+            shift = packed.shift("c")
+            own_half = ((total + (packed.half << shift)) >> shift
+                        & packed.mask) - packed.half
+            assert own_half == expected["c"] - 1
+
+    def test_a_label_without_a_slot_reads_zero(self):
+        packed = PackedTable({"f|a": -(2 ** 70), "f|b": 2 ** 70 - 1})
+        total = packed.total(["f", "f", "missing"])
+        assert packed.score(total, "a") == -(2 ** 71)
+        assert packed.score(total, "b") == 2 ** 71 - 2
+        assert packed.score(total, "c") == 0
+        assert packed.score(packed.total([]), "a") == 0
 
 
 names = st.text(alphabet="ab|", max_size=4)
@@ -113,27 +189,60 @@ def other_mutator(weights, which, name, value):
 
 @given(st.dictionaries(names, values, max_size=6), operations)
 def test_rows_stay_in_step(initial, ops):
-    # item assignment (add_scaled's too) updates built rows in place; any
-    # other mutator raises and changes neither view
+    # item assignment (add_scaled's too) updates a built table in place,
+    # or lays it out again wider; any other mutator raises and changes
+    # neither view
     weights = Weights(initial)
-    rows = None
+    packed = None
     for op, *args in ops:
         if op == "set":
             weights[args[0]] = args[1]
         elif op == "add_scaled":
             add_scaled(weights, *args)
         elif op == "rows":
-            rows = weights.rows
+            packed = weights.packed
         else:
             before = dict(weights)
             with pytest.raises(TypeError):
                 other_mutator(weights, *args)
             assert weights == before
-        if rows is not None:
-            assert weights.rows is rows
-            assert rows == reference_rows(dict(weights))
-    assert weights.rows == reference_rows(dict(weights))
-    assert weights.rows == label_rows(dict(weights))
+        if packed is not None:
+            # replaced only by a wider layout
+            assert (weights.packed is packed
+                    or weights.packed.width > packed.width)
+            packed = weights.packed
+            labels = set(packed.shifts) | {"unseen"}
+            assert unpacked(packed, labels) == nonzero(
+                reference_rows(dict(weights)))
+    assert_packs(weights)
+
+
+features = st.sampled_from(["a", "b", "a|b", "c"])
+labels = st.sampled_from(["x", "y", "z", "w"])
+wide = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+labeled = st.builds("{}|{}".format, features, labels)
+multisets = st.lists(st.lists(st.one_of(features, st.just("none")),
+                              max_size=8), max_size=3)
+
+
+@given(st.dictionaries(labeled, wide, max_size=4), st.lists(st.one_of(
+    st.tuples(st.just("set"), labeled, wide, multisets),
+    st.tuples(st.just("add_scaled"), st.dictionaries(labeled, wide,
+                                                     max_size=3),
+              st.integers(-3, 3), multisets)), max_size=12))
+def test_packed_totals_match_label_rows(initial, ops):
+    # the table is built first, so labels are first seen midway, and a
+    # wide weight makes it lay itself out again; after each change, the
+    # total of a multiset of names reads under every label what the dict
+    # rows sum, many copies of a name included
+    weights = Weights(initial)
+    assert_packs(weights, [["a", "a", "b"]])
+    for op, *args, sets in ops:
+        if op == "set":
+            weights[args[0]] = args[1]
+        else:
+            add_scaled(weights, *args)
+        assert_packs(weights, [*sets, ["a"] * 5000 + ["c"] * 77])
 
 
 def test_tagged_counts_each_occurrence_under_its_label():
@@ -143,11 +252,11 @@ def test_tagged_counts_each_occurrence_under_its_label():
     assert label_rows(feats) == {"a": {"x": 3, "y": 1}, "b": {"x": 1}}
 
 
-class _RowReads(dict):
-    """Label rows that record each feature looked up."""
+class _PackedReads(PackedTable):
+    """An empty packed table that records each feature looked up."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__({})
         self.read = []
 
     def get(self, feature, default=None):
@@ -156,12 +265,12 @@ class _RowReads(dict):
 
 
 class FlatReads(Weights):
-    """Empty weights that record each flat lookup and each row lookup."""
+    """Empty weights that record each flat lookup and each packed one."""
 
     def __init__(self):
         super().__init__()
         self.read = []
-        self._rows = _RowReads()
+        self._packed = _PackedReads()
 
     def get(self, name, default=None):
         self.read.append(name)
@@ -171,7 +280,7 @@ class FlatReads(Weights):
 def test_decoders_read_labeled_names_only_through_rows():
     # a flat lookup is left only for the untagged relevance count feature;
     # the lex_agree features of the lexicon-as-features mode are read
-    # through their rows too
+    # through the packed table too
     rng = random.Random(71)
     sentence, triggers = random_tree_instance(rng, 4)
     weights = FlatReads()
@@ -182,16 +291,18 @@ def test_decoders_read_labeled_names_only_through_rows():
         CkyDecoder(**kwargs).decode((sentence, triggers), weights)
     assert weights.read
     assert all("|" not in name for name in weights.read)
-    assert {"lex_agree=0", "lex_agree=1"} <= set(weights.rows.read)
+    assert {"lex_agree=0", "lex_agree=1"} <= set(weights.packed.read)
 
 
 def test_hash_weights_rows_agree_with_get():
-    # the dense test weights give a decoder through their rows what they
-    # give `dot` through `get`
+    # the dense test weights give a decoder through their packed table
+    # what they give `dot` through `get`
     rng = random.Random(72)
     hashed = HashWeights(salt=72)
-    row = hashed.rows.get("tn_u=sum")
-    assert row == {label: hashed.get(f"tn_u=sum|{label}") for label in LABELS}
+    packed = hashed.packed
+    total = packed.total(["tn_u=sum"])
+    assert [packed.score(total, label) for label in LABELS] == [
+        hashed.get(f"tn_u=sum|{label}") for label in LABELS]
     decoder = CkyDecoder(use_lexicon=False)
     for _ in range(20):
         sentence, triggers = random_tree_instance(rng, 3)
