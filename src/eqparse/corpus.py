@@ -1,9 +1,9 @@
 """Annotated sentences and the JSON-lines corpus format.
 
-Each corpus line is one JSON object with: text, tokens, pos, np_chunks
-(character spans), quantities (value + span), equation (prefix string), and
-groundings (list of valid variable trigger lists, each a list of
-{label, np_span} entries).
+Each corpus line is one JSON object with: text, tokens and pos (arrays of
+strings, one tag per token), np_chunks (character spans), quantities
+(value + span), equation (prefix string), and groundings (list of valid
+variable trigger lists, each a list of {label, np_span} entries).
 """
 
 from __future__ import annotations
@@ -94,12 +94,21 @@ class AnnotatedSentence:
                     bigrams: bool = True) -> list[str]:
         """The lowercased word (`{prefix}_u=`), POS tag (`{prefix}_p=`) and,
         with `bigrams`, word pair (`{prefix}_b=`) feature names of tokens
-        [lo, hi), one per occurrence."""
-        words = [t.lower() for t in self.tokens[lo:hi]]
-        names = [f"{prefix}_u={w}" for w in words]
-        names += [f"{prefix}_p={p}" for p in self.pos[lo:hi]]
-        if bigrams:
-            names += [f"{prefix}_b={a} {b}" for a, b in zip(words, words[1:])]
+        [lo, hi), one per occurrence, in that order. One loop lowers each
+        token once and names its word and the pair it ends: a window is a
+        few tokens, and each comprehension would cost a call frame (before
+        Python 3.12)."""
+        names, pairs = [], []
+        last = None
+        for token in self.tokens[lo:hi]:
+            word = token.lower()
+            names.append(f"{prefix}_u={word}")
+            if bigrams and last is not None:
+                pairs.append(f"{prefix}_b={last} {word}")
+            last = word
+        for tag in self.pos[lo:hi]:
+            names.append(f"{prefix}_p={tag}")
+        names += pairs
         return names
 
 
@@ -181,18 +190,35 @@ def span_from_json(raw) -> Span:
     return Span(start, end)
 
 
+def _strings(obj: dict, key: str) -> tuple[str, ...]:
+    """`obj[key]`, which must be a JSON array of strings, as a tuple: a
+    string would read as its characters, and a null tag would name a
+    feature."""
+    value = obj[key]
+    if type(value) is list:
+        try:
+            # in C, on every corpus line: raises at the first non-string
+            "".join(value)
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    raise ValueError(f"{key} must be an array of strings, got {value!r}")
+
+
 def sentence_from_json(obj: dict) -> AnnotatedSentence:
     text = obj["text"]
     if not isinstance(text, str):
         raise ValueError(f"text must be a string, got {text!r}")
+    tokens, pos = _strings(obj, "tokens"), _strings(obj, "pos")
     quantities = tuple(
         QuantityTrigger(parse_value(q["value"]), span_from_json(q["span"]))
         for q in obj.get("quantities", ())
     )
     return AnnotatedSentence(
         text=text,
-        tokens=tuple(obj["tokens"]),
-        pos=tuple(obj["pos"]),
+        tokens=tokens,
+        pos=pos,
         np_chunks=tuple(map(span_from_json, obj.get("np_chunks", ()))),
         quantities=quantities,
     )

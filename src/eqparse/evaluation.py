@@ -185,13 +185,22 @@ def align_gold_tree(gold: SymExpr, triggers) -> EquationTree | None:
     return match(gold, 0)
 
 
-def gold_tree_instance(example):
-    """(sentence, gold trigger list, gold tree) for the first grounding that
-    admits a projective tree, or None."""
-    sentence = example.sentence
-    quantities = sentence_quantities(sentence)
+def gold_relevance(example):
+    """(quantities, gold equation, gold relevance) of an example: its
+    `sentence_quantities`, its parsed equation, and which of the quantities
+    that equation's constants use."""
+    quantities = sentence_quantities(example.sentence)
     gold_expr = example.gold_expr()
-    gold_rel = derive_gold_relevance(quantities, expr_constants(gold_expr))
+    return (quantities, gold_expr,
+            derive_gold_relevance(quantities, expr_constants(gold_expr)))
+
+
+def gold_tree_instance(example, gold=None):
+    """(sentence, gold trigger list, gold tree) for the first grounding that
+    admits a projective tree, or None. `gold` is the example's
+    `gold_relevance` when the caller has it already."""
+    sentence = example.sentence
+    quantities, gold_expr, gold_rel = gold or gold_relevance(example)
     relevant = [q for q, bit in zip(quantities, gold_rel) if bit]
     for grounding in example.groundings or ((),):
         triggers = sort_triggers(list(relevant) + list(grounding))
@@ -232,9 +241,7 @@ def evaluate(bundle, examples) -> Metrics:
     rel_ok = var_ok = tree_ok = eq_ok = eqg_ok = 0
     for example in examples:
         sentence = example.sentence
-        quantities = sentence_quantities(sentence)
-        gold_expr = example.gold_expr()
-        gold_rel = derive_gold_relevance(quantities, expr_constants(gold_expr))
+        quantities, gold_expr, gold_rel = gold = gold_relevance(example)
 
         if bundle.predict_relevance(sentence, quantities) == gold_rel:
             rel_ok += 1
@@ -249,7 +256,7 @@ def evaluate(bundle, examples) -> Metrics:
                                      example.groundings)):
             var_ok += 1
 
-        gold_instance = gold_tree_instance(example)
+        gold_instance = gold_tree_instance(example, gold)
         if gold_instance is not None:
             _, gold_triggers, _ = gold_instance
             try:

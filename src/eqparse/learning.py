@@ -121,6 +121,22 @@ class PackedTable(dict):
         return (((total + self.bias) >> self.shift(label)) & self.mask) \
             - self.half
 
+    def reader(self, labels):
+        """`read(total)`: the total's `score` under each of the labels, in
+        their order, with each label's shift looked up once. A decoder
+        makes one per decode; the table must not change while it reads."""
+        bias, mask, half = self.bias, self.mask, self.half
+        shifts = tuple(map(self.shift, labels))
+
+        def read(total: int) -> list[int]:
+            total += bias
+            scores = []
+            for shift in shifts:  # a loop, not a comprehension's own frame
+                scores.append(((total >> shift) & mask) - half)
+            return scores
+
+        return read
+
 
 def packed_of(weights: FeatureVector) -> PackedTable:
     """The packed table a decoder scores through: the one a `Weights`

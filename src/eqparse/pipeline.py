@@ -25,7 +25,7 @@ from .core import (
     sort_triggers,
 )
 from .corpus import AnnotatedSentence
-from .evaluation import expr_constants, gold_tree_instance
+from .evaluation import gold_relevance, gold_tree_instance
 from .learning import (
     LinearModel,
     SupersetExample,
@@ -40,7 +40,6 @@ from .quantities import sentence_quantities
 from .relevance import (
     RelevanceAssignment,
     RelevanceDecoder,
-    derive_gold_relevance,
     predict_relevance,
 )
 from .treeparse import LEXICON_SHA256, CkyDecoder
@@ -266,14 +265,10 @@ class ModelBundle:
             raise ValueError(f"{path}: {e}") from e
 
 
-def _relevance_instances(examples):
-    out = []
-    for ex in examples:
-        quantities = tuple(sentence_quantities(ex.sentence))
-        constants = expr_constants(ex.gold_expr())
-        gold = derive_gold_relevance(quantities, constants)
-        out.append(((ex.sentence, quantities), gold))
-    return out
+def _relevance_instances(examples, golds):
+    """(input, gold relevance) of each example, from its `gold_relevance`."""
+    return [((ex.sentence, quantities), relevance)
+            for ex, (quantities, _, relevance) in zip(examples, golds)]
 
 
 def _variable_instances(examples, decoder: VariableDecoder):
@@ -310,12 +305,12 @@ def _variable_instances(examples, decoder: VariableDecoder):
     return out
 
 
-def _tree_instances(examples, decoder: CkyDecoder):
+def _tree_instances(examples, golds, decoder: CkyDecoder):
     """(prepared input, gold tree) of each example whose gold tree the
-    decoder reaches."""
+    decoder reaches; golds are the examples' `gold_relevance`."""
     out = []
-    for ex in examples:
-        instance = gold_tree_instance(ex)
+    for ex, gold in zip(examples, golds):
+        instance = gold_tree_instance(ex, gold)
         if instance is not None:
             sentence, triggers, tree = instance
             x = decoder.prepare((sentence, triggers))
@@ -340,14 +335,16 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
         raise ValueError("empty training corpus")
     tcfg = config.train_config()
     window = config.window
+    # each gold equation is parsed, and its relevance derived, once
+    golds = [gold_relevance(ex) for ex in examples]
 
     rel_model = train_structured(
-        _relevance_instances(examples), RelevanceDecoder(window), tcfg)
+        _relevance_instances(examples, golds), RelevanceDecoder(window), tcfg)
     var_decoder = VariableDecoder(window)
     var_model = train_superset(
         _variable_instances(examples, var_decoder), var_decoder, tcfg)
     tree_decoder = config.tree_decoder()
     tree_model = train_structured(
-        _tree_instances(examples, tree_decoder), tree_decoder, tcfg)
+        _tree_instances(examples, golds, tree_decoder), tree_decoder, tcfg)
 
     return ModelBundle(rel_model, var_model, tree_model, config)

@@ -29,7 +29,10 @@ DEFAULT_NUMBER_WORDS: dict[str, Fraction] = {
     "half": Fraction(1, 2),
 }
 
-# digit token, with optional thousands commas and decimal part
+# digit token, with optional thousands commas and decimal part. Both
+# patterns start with `\d`, which in a str pattern matches exactly the
+# characters whose `isdecimal()` is true: only tokens starting with one are
+# matched against them
 _DIGITS_RE = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 _PREFIXED_RE = re.compile(r"(\d+(?:\.\d+)?)-\S+")
 
@@ -43,15 +46,19 @@ def detect_quantities(sentence: AnnotatedSentence) -> tuple[QuantityTrigger, ...
     found = []
     for tok, start, end in zip(sentence.tokens, sentence.token_starts,
                                sentence.token_ends):
-        if _DIGITS_RE.fullmatch(tok):
-            found.append(QuantityTrigger(Fraction(tok.replace(",", "")),
-                                         Span(start, end)))
-            continue
-        m = _PREFIXED_RE.fullmatch(tok)
-        if m:
-            found.append(QuantityTrigger(
-                Fraction(m.group(1)), Span(start, start + len(m.group(1)))))
-            continue
+        if tok[:1].isdecimal():
+            if _DIGITS_RE.fullmatch(tok):
+                digits = tok.replace(",", "")
+                # an integer skips the string parse of `Fraction`
+                value = (Fraction(digits) if "." in digits
+                         else Fraction(int(digits)))
+                found.append(QuantityTrigger(value, Span(start, end)))
+                continue
+            m = _PREFIXED_RE.fullmatch(tok)
+            if m:
+                found.append(QuantityTrigger(
+                    Fraction(m.group(1)), Span(start, start + len(m.group(1)))))
+                continue
         value = DEFAULT_NUMBER_WORDS.get(tok.lower())
         if value is not None:
             found.append(QuantityTrigger(value, Span(start, end)))

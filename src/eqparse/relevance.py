@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 from .corpus import AnnotatedSentence
 from .learning import FeatureVector, LinearModel, packed_of, tagged
 
 RelevanceAssignment = tuple[bool, ...]
 
-# the values whose quantities get the `qq_small` name
-_SMALL = (Fraction(1), Fraction(2))
+# the values whose quantities get the `qq_small` name; ints, as a Fraction
+# compares equal to an int without its `numbers.Rational` check
+_SMALL = (1, 2)
 
 
 def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
@@ -31,9 +31,17 @@ def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
     q = quantities[index]
     lo, hi = sentence.window(*sentence.token_range(q.span), window)
     names = sentence.token_names("qn", lo, hi)
-    phrase = [w.lower() for w in q.span.text(sentence.text).split()]
-    names += [f"qq_u={w}" for w in phrase]
-    names += [f"qq_b={a} {b}" for a, b in zip(phrase, phrase[1:])]
+    # the quantity phrase's lowercased words, then its word pairs, in one
+    # loop as in `token_names`
+    pairs = []
+    last = None
+    for word in q.span.text(sentence.text).split():
+        word = word.lower()
+        names.append(f"qq_u={word}")
+        if last is not None:
+            pairs.append(f"qq_b={last} {word}")
+        last = word
+    names += pairs
     if q.value in _SMALL:
         names.append("qq_small")
     if len(quantities) == 1:
@@ -127,13 +135,11 @@ class RelevanceDecoder:
         x = self.prepare(x)
         k = len(x.quantities)
         packed = packed_of(weights)
-        off, on = _BITS
+        read = packed.reader(_BITS)
         all_off = 0
         margins = []
         for i in range(k):
-            total = packed.total(x.names[i])
-            score_on, score_off = (packed.score(total, on),
-                                   packed.score(total, off))
+            score_off, score_on = read(packed.total(x.names[i]))
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
                     score_off += cost_unit

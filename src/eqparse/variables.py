@@ -200,17 +200,18 @@ class VariableDecoder:
             costs = {label: cost_unit * cost
                      for label, cost in _label_costs(gold).items()}
         packed = packed_of(weights)
+        read = packed.reader((_SINGLE, _PAIR, _SELF))
         singles, pairs = [], []
         # (score, key) of each finalist; its key, (0, chunk) for a single
         # and (1, chunk, chunk) for a pair, sorts in enumeration order
         finalists = []
         for c, names in enumerate(x.names):
-            total = packed.total(names)
-            singles.append(packed.score(total, _SINGLE) + hits[c])
-            pairs.append(packed.score(total, _PAIR) + hits[c])
+            single, pair, self_pair = read(packed.total(names))
+            singles.append(single + hits[c])
+            pairs.append(pair + hits[c])
             if x.twos[c]:
-                finalists.append((2 * packed.score(total, _SELF) + hits[c]
-                                  + costs[_SELF], (1, c, c)))
+                finalists.append((2 * self_pair + hits[c] + costs[_SELF],
+                                  (1, c, c)))
         best = max(range(m), key=singles.__getitem__)  # the first maximum
         finalists.append((singles[best] + costs[_SINGLE], (0, best)))
         if m > 1:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqparse import cli
-from eqparse.corpus import sentence_to_json
+from eqparse.corpus import example_to_json, sentence_to_json
 
 # a sentence the shipped families parse, with its NP chunk
 TEXT = "The sum of 2 and 3 is a number ."
@@ -100,3 +100,34 @@ def test_one_byte_bundle_mutation_never_parses(bundle_path, fuzz_dir, data):
 def test_the_unmutated_bundle_parses(bundle_path):
     assert run(["parse", "--model", str(bundle_path), f"--text={TEXT}",
                 f"--np-span={NP_SPAN}"]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tokens", "ab"),        # a string would load as its characters
+    ("pos", "NN"),
+    ("pos", None),
+    ("tokens", {"0": "a"}),
+    ("pos", [None]),         # a null tag would name the feature qn_p=None
+    ("pos", [1]),
+])
+def test_tokens_and_pos_must_be_arrays_of_strings(
+        bundle_path, fuzz_dir, synthetic_corpus, sentence_json, key, value):
+    if isinstance(value, list):  # one bad tag among good ones
+        value = sentence_json[key][:-1] + value
+    sentence = fuzz_dir / "bad_sentence.json"
+    sentence.write_text(json.dumps({**sentence_json, key: value}),
+                        encoding="utf-8")
+    line = {**example_to_json(synthetic_corpus[0]), key: value}
+    corpus = fuzz_dir / "bad_corpus.jsonl"
+    corpus.write_text(json.dumps(example_to_json(synthetic_corpus[1])) + "\n"
+                      + json.dumps(line) + "\n", encoding="utf-8")
+    for argv, where in (
+            (["parse", "--input", str(sentence)], f"{sentence}: "),
+            (["eval", "--corpus", str(corpus)], f"{corpus}:2: ")):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--model", str(bundle_path)])
+        assert code == 2
+        assert where in err.getvalue()
+        assert f"{key} must be an array of strings" in err.getvalue()

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqparse import core
 from eqparse.core import QuantityTrigger, Span
@@ -226,6 +227,42 @@ def test_window_clamps():
     s = AnnotatedSentence("a b c", ("a", "b", "c"), ("DT", "NN", "NN"), ())
     assert s.window(0, 1, 3) == (0, 3)
     assert s.window(2, 3, 1) == (1, 3)
+
+
+def reference_token_names(sentence, prefix, lo, hi, bigrams=True):
+    """`AnnotatedSentence.token_names` by its definition: the lowercased
+    words, then the tags, then the lowercased word pairs."""
+    words = [t.lower() for t in sentence.tokens[lo:hi]]
+    names = [f"{prefix}_u={w}" for w in words]
+    names += [f"{prefix}_p={p}" for p in sentence.pos[lo:hi]]
+    if bigrams:
+        names += [f"{prefix}_b={a} {b}" for a, b in zip(words, words[1:])]
+    return names
+
+
+# characters whose lowercase differs in length or form (dotted capital I,
+# capital sharp s, Kelvin sign, final sigma), the feature syntax's own
+# "=", "|" and space, and a few plain ones
+name_chars = st.sampled_from(["İ", "ẞ", "\u212a", "Σ", "=", "|", " ", "a",
+                              "B", "1", "é"]) | st.characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.text(name_chars, max_size=4), max_size=8),
+       data=st.data())
+def test_token_names_match_definition(tokens, data):
+    tags = data.draw(st.lists(st.text(name_chars, max_size=3),
+                              min_size=len(tokens), max_size=len(tokens)))
+    # concatenated, the tokens always align with the text
+    sentence = AnnotatedSentence("".join(tokens), tuple(tokens), tuple(tags),
+                                 ())
+    prefix = data.draw(st.sampled_from(["qn", "vp", "vn", "tc", "tn"]))
+    n = len(tokens)
+    lo, hi = data.draw(st.integers(-n - 1, n + 1)), data.draw(
+        st.integers(-n - 1, n + 1))
+    bigrams = data.draw(st.booleans())
+    assert (sentence.token_names(prefix, lo, hi, bigrams)
+            == reference_token_names(sentence, prefix, lo, hi, bigrams))
 
 
 def test_parse_value_forms():

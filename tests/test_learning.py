@@ -22,6 +22,7 @@ from eqparse.learning import (
     train_structured,
     train_superset,
 )
+from eqparse.evaluation import gold_relevance
 from eqparse.pipeline import PipelineConfig, _tree_instances, train_bundle
 
 from helpers import (
@@ -301,7 +302,8 @@ class TestEarlyStop:
                                             multiplier_corpus):
         examples = synthetic_corpus + multiplier_corpus
         config = PipelineConfig(**kwargs)
-        instances = _tree_instances(examples, config.tree_decoder())
+        golds = [gold_relevance(ex) for ex in examples]
+        instances = _tree_instances(examples, golds, config.tree_decoder())
         decodes = {}
         for epochs in (5, 50):
             tcfg = dataclasses.replace(config.train_config(), epochs=epochs)

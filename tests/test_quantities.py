@@ -1,10 +1,12 @@
 """Quantity trigger detection: digits, number words, hyphenated prefixes."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eqparse.core import Span
+from eqparse.core import QuantityTrigger, Span
 from eqparse.corpus import AnnotatedSentence
 from eqparse.quantities import (
     DEFAULT_NUMBER_WORDS,
@@ -80,3 +82,60 @@ def test_sentence_quantities_prefers_annotations(sum_sentence):
 def test_default_table_has_core_multipliers():
     for word in ("twice", "double", "thrice", "triple", "half"):
         assert word in DEFAULT_NUMBER_WORDS
+
+
+def reference_detect_quantities(sentence):
+    """`detect_quantities` as a plain loop: both patterns tried on every
+    token, and every digit token parsed as a string by `Fraction`."""
+    digits_re = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
+    prefixed_re = re.compile(r"(\d+(?:\.\d+)?)-\S+")
+    found = []
+    for tok, span in zip(sentence.tokens, sentence.token_spans):
+        if digits_re.fullmatch(tok):
+            found.append(QuantityTrigger(Fraction(tok.replace(",", "")), span))
+            continue
+        m = prefixed_re.fullmatch(tok)
+        if m:
+            found.append(QuantityTrigger(
+                Fraction(m.group(1)),
+                Span(span.start, span.start + len(m.group(1)))))
+            continue
+        value = DEFAULT_NUMBER_WORDS.get(tok.lower())
+        if value is not None:
+            found.append(QuantityTrigger(value, span))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("token, values", [
+    ("\u00b2", []),             # superscript two: a digit, but not decimal
+    ("\u0663", [3]),            # Arabic-Indic three: decimal
+    ("\u0663\u0663.\u0665", [Fraction(67, 2)]),
+    ("1,000", [1000]),
+    ("1,00", []),
+    ("2.5", [Fraction(5, 2)]),
+    ("5-dollar", [5]),
+    ("5-", []),
+    ("05", [5]),
+    ("Twice", [2]),
+])
+def test_detection_of_one_token(token, values):
+    sentence = plain(f"a {token} b")
+    assert [q.value for q in detect_quantities(sentence)] == values
+    assert detect_quantities(sentence) == reference_detect_quantities(sentence)
+
+
+# digits of several scripts, the superscript two, the characters around
+# numbers and some number words, then anything
+quantity_tokens = st.lists(
+    st.sampled_from(["0", "1", "5", "9", "\u0663", "\u0b6b", "\u00b2",
+                     "\u00bd", ",", ".", "-", "x", "half", "Two", "ninety"])
+    | st.characters(), max_size=6).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=st.lists(quantity_tokens, max_size=6))
+def test_detection_matches_reference_loop(tokens):
+    # concatenated, the tokens always align with the text
+    sentence = AnnotatedSentence("".join(tokens), tuple(tokens),
+                                 ("NN",) * len(tokens), ())
+    assert detect_quantities(sentence) == reference_detect_quantities(sentence)

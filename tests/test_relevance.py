@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqparse.core import QuantityTrigger, Span
 from eqparse.corpus import AnnotatedSentence
 from eqparse.learning import dot, tagged
 from eqparse.quantities import sentence_quantities
@@ -93,6 +94,40 @@ def test_small_value_indicator(twice_triple_sentence):
                                 by_value[Fraction(25)], relevant=True)
     assert "qq_small|r=1" in feats2
     assert "qq_small|r=1" not in feats25
+
+
+def reference_phrase_names(sentence, quantity):
+    """The `qq_` names of a quantity phrase by their definition: its
+    lowercased words, then its lowercased word pairs."""
+    phrase = [w.lower() for w in quantity.span.text(sentence.text).split()]
+    return ([f"qq_u={w}" for w in phrase]
+            + [f"qq_b={a} {b}" for a, b in zip(phrase, phrase[1:])])
+
+
+def test_phrase_names_match_definition():
+    # annotated phrases of one to four words, in mixed case and with a
+    # capital sigma at the end of a word: the window names, then the
+    # phrase's, then the indicators
+    rng = random.Random(16)
+    words = ["Two", "HUNDRED", "ΟΔΟΣ", "and", "Fifty", "1", "İx"]
+    for _ in range(200):
+        tokens = [rng.choice(words) for _ in range(rng.randint(1, 8))]
+        sentence = AnnotatedSentence(" ".join(tokens), tuple(tokens),
+                                     ("CD",) * len(tokens), ())
+        quantities = []
+        for _ in range(rng.randint(1, 3)):
+            lo = rng.randrange(len(tokens))
+            hi = min(len(tokens), lo + rng.randint(1, 4))
+            span = Span(sentence.token_starts[lo], sentence.token_ends[hi - 1])
+            quantities.append(QuantityTrigger(Fraction(rng.randint(0, 3)),
+                                              span))
+        for i, q in enumerate(quantities):
+            lo, hi = sentence.window(*sentence.token_range(q.span), 3)
+            want = (sentence.token_names("qn", lo, hi)
+                    + reference_phrase_names(sentence, q)
+                    + ["qq_small"] * (q.value in (1, 2))
+                    + ["qq_only"] * (len(quantities) == 1))
+            assert quantity_names(sentence, quantities, i) == want
 
 
 def test_only_quantity_indicator():
