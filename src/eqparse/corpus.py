@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -190,18 +191,28 @@ def span_from_json(raw) -> Span:
     return Span(start, end)
 
 
+# a tab, or a character `str.splitlines` ends a line at: tokens and tags
+# become feature names, which a bundle writes one per line
+_BREAKS = re.compile(r"[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029]")
+
+
 def _strings(obj: dict, key: str) -> tuple[str, ...]:
-    """`obj[key]`, which must be a JSON array of strings, as a tuple: a
-    string would read as its characters, and a null tag would name a
-    feature."""
+    """`obj[key]`, which must be a JSON array of strings without a tab or
+    a line break, as a tuple: a string would read as its characters, a
+    null tag would name a feature, and a line break in one would make a
+    feature name that no bundle can hold."""
     value = obj[key]
     if type(value) is list:
         try:
             # in C, on every corpus line: raises at the first non-string
-            "".join(value)
+            joined = "".join(value)
         except TypeError:
             pass
         else:
+            if _BREAKS.search(joined):
+                bad = next(s for s in value if _BREAKS.search(s))
+                raise ValueError(
+                    f"{key} entry {bad!r} holds a tab or a line break")
             return tuple(value)
     raise ValueError(f"{key} must be an array of strings, got {value!r}")
 

@@ -47,18 +47,24 @@ def detect_quantities(sentence: AnnotatedSentence) -> tuple[QuantityTrigger, ...
     for tok, start, end in zip(sentence.tokens, sentence.token_starts,
                                sentence.token_ends):
         if tok[:1].isdecimal():
-            if _DIGITS_RE.fullmatch(tok):
-                digits = tok.replace(",", "")
-                # an integer skips the string parse of `Fraction`
-                value = (Fraction(digits) if "." in digits
-                         else Fraction(int(digits)))
-                found.append(QuantityTrigger(value, Span(start, end)))
-                continue
-            m = _PREFIXED_RE.fullmatch(tok)
-            if m:
-                found.append(QuantityTrigger(
-                    Fraction(m.group(1)), Span(start, start + len(m.group(1)))))
-                continue
+            try:
+                if _DIGITS_RE.fullmatch(tok):
+                    digits = tok.replace(",", "")
+                    # an integer skips the string parse of `Fraction`
+                    value = (Fraction(digits) if "." in digits
+                             else Fraction(int(digits)))
+                    found.append(QuantityTrigger(value, Span(start, end)))
+                    continue
+                m = _PREFIXED_RE.fullmatch(tok)
+                if m:
+                    found.append(QuantityTrigger(
+                        Fraction(m.group(1)),
+                        Span(start, start + len(m.group(1)))))
+                    continue
+            except ValueError as e:
+                # more digits than the interpreter converts to an int
+                raise ValueError(f"quantity detection: the token at "
+                                 f"[{start}, {end}]: {e}") from e
         value = DEFAULT_NUMBER_WORDS.get(tok.lower())
         if value is not None:
             found.append(QuantityTrigger(value, Span(start, end)))

@@ -309,9 +309,11 @@ def _crosses_np(sentence: AnnotatedSentence, triggers, i: int, j: int) -> bool:
 
 class TreeInput:
     """A `CkyDecoder` input prepared for one window: the sentence and its
-    trigger list, with the trigger locations and `_values`, and, each
-    built on first use, the lexicon atoms of every node-context field,
-    every node's `parts`, each part's names and the `crossing` cells.
+    trigger list, checked once with `validate_trigger_list`, with the
+    trigger locations and `_values`, and, each built on first use, the
+    lexicon atoms of every node-context field, each node part's names and
+    the `crossing` cells. It holds O(n) state for n triggers: a node's
+    parts are computed where they are read, by `_node_parts`.
 
     On sorted locations the fields of `node_context_spans` factor: `left`
     and `token` depend only on a node's first trigger i, `mid` only on its
@@ -319,15 +321,14 @@ class TreeInput:
     distinct fields, and a node's lexicon match is a few mask tests."""
 
     __slots__ = ("sentence", "triggers", "window", "locs", "values",
-                 "_fields", "_matches", "_parts", "_names", "_all_named",
-                 "_crossing")
+                 "_fields", "_matches", "_names", "_crossing")
 
     def __init__(self, sentence: AnnotatedSentence, triggers, window: int):
+        validate_trigger_list(triggers)
         self.sentence, self.triggers, self.window = sentence, triggers, window
         self.locs = [location(t) for t in triggers]
         self.values = _values(triggers)
-        self._all_named = False
-        self._fields = self._parts = self._crossing = None
+        self._fields = self._crossing = None
         self._matches = {}
         self._names = {}
 
@@ -338,8 +339,6 @@ class TreeInput:
         runs from the last location before locs[i], `right` to the first
         location after locs[j - 1]."""
         locs, text = self.locs, self.sentence.text
-        if any(a > b for a, b in zip(locs, locs[1:])):
-            raise ValueError("trigger list out of order")
         starts, ends = [0, *locs], [*locs, len(text)]
         left = [_field_mask("left", text[starts[bisect_left(locs, p)]:p])
                 for p in locs[:-1]]
@@ -372,24 +371,6 @@ class TreeInput:
                  if all(clause & mask for clause in clauses)), None)
         return self._matches[mask]
 
-    @property
-    def parts(self) -> dict:
-        """(i, k, j) -> the `_node_parts` of the node over triggers[i:j)
-        split at k, for every node."""
-        if self._parts is None:
-            locs, values, n = self.locs, self.values, len(self.triggers)
-            self._parts = {(i, k, j): tuple(_node_parts(locs, values, i, k, j))
-                           for i in range(n) for j in range(i + 2, n + 1)
-                           for k in range(i + 1, j)}
-        return self._parts
-
-    def node_parts(self, i: int, k: int, j: int) -> tuple:
-        """One node's `_node_parts`: read from `parts` once they are built,
-        so an input that only scores a few trees builds no others."""
-        if self._parts is not None:
-            return self._parts[i, k, j]
-        return tuple(_node_parts(self.locs, self.values, i, k, j))
-
     def part_names(self, part) -> list[str]:
         """The part's `_part_names`, built on first use."""
         names = self._names.get(part)
@@ -397,16 +378,6 @@ class TreeInput:
             names = self._names[part] = _part_names(self.sentence, part,
                                                     self.window)
         return names
-
-    @property
-    def names(self) -> dict:
-        """part -> its `_part_names`, for every part of every node."""
-        if not self._all_named:
-            for parts in self.parts.values():
-                for part in parts:
-                    self.part_names(part)
-            self._all_named = True
-        return self._names
 
     @property
     def crossing(self) -> frozenset:
@@ -425,7 +396,7 @@ class CkyDecoder:
     """Bottom-up search for the best projective equation tree.
 
     x is (sentence, triggers) with triggers in trigger-list order, and
-    `prepare` gives a `TreeInput`; `decode` checks the list with
+    `prepare` gives a `TreeInput`, which checks the list once with
     `validate_trigger_list`. Ties prefer the smaller split point, then ops
     in declaration order, with lr before rl. When a lexicon rule matches a
     node (`TreeInput.match`), only its (op, order) is explored, unless the
@@ -465,10 +436,13 @@ class CkyDecoder:
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit."""
         x = self.prepare(x)
-        validate_trigger_list(x.triggers)
         packed = packed_of(weights)
-        # part -> the packed total of its names
-        totals = {part: packed.total(names) for part, names in x.names.items()}
+        # part -> the packed total of its names, for every part a node can
+        # have: each location, each span between adjacent locations, and
+        # the number features
+        locs = x.locs
+        totals = {part: packed.total(x.part_names(part))
+                  for part in (*locs, *zip(locs, locs[1:]), *_NUMBER_FEATURES)}
         # lexicon agreement totals, (disagree, agree), in feature mode only
         agree = tuple(packed.total([name]) for name in _AGREE) \
             if self.lexicon_as_features else None
@@ -482,7 +456,7 @@ class CkyDecoder:
 
     def _decode(self, x: TreeInput, packed, totals, agree, gold, cost_unit,
                 strict):
-        triggers, node_parts = x.triggers, x.parts
+        triggers, locs, values = x.triggers, x.locs, x.values
         bias, mask, half = packed.bias, packed.mask, packed.half
         shifts = {label: packed.shift(label) for label in _OP_LABELS.values()}
         crossing = x.crossing if strict else None
@@ -509,8 +483,8 @@ class CkyDecoder:
                     match, ops = self.node_ops(x, i, k, j)
                     # the node's parts summed once, biased for extraction;
                     # each op's field then reads its score plus `half`
-                    total = bias + sum(map(totals.__getitem__,
-                                           node_parts[i, k, j]))
+                    total = bias + sum(map(totals.__getitem__, _node_parts(
+                        locs, values, i, k, j)))
                     below = left[0] + right[0] - half
                     for op, order, label in ops:
                         node = total
@@ -547,7 +521,8 @@ class CkyDecoder:
         if len(leaves) != len(x.triggers):
             raise ValueError("tree leaves do not match the trigger list")
         parts = [(x.part_names(part), _OP_LABELS[node.op, node.order])
-                 for i, k, j, node in nodes for part in x.node_parts(i, k, j)]
+                 for i, k, j, node in nodes
+                 for part in _node_parts(x.locs, x.values, i, k, j)]
         if self.lexicon_as_features:
             for i, k, j, node in nodes:
                 match = self.node_ops(x, i, k, j)[0]

@@ -22,6 +22,7 @@ from eqparse.core import (
 )
 from eqparse.corpus import AnnotatedSentence
 from eqparse.learning import LinearModel, PackedTable, add_scaled, subtract
+from eqparse.quantities import sentence_quantities
 from eqparse.relevance import _BITS
 from eqparse.treeparse import _OP_LABELS, DEFAULT_LEXICON, gold_node_set, tree_nodes
 from eqparse.variables import _PAIR, _SELF, _SINGLE
@@ -298,6 +299,21 @@ def shared_location_instance(rng: random.Random, n: int, **kwargs):
     sentence = AnnotatedSentence(sentence.text, sentence.tokens, sentence.pos,
                                  sentence.np_chunks + (chunk,))
     return sentence, tuple(triggers)
+
+
+def malformed_trigger_lists(sentence: AnnotatedSentence):
+    """(trigger list, refusal message) pairs that `validate_trigger_list`
+    refuses, from the sentence's quantities and a variable in each of its
+    NP chunks: the sorted list reversed, its first trigger alone, and its
+    variables all labelled V2, with no V1."""
+    triggers = sort_triggers([*sentence_quantities(sentence),
+                              *(VariableTrigger("V1", np)
+                                for np in sentence.np_chunks)])
+    no_v1 = [VariableTrigger("V2", t.span)
+             if isinstance(t, VariableTrigger) else t for t in triggers]
+    return [(tuple(triggers[::-1]), "trigger list out of order"),
+            (tuple(triggers[:1]), "trigger list needs at least 2 triggers"),
+            (tuple(no_v1), "V2 used without V1")]
 
 
 def random_relevance_instance(rng: random.Random, k: int) -> AnnotatedSentence:

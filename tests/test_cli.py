@@ -19,6 +19,24 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def with_broken_entry(obj, sentence, field, sep):
+    """The sentence's JSON object `obj` with `sep` put into the token, or
+    the POS tag, of its first word of three letters or more, and that
+    entry. A token's middle character is replaced, in the text too, so the
+    tokens still align and no offset moves."""
+    t = next(i for i, tok in enumerate(sentence.tokens)
+             if len(tok) >= 3 and tok.isalpha())
+    if field == "tokens":
+        tok, start = sentence.tokens[t], sentence.token_starts[t]
+        entry = tok[0] + sep + tok[2:]
+        obj["text"] = (obj["text"][:start] + entry
+                       + obj["text"][start + len(tok):])
+    else:
+        entry = sentence.pos[t][:1] + sep + sentence.pos[t][1:]
+    obj[field][t] = entry
+    return obj, entry
+
+
 class TestTrain:
     def test_writes_bundle_and_summary(self, train_corpus_path, tmp_path,
                                        capsys):
@@ -146,6 +164,38 @@ class TestParse:
         assert code == 2
         assert (f"{path}: malformed sentence object "
                 "(quantity span Span(start=4, end=4) is empty)") in err
+        assert out == ""
+
+    @pytest.mark.parametrize("sep", ["\t", "\u2028"], ids=["tab", "u2028"])
+    @pytest.mark.parametrize("field", ["tokens", "pos"])
+    def test_line_break_in_token_or_tag(self, field, sep, bundle_path,
+                                        twice_triple_sentence,
+                                        twice_triple_input_path, capsys):
+        obj, entry = with_broken_entry(
+            json.loads(twice_triple_input_path.read_text()),
+            twice_triple_sentence, field, sep)
+        twice_triple_input_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--input", str(twice_triple_input_path)], capsys)
+        assert code == 2
+        assert (f"{twice_triple_input_path}: malformed sentence object "
+                f"({field} entry {entry!r} holds a tab or a line break)"
+                ) in err
+        assert out == ""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-conversion digit limit")
+    def test_over_long_digit_token(self, bundle_path, capsys):
+        # more digits than the interpreter converts to an int: the error
+        # names the stage and the token's span
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--text", "1" * 5000 + " apples are 3",
+             "--np-span", "5001:5007"], capsys)
+        assert code == 2
+        assert "error: quantity detection: the token at [0, 5000]: " in err
+        assert "Traceback" not in err
         assert out == ""
 
     def test_np_span_with_input_refused(self, bundle_path,
@@ -520,6 +570,31 @@ class TestCorpusInput:
         assert (f"{corpus}:2: malformed corpus line: 'utf-8' codec can't "
                 "decode byte 0xff") in err
         assert out == ""
+
+    @pytest.mark.parametrize("sep", ["\t", "\u2028"], ids=["tab", "u2028"])
+    @pytest.mark.parametrize("field", ["tokens", "pos"])
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_line_break_in_token_or_tag_reported(
+            self, command, field, sep, bundle_path, synthetic_corpus,
+            tmp_path, capsys):
+        # refused at load, before any training: a feature name made from
+        # the entry could not be written to a bundle
+        corpus = tmp_path / "bad-token.jsonl"
+        example = synthetic_corpus[1]
+        bad, entry = with_broken_entry(example_to_json(example),
+                                       example.sentence, field, sep)
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + json.dumps(bad) + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert (f"{corpus}:2: malformed corpus line: {field} entry "
+                f"{entry!r} holds a tab or a line break") in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("equation", [7, None], ids=["number", "null"])
     @pytest.mark.parametrize("command", ["train", "eval", "cv"])

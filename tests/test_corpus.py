@@ -141,6 +141,29 @@ def test_sentence_requires_pos_per_token():
         AnnotatedSentence("a b", ("a", "b"), ("DT",), ())
 
 
+# every character that ends a line for `str.splitlines`, and the tab: the
+# characters a bundle's one-feature-per-line format cannot hold
+LINE_BREAKS = ["\t", *(c for c in map(chr, range(0x3000))
+                       if len(f"a{c}b".splitlines()) > 1)]
+
+
+@pytest.mark.parametrize("field", ["tokens", "pos"])
+def test_tab_or_line_break_in_entry_rejected(field):
+    assert len(LINE_BREAKS) == 11
+    obj = {"text": "the sum", "tokens": ["the", "sum"], "pos": ["DT", "NN"]}
+    sentence_from_json(obj)
+    for c in ["\u00a0", " ", "\x1f", "\u2027"]:  # not line breaks
+        sentence_from_json({**obj, "pos": ["DT", f"N{c}N"]})
+    for c in LINE_BREAKS:
+        entry = f"s{c}m"
+        bad = {**obj, field: [obj[field][0], entry]}
+        if field == "tokens":
+            bad["text"] = f"the {entry}"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} entry {entry!r} holds a tab or a line break")):
+            sentence_from_json(bad)
+
+
 def test_chunk_beyond_text_rejected():
     with pytest.raises(ValueError):
         AnnotatedSentence("a b", ("a", "b"), ("DT", "NN"), (Span(0, 99),))

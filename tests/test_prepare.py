@@ -21,6 +21,7 @@ from helpers import (
     CKY_MODES,
     HashWeights,
     draw_weights,
+    malformed_trigger_lists,
     random_np_instance,
     random_relevance_instance,
     random_tree_instance,
@@ -107,29 +108,49 @@ def test_exhaustive_decoder_prepares_nothing():
 
 def test_prepared_tree_input_rejects_what_a_raw_one_does(
         twice_triple_sentence):
-    # the lexicon fields are built on use, so `contains` still answers
-    # False for a leaf over an out-of-order list, and every decode of it
-    # raises, the first and the next alike
-    triggers = tuple(sentence_quantities(twice_triple_sentence))[::-1]
+    # the trigger list is checked at prepare, so an out-of-order list, a
+    # one-trigger list and V2 without V1 are refused there, with the
+    # messages a raw decode, features or contains call gives
     decoder = CkyDecoder()
-    prepared = decoder.prepare((twice_triple_sentence, triggers))
-    assert not decoder.contains(prepared, Leaf(triggers[0]))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="out of order"):
-            decoder.decode(prepared, {})
-    single = decoder.prepare((twice_triple_sentence, triggers[:1]))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="at least 2"):
-            decoder.decode(single, {})
+    for triggers, message in malformed_trigger_lists(twice_triple_sentence):
+        x = twice_triple_sentence, triggers
+        for call in (lambda: decoder.prepare(x),
+                     lambda: decoder.decode(x, {}),
+                     lambda: decoder.features(x, Leaf(triggers[0])),
+                     lambda: decoder.contains(x, Leaf(triggers[0]))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+
+def test_one_prepare_checks_the_trigger_list_once(monkeypatch):
+    # one prepare followed by three decodes, features and contains calls
+    # runs `validate_trigger_list` exactly once
+    calls = []
+    check = treeparse.validate_trigger_list
+
+    def counted(triggers):
+        calls.append(triggers)
+        return check(triggers)
+
+    monkeypatch.setattr(treeparse, "validate_trigger_list", counted)
+    rng = random.Random(95)
+    sentence, triggers = random_tree_instance(rng, 5)
+    decoder = CkyDecoder()
+    x = decoder.prepare((sentence, triggers))
+    for trial in range(3):
+        tree = decoder.decode(x, HashWeights(salt=trial))
+        decoder.features(x, tree)
+        assert decoder.contains(x, tree)
+    assert calls == [triggers]
 
 
 @pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
 def test_training_builds_each_input_once(kwargs, synthetic_corpus,
                                          multiplier_corpus, monkeypatch):
-    # names, lexicon fields and NP flags are built at most once per
-    # example (and quantity, NP or node part) during `train_bundle`, the
-    # lexicon fields never without the lexicon, and the bundle is the one
-    # trained without the counters
+    # names, lexicon fields and NP flags are built, and the trigger list
+    # checked, at most once per example (and quantity, NP or node part)
+    # during `train_bundle`, the lexicon fields never without the lexicon,
+    # and the bundle is the one trained without the counters
     examples = synthetic_corpus + multiplier_corpus
     config = PipelineConfig(**kwargs)
     expected = train_bundle(examples, config).to_text()
@@ -156,10 +177,12 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
              lambda x: id(x.sentence))
     counting(treeparse, "_crosses_np",
              lambda sentence, triggers, i, j: (id(sentence), i, j))
+    counting(treeparse, "validate_trigger_list",
+             lambda triggers: id(triggers))
     assert train_bundle(examples, config).to_text() == expected
     assert {name for name, _ in built} == {
         "quantity_names", "np_feature_names", "_mentions_two",
-        "_part_names",
+        "_part_names", "validate_trigger_list",
         *["_field_masks"] * config.use_lexicon,
         *["_crosses_np"] * config.conform_syntactic}
     assert max(built.values()) == 1

@@ -1,6 +1,7 @@
 """Quantity trigger detection: digits, number words, hyphenated prefixes."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,25 @@ def test_detection_of_one_token(token, values):
     sentence = plain(f"a {token} b")
     assert [q.value for q in detect_quantities(sentence)] == values
     assert detect_quantities(sentence) == reference_detect_quantities(sentence)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-conversion digit limit")
+@pytest.mark.parametrize("token", [
+    "1" * 5000,
+    "1" * 5000 + ".5",
+    "5." + "1" * 5000,
+    "1" * 5000 + "-dollar",
+], ids=["integer", "decimal", "decimal-part", "prefixed"])
+def test_over_long_digit_token_named(token):
+    # more digits than the interpreter converts to an int: the error names
+    # the stage and the token's span, and keeps Python's reason
+    sentence = plain(f"a {token} b")
+    with pytest.raises(ValueError) as info:
+        detect_quantities(sentence)
+    assert str(info.value).startswith(
+        f"quantity detection: the token at [2, {2 + len(token)}]: ")
+    assert "digits" in str(info.value)
 
 
 # digits of several scripts, the superscript two, the characters around

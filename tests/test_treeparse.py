@@ -43,6 +43,7 @@ from helpers import (
     LEXICON_WORDS,
     HashWeights,
     crosses_np_chunk,
+    malformed_trigger_lists,
     random_tree_instance,
     shared_location_instance,
     tree_cost,
@@ -168,12 +169,13 @@ class TestTreeInputMatch:
                 assert x.match(i, k, j) == lexicon_match(context), where
 
     def test_rejects_out_of_order_locations(self, twice_triple_sentence):
-        # the input is built, and refuses on its first lexicon use
-        triggers = twice_triple_triggers(twice_triple_sentence)[::-1]
-        x = TreeInput(twice_triple_sentence, triggers, 3)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="out of order"):
-                x.match(0, 1, 2)
+        # the input checks its trigger list when it is built: an
+        # out-of-order list, a one-trigger list and V2 without V1 are
+        # refused before any lexicon use
+        for triggers, message in malformed_trigger_lists(
+                twice_triple_sentence):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TreeInput(twice_triple_sentence, triggers, 3)
 
     def test_op_precision_on_shipped_corpora(self, synthetic_corpus,
                                              multiplier_corpus):
