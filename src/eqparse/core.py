@@ -283,7 +283,15 @@ def format_tree(tree: EquationTree) -> str:
     """Parenthesized prefix form; the order flag is consumed by swapping."""
     if isinstance(tree, Leaf):
         t = tree.trigger
-        return format_value(t.value) if isinstance(t, QuantityTrigger) else t.label
+        if not isinstance(t, QuantityTrigger):
+            return t.label
+        try:
+            return format_value(t.value)
+        except ValueError as e:
+            # a reduced fraction with more digits than the interpreter
+            # converts to a string
+            raise ValueError(f"equation formatting: the quantity at "
+                             f"[{t.span.start}, {t.span.end}]: {e}") from e
     a, b = tree.left, tree.right
     if tree.order is Order.RL:
         a, b = b, a

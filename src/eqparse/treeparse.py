@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -170,36 +169,53 @@ def lexicon_match(context: NodeContext) -> tuple[Op, Order] | None:
 
 
 def _compile_lexicon(rules):
-    """The rules as bit masks: each distinct (field, term) atom gets one bit.
-    Returns {field: ((" term ", bit), ...)}, the bit of an empty mid span,
-    and the rules highest precedence first as ((op, order), clause masks)."""
-    bits: dict = {}
+    """The rules as clause bits: each clause of each rule gets one bit,
+    highest precedence first, and each (field, term) atom the bits of the
+    clauses it satisfies. Returns the number w of clauses; the terms as
+    {first word: ((" term ", bits), ...)}, a term's clause bits in the
+    i-th field of `_SCANNED` at offset i * w; the bits an empty mid span
+    meets; and the rules highest precedence first as (needed bits, r),
+    the rule's (op, order) being INTERNAL_OPS[r]. A node's match is the
+    first rule whose needed bits it meets."""
+    width = sum(len(rule.clauses) for rule in rules)
+    atoms: dict = {}
     compiled = []
+    bit = 1
     for rule in reversed(rules):
-        masks = []
+        needed = 0
         for clause in rule.clauses:
-            mask = 0
             for atom in clause:
-                mask |= 1 << bits.setdefault(atom, len(bits))
-            masks.append(mask)
-        compiled.append(((rule.op, rule.order or Order.LR), tuple(masks)))
-    atoms = {field: tuple((f" {term} ", 1 << bit)
-                          for (f, term), bit in bits.items() if f == field)
-             for field in ("left", "mid", "right", "token")}
-    return atoms, 1 << bits[("mid_empty", "")], tuple(compiled)
+                atoms[atom] = atoms.get(atom, 0) | bit
+            needed |= bit
+            bit <<= 1
+        compiled.append(
+            (needed, INTERNAL_OPS.index((rule.op, rule.order or Order.LR))))
+    terms: dict = {}
+    for (field, term), bits in atoms.items():
+        if field in _SCANNED:
+            row = terms.setdefault(term.split()[0], {})
+            bits <<= width * _SCANNED.index(field)
+            row[f" {term} "] = row.get(f" {term} ", 0) | bits
+    return (width, {word: tuple(row.items()) for word, row in terms.items()},
+            atoms.get(("mid_empty", ""), 0), tuple(compiled))
 
 
-_ATOMS, _MID_EMPTY, _COMPILED = _compile_lexicon(DEFAULT_LEXICON)
+# the fields whose terms a text is scanned for, in the order of their
+# clause bits in a scan's result
+_SCANNED = ("left", "mid", "right", "token")
+_WIDTH, _TERMS, _EMPTY_MID, _RULES = _compile_lexicon(DEFAULT_LEXICON)
 
 
-def _field_mask(field: str, text: str | None) -> int:
-    """The bits of the `field` atoms whose term the text contains."""
+def _met(text: str | None) -> int:
+    """The clause bits of the terms that the `_padded` text contains, each
+    field's at its `_SCANNED` offset."""
     padded = _padded(text)
-    mask = 0
-    for term, bit in _ATOMS[field]:
-        if term in padded:
-            mask |= bit
-    return mask
+    met = 0
+    for word in padded.split():
+        for term, bits in _TERMS.get(word, ()):
+            if term in padded:
+                met |= bits
+    return met
 
 
 # the label of each node's names: the op, and the order for - and /
@@ -249,6 +265,28 @@ def _part_names(sentence: AnnotatedSentence, part, window: int) -> list[str]:
         return sentence.token_names("tc", *sentence.token_range(Span(*part)))
     ti = sentence.token_index_at(part)
     return sentence.token_names("tn", *sentence.window(ti, ti + 1, window))
+
+
+def _part_totals(x, packed) -> tuple[list, list]:
+    """(by trigger i, the packed total of locs[i]'s names; by split k, that
+    of the mid span (locs[k - 1], locs[k]), plus locs[k]'s where the two
+    differ). A node's `_node_parts` total is its boundary offsets
+    a <= b <= c <= d summed once each, plus the mid span and the number
+    feature: on sorted locations an offset repeats only next to itself."""
+    locs = x.locs
+    at = [packed.total(x.part_names(p)) for p in locs]
+    split = [0, *(packed.total(x.part_names((b, c))) + (at[k] if b != c else 0)
+                  for k, (b, c) in enumerate(zip(locs, locs[1:]), 1))]
+    return at, split
+
+
+def _explored(packed, triples, agree=(0, 0), match=None) -> tuple:
+    """(op, order, label, shift, agreement) for each (op, order, label)
+    triple a node explores: where the label's field starts in a packed
+    total, and the packed total a node adds under it, in lexicon-as-features
+    mode `agree[(op, order) == match]` for a node the lexicon matches."""
+    return tuple((op, order, label, packed.shift(label),
+                  agree[(op, order) == match]) for op, order, label in triples)
 
 
 def tree_node_features(sentence: AnnotatedSentence, triggers, i: int, k: int,
@@ -311,17 +349,19 @@ class TreeInput:
     """A `CkyDecoder` input prepared for one window: the sentence and its
     trigger list, checked once with `validate_trigger_list`, with the
     trigger locations and `_values`, and, each built on first use, the
-    lexicon atoms of every node-context field, each node part's names and
-    the `crossing` cells. It holds O(n) state for n triggers: a node's
+    lexicon clause bits of every node-context field, each node part's names
+    and the `crossing` cells. It holds O(n) state for n triggers: a node's
     parts are computed where they are read, by `_node_parts`.
 
     On sorted locations the fields of `node_context_spans` factor: `left`
     and `token` depend only on a node's first trigger i, `mid` only on its
-    split k, and `right` only on its end j. So a trigger list has O(n)
-    distinct fields, and a node's lexicon match is a few mask tests."""
+    split k, and `right` only on its end j. And `left`, `mid` and `right`
+    are each the text between two consecutive distinct locations (or a
+    sentence end), a gap, read once. So a node's met clause bits are the
+    union of a few field bits, and its lexicon match a few mask tests."""
 
     __slots__ = ("sentence", "triggers", "window", "locs", "values",
-                 "_fields", "_matches", "_names", "_crossing")
+                 "_fields", "_names", "_crossing")
 
     def __init__(self, sentence: AnnotatedSentence, triggers, window: int):
         validate_trigger_list(triggers)
@@ -329,47 +369,64 @@ class TreeInput:
         self.locs = [location(t) for t in triggers]
         self.values = _values(triggers)
         self._fields = self._crossing = None
-        self._matches = {}
         self._names = {}
 
-    def _field_masks(self) -> tuple:
-        """(left by i, token by i, mid by k, right by j): the atom masks of
-        the fields that the nodes below the root read, i <= n - 2,
-        1 <= k <= n - 1 and j >= 2; the root's are among them. `left`
-        runs from the last location before locs[i], `right` to the first
-        location after locs[j - 1]."""
+    def _field_bits(self) -> tuple:
+        """(left by i, token by i, mid by k, right by j): the clause bits
+        that the node-context fields meet, for every trigger i, split
+        1 <= k <= n - 1 and end j >= 1. Each gap between consecutive
+        distinct locations, and the text before the first and after the
+        last, is normalized and scanned once: `left` is the gap before
+        locs[i], `right` the gap after locs[j - 1], and `mid` the gap
+        between locs[k - 1] and locs[k], empty where they are equal."""
         locs, text = self.locs, self.sentence.text
-        starts, ends = [0, *locs], [*locs, len(text)]
-        left = [_field_mask("left", text[starts[bisect_left(locs, p)]:p])
-                for p in locs[:-1]]
-        token = [_field_mask("token", t.span.text(text))
+        cuts = [0, *dict.fromkeys(locs), len(text)]
+        clauses = (1 << _WIDTH) - 1
+        lefts, mids, rights = [], [], []  # by gap
+        for a, b in zip(cuts, cuts[1:]):
+            gap = text[a:b]
+            bits = _met(gap)
+            lefts.append(bits & clauses)
+            mids.append((bits >> _WIDTH) & clauses
+                        | (0 if gap.strip() else _EMPTY_MID))
+            rights.append((bits >> 2 * _WIDTH) & clauses)
+        left, mid, right = [], [0], [0]
+        g = 0  # the gap before locs[i]
+        for i, p in enumerate(locs):
+            if i:
+                if p == locs[i - 1]:
+                    mid.append(_EMPTY_MID)
+                else:
+                    g += 1
+                    mid.append(mids[g])
+            left.append(lefts[g])
+            right.append(rights[g + 1])
+        token = [_met(t.span.text(text)) >> 3 * _WIDTH
                  for t in self.triggers[:-1]]
-        mids = (text[a:b] for a, b in zip(locs, locs[1:]))
-        mid = [0, *(_field_mask("mid", span)
-                    | (0 if span.strip() else _MID_EMPTY) for span in mids)]
-        right = [0, 0, *(_field_mask("right",
-                                     text[p:ends[bisect_right(locs, p)]])
-                         for p in locs[1:])]
         return left, token, mid, right
 
-    def mask(self, i: int, k: int, j: int) -> int:
-        """The bits of the atoms that the context fields of the node over
-        triggers[i:j) split at k contain."""
+    @property
+    def fields(self) -> tuple:
+        """The `_field_bits`, built on first use."""
         if self._fields is None:
-            self._fields = self._field_masks()
-        left, token, mid, right = self._fields
-        mask = left[i] | mid[k] | right[j]
-        return mask | token[i] if k == i + 1 else mask
+            self._fields = self._field_bits()
+        return self._fields
+
+    def met(self, i: int, k: int, j: int) -> int:
+        """The clause bits that the context fields of the node over
+        triggers[i:j) split at k meet."""
+        left, token, mid, right = self.fields
+        met = left[i] | mid[k] | right[j]
+        return met | token[i] if k == i + 1 else met
 
     def match(self, i: int, k: int, j: int) -> tuple[Op, Order] | None:
         """`lexicon_match(node_context_spans(sentence, triggers, i, k, j))`:
-        the first rule whose every clause meets the node's atoms."""
-        mask = self.mask(i, k, j)
-        if mask not in self._matches:
-            self._matches[mask] = next(
-                (match for match, clauses in _COMPILED
-                 if all(clause & mask for clause in clauses)), None)
-        return self._matches[mask]
+        the first rule whose needed clause bits the node's context meets."""
+        met = self.met(i, k, j)
+        for needed, r in _RULES:
+            if needed & met == needed:
+                return INTERNAL_OPS[r]
+        return None
 
     def part_names(self, part) -> list[str]:
         """The part's `_part_names`, built on first use."""
@@ -401,6 +458,16 @@ class CkyDecoder:
     in declaration order, with lr before rl. When a lexicon rule matches a
     node (`TreeInput.match`), only its (op, order) is explored, unless the
     lexicon is disabled or demoted to features.
+
+    `decode` runs its chart on integers, with no call, set or memo per
+    split. Once per decode it totals each part a node can have
+    (`_part_totals`) and builds the explored tuples (`_explored`) of the
+    root, of a node no rule matches and of each rule. A split then joins
+    its fields' clause bits, takes the first rule whose needed bits they
+    hold, adds its distinct boundary offsets' totals after two
+    comparisons, and reads each explored op's field of the sum.
+    `node_ops` makes the same choice one node at a time, for `features`
+    and `contains`.
     """
 
     def __init__(self, window: int = 3, use_lexicon: bool = True,
@@ -434,80 +501,108 @@ class CkyDecoder:
 
     def decode(self, x, weights, gold=None, cost_unit: int = 1):
         """Best tree; with a gold tree, each node absent from it scores
-        +cost_unit."""
+        +cost_unit. Syntactic conformance can exhaust the space; the chart
+        then runs again without it."""
         x = self.prepare(x)
         packed = packed_of(weights)
-        # part -> the packed total of its names, for every part a node can
-        # have: each location, each span between adjacent locations, and
-        # the number features
-        locs = x.locs
-        totals = {part: packed.total(x.part_names(part))
-                  for part in (*locs, *zip(locs, locs[1:]), *_NUMBER_FEATURES)}
-        # lexicon agreement totals, (disagree, agree), in feature mode only
-        agree = tuple(packed.total([name]) for name in _AGREE) \
-            if self.lexicon_as_features else None
-        tree = self._decode(x, packed, totals, agree, gold, cost_unit,
-                            strict=self.conform_syntactic)
-        if tree is None:
-            # syntactic conformance can exhaust the space; fall back
-            tree = self._decode(x, packed, totals, agree, gold, cost_unit,
-                                strict=False)
-        return tree
-
-    def _decode(self, x: TreeInput, packed, totals, agree, gold, cost_unit,
-                strict):
         triggers, locs, values = x.triggers, x.locs, x.values
-        bias, mask, half = packed.bias, packed.mask, packed.half
-        shifts = {label: packed.shift(label) for label in _OP_LABELS.values()}
-        crossing = x.crossing if strict else None
         n = len(triggers)
-        # the gold tree's nodes as (i, j, op label): a label names its
-        # (op, order), and a string key hashes faster than enum members
-        gold_nodes = None if gold is None else {
-            (i, j, _OP_LABELS[op, order])
+        at, split = _part_totals(x, packed)
+        number = [packed.total([name]) for name in _NUMBER_FEATURES]
+        bias, mask, half = packed.bias, packed.mask, packed.half
+        root, internal = _explored(packed, _ROOT), _explored(packed, _INTERNAL)
+        # by r, the explored tuples of a node that a rule with the match
+        # INTERNAL_OPS[r] pins: its op alone or, in feature mode, every op
+        # with its agreement total. Without the lexicon no rule is read
+        # and every field has no bits
+        rules, pinned = (), ()
+        left = token = mid = right = [0] * (n + 1)
+        if self.use_lexicon:
+            rules = _RULES
+            left, token, mid, right = x.fields
+            if self.lexicon_as_features:
+                agree = tuple(packed.total([name]) for name in _AGREE)
+                pinned = [_explored(packed, _INTERNAL, agree, match)
+                          for match in INTERNAL_OPS]
+            else:
+                pinned = [(op,) for op in internal]
+        # the gold tree's op label by its (i, j) cell: a tree has one node
+        # per cell
+        gold_at = {} if gold is None else {
+            (i, j): _OP_LABELS[op, order]
             for i, j, op, order in gold_node_set(gold)}
+        cost = 0 if gold is None else cost_unit
 
-        # cell (i, j) -> (best score, its split k, op, order); a leaf's
-        # cell scores 0, and the tree is built from the root's cell at the end
-        chart: dict = {(i, i + 1): (0,) for i in range(n)}
-        for length in range(2, n + 1):
-            for i in range(n - length + 1):
-                j = i + length
-                if strict and (i, j) in crossing:
-                    continue
-                best = None
-                for k in range(i + 1, j):
-                    left, right = chart.get((i, k)), chart.get((k, j))
-                    if left is None or right is None:
+        for crossing in ((x.crossing, frozenset()) if self.conform_syntactic
+                         else (frozenset(),)):
+            # score[i][j] is cell (i, j)'s best score, and col[j][i] the
+            # same; back[i][j] its (split k, op, order). A leaf scores 0,
+            # a cell with no tree has none
+            score = [[None] * (n + 1) for _ in range(n + 1)]
+            col = [[None] * (n + 1) for _ in range(n + 1)]
+            back = [[None] * (n + 1) for _ in range(n + 1)]
+            for i in range(n):
+                score[i][i + 1] = col[i + 1][i] = 0
+            for length in range(2, n + 1):
+                for i in range(n - length + 1):
+                    j = i + length
+                    if (i, j) in crossing:
                         continue
-                    match, ops = self.node_ops(x, i, k, j)
-                    # the node's parts summed once, biased for extraction;
-                    # each op's field then reads its score plus `half`
-                    total = bias + sum(map(totals.__getitem__, _node_parts(
-                        locs, values, i, k, j)))
-                    below = left[0] + right[0] - half
-                    for op, order, label in ops:
-                        node = total
-                        if agree is not None and match is not None:
-                            node += agree[(op, order) == match]
-                        score = below + ((node >> shifts[label]) & mask)
-                        if (gold_nodes is not None
-                                and (i, j, label) not in gold_nodes):
-                            score += cost_unit  # margin cost per wrong node
-                        if best is None or score > best[0]:
-                            best = (score, k, op, order)
-                if best is not None:
-                    chart[(i, j)] = best
-
-        if (0, n) not in chart:
-            if strict:
-                return None
+                    row, column = score[i], col[j]
+                    a, d, at_d = locs[i], locs[j - 1], at[j - 1]
+                    # the node's boundary total: locs[i]'s, plus the
+                    # number feature of two quantity leaves
+                    base = bias + at[i]
+                    if (length == 2 and values[i] is not None
+                            and values[j - 1] is not None):
+                        base += number[values[i] < values[j - 1]]
+                    cell_rules, ops_else = (rules, internal) if length < n \
+                        else ((), root)
+                    outer = left[i] | right[j]
+                    lead = token[i]  # read by the first split alone
+                    glabel = gold_at.get((i, j))
+                    best = None
+                    for k in range(i + 1, j):
+                        met = outer | lead | mid[k]
+                        lead = 0
+                        below = row[k]
+                        if below is None or column[k] is None:
+                            continue
+                        below += column[k] - half + cost
+                        for needed, r in cell_rules:
+                            if needed & met == needed:
+                                ops = pinned[r]
+                                break
+                        else:
+                            ops = ops_else
+                        # locs[i] <= locs[k - 1] <= locs[k] <= locs[j - 1]:
+                        # split[k] holds the mid span and locs[k] unless it
+                        # equals locs[k - 1]; each outer offset counts
+                        # unless it equals its inner neighbor
+                        total = base + split[k]
+                        if locs[k - 1] != a:
+                            total += at[k - 1]
+                        if locs[k] != d:
+                            total += at_d
+                        for op, order, label, shift, bonus in ops:
+                            node = below + (((total + bonus) >> shift) & mask)
+                            # labels are the `_OP_LABELS` strings
+                            if label is glabel:
+                                node -= cost  # no margin cost on a gold node
+                            if best is None or node > best:
+                                best, choice = node, (k, op, order)
+                    if best is not None:
+                        row[j] = column[i] = best
+                        back[i][j] = choice
+            if back[0][n] is not None:
+                break
+        else:
             raise ValueError("no full-span tree")
 
         def build(i, j):
             if j - i == 1:
                 return Leaf(triggers[i])
-            _, k, op, order = chart[i, j]
+            k, op, order = back[i][j]
             return Node(op, order, build(i, k), build(k, j))
 
         return build(0, n)

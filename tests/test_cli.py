@@ -198,6 +198,21 @@ class TestParse:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-conversion digit limit")
+    def test_over_long_decimal_quantity(self, bundle_path, capsys):
+        # each digit run converts, but the reduced fraction's numerator has
+        # more digits than the interpreter writes out: the error names the
+        # stage and the quantity's span
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path),
+             "--text", "1" * 4000 + "." + "1" * 4000 + " apples are 3",
+             "--np-span", "8002:8008"], capsys)
+        assert code == 2
+        assert "error: equation formatting: the quantity at [0, 8001]: " in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_np_span_with_input_refused(self, bundle_path,
                                         twice_triple_input_path, capsys):
         # the file's chunks would be parsed and the flag silently dropped

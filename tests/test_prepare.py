@@ -173,7 +173,7 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
              lambda sentence, np: (id(sentence), np))
     counting(treeparse, "_part_names",
              lambda sentence, part, window: (id(sentence), part))
-    counting(treeparse.TreeInput, "_field_masks",
+    counting(treeparse.TreeInput, "_field_bits",
              lambda x: id(x.sentence))
     counting(treeparse, "_crosses_np",
              lambda sentence, triggers, i, j: (id(sentence), i, j))
@@ -183,7 +183,7 @@ def test_training_builds_each_input_once(kwargs, synthetic_corpus,
     assert {name for name, _ in built} == {
         "quantity_names", "np_feature_names", "_mentions_two",
         "_part_names", "validate_trigger_list",
-        *["_field_masks"] * config.use_lexicon,
+        *["_field_bits"] * config.use_lexicon,
         *["_crosses_np"] * config.conform_syntactic}
     assert max(built.values()) == 1
 

@@ -1,7 +1,10 @@
 """Equation tree parsing: node contexts, the lexicon, features, CKY."""
 
+import importlib.util
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,13 +38,16 @@ from eqparse.treeparse import (
     tree_features,
     tree_node_features,
     tree_nodes,
-    _MID_EMPTY,
-    _field_mask,
+    _node_parts,
+    _padded,
 )
 
 from helpers import (
+    CKY_MODE_IDS,
+    CKY_MODES,
     LEXICON_WORDS,
     HashWeights,
+    _DensePacked,
     crosses_np_chunk,
     malformed_trigger_lists,
     random_tree_instance,
@@ -130,13 +136,22 @@ class TestLexiconMatch:
         assert lexicon_match(ctx) == (Op.SUB, Order.RL)
 
 
-def context_mask(context: NodeContext) -> int:
-    """The atom bits of a reference context, field by field."""
-    return (_field_mask("left", context.left)
-            | _field_mask("mid", context.mid)
-            | (0 if context.mid.strip() else _MID_EMPTY)
-            | _field_mask("right", context.right)
-            | _field_mask("token", context.left_token))
+def context_clause_bits(context: NodeContext) -> int:
+    """The clause bits a reference context meets, one bit per clause of
+    each rule, highest precedence first; each clause is tested as a
+    one-clause rule by `LexiconRule.matches` on the fields that
+    `lexicon_match` builds."""
+    fields = {"left": _padded(context.left), "mid": _padded(context.mid),
+              "right": _padded(context.right),
+              "token": _padded(context.left_token)}
+    mid_empty = not context.mid.strip()
+    met, bit = 0, 1
+    for rule in reversed(DEFAULT_LEXICON):
+        for clause in rule.clauses:
+            if replace(rule, clauses=(clause,)).matches(fields, mid_empty):
+                met |= bit
+            bit <<= 1
+    return met
 
 
 class TestTreeInputMatch:
@@ -150,7 +165,8 @@ class TestTreeInputMatch:
             "lexicon-words-shared-location"])
     def test_matches_reference(self, make, kwargs):
         # every split of every interval, the root's included: the input's
-        # atoms equal those of the node_context_spans fields, and its match
+        # met clause bits equal those of the node_context_spans fields,
+        # tested clause by clause, and its match
         # equals lexicon_match. Shared locations give empty mid spans and
         # left/right fields that skip the tied location; fillers from the
         # lexicon's words and quantities such as "twice" make most splits
@@ -165,7 +181,7 @@ class TestTreeInputMatch:
                             for k in range(i + 1, j)):
                 context = node_context_spans(sentence, triggers, i, k, j)
                 where = (sentence.text, i, k, j)
-                assert x.mask(i, k, j) == context_mask(context), where
+                assert x.met(i, k, j) == context_clause_bits(context), where
                 assert x.match(i, k, j) == lexicon_match(context), where
 
     def test_rejects_out_of_order_locations(self, twice_triple_sentence):
@@ -181,8 +197,8 @@ class TestTreeInputMatch:
                                              multiplier_corpus):
         # the paper's "high precision" lexicon, on the gold internal nodes
         # below the root: (nodes, nodes a rule pins, pins with the gold
-        # (op, order)), read through the input's masks and the reference.
-        # Precision 1.0 and coverage 60 of 65
+        # (op, order)), read through the input's clause bits and the
+        # reference. Precision 1.0 and coverage 60 of 65
         def pins(corpus):
             counts = [0, 0, 0]
             for example in corpus:
@@ -482,6 +498,130 @@ class TestCkyDecoder:
                             gold.right.right))
         x = (twice_triple_sentence, triggers)
         assert CkyDecoder(lexicon_as_features=True).contains(x, altered)
+
+
+class _Logged(int):
+    """An int that stays one through addition and logs its value when
+    shifted: a packed total the chart reads a label's field of."""
+
+    log: list = []
+
+    def __add__(self, other):
+        return _Logged(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __rshift__(self, shift):
+        _Logged.log.append(int(self))
+        return int(self) >> shift
+
+
+class _LoggedPacked(_DensePacked):
+    """A `HashWeights` table whose part totals are `_Logged`."""
+
+    def total(self, names):
+        return _Logged(super().total(names))
+
+
+def _nested_examples(seed: str, sizes):
+    """One example per trigger count from the benchmark's nested-sentence
+    generator, each checked as the benchmark checks it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    return [workloads._checked(workloads.nested_example, rng, CkyDecoder(), n)
+            for n in sizes]
+
+
+def _space_tree(rng, decoder, x, i, j):
+    """A random tree over triggers[i:j) that `decoder.contains`."""
+    if j - i == 1:
+        return Leaf(x.triggers[i])
+    k = rng.randrange(i + 1, j)
+    op, order, _ = rng.choice(decoder.node_ops(x, i, k, j)[1])
+    return Node(op, order, _space_tree(rng, decoder, x, i, k),
+                _space_tree(rng, decoder, x, k, j))
+
+
+class TestChartOracles:
+    @pytest.mark.parametrize("kwargs", CKY_MODES[:3], ids=CKY_MODE_IDS[:3])
+    def test_node_totals_equal_node_parts(self, kwargs):
+        # the chart reads each explored op's field of a split's packed
+        # total, summed from per-location and per-split totals; each total
+        # it reads, in chart order (by length, then i, then k, then op),
+        # equals the bias plus the packed total of the split's
+        # `_node_parts` names, plus lex_agree's in feature mode. Random
+        # instances, half with lexicon fillers, and shared locations, at
+        # n <= 8; some have a trigger at offset 0. The syntactic mode reads
+        # the same totals over fewer cells
+        rng = random.Random(59)
+        decoder = CkyDecoder(**kwargs)
+        at_zero = 0
+        for trial in range(120):
+            make = (random_tree_instance, shared_location_instance)[trial % 2]
+            filler = {"filler": LEXICON_WORDS, "multipliers": True} \
+                if trial % 4 >= 2 else {}
+            sentence, triggers = make(rng, 2 + trial % 7, **filler)
+            x = decoder.prepare((sentence, triggers))
+            at_zero += x.locs[0] == 0
+            weights = HashWeights(salt=trial)
+            weights.packed = packed = _LoggedPacked(weights)
+            agree = [int(packed.total([f"lex_agree={b}"])) for b in (0, 1)]
+            n = len(triggers)
+            expected = []
+            for length in range(2, n + 1):
+                for i in range(n - length + 1):
+                    j = i + length
+                    for k in range(i + 1, j):
+                        total = packed.bias + sum(
+                            int(packed.total(x.part_names(part)))
+                            for part in _node_parts(x.locs, x.values, i, k, j))
+                        match, ops = decoder.node_ops(x, i, k, j)
+                        for op, order, _ in ops:
+                            bonus = agree[(op, order) == match] \
+                                if decoder.lexicon_as_features \
+                                and match is not None else 0
+                            expected.append(total + bonus)
+            _Logged.log.clear()
+            decoder.decode(x, weights)
+            assert _Logged.log == expected, (sentence.text, triggers)
+        assert at_zero >= 10
+
+    @pytest.mark.parametrize("kwargs", CKY_MODES, ids=CKY_MODE_IDS)
+    def test_long_decodes_beat_gold_and_random_trees(self, kwargs):
+        # beyond enumeration: at n = 12..20 the decoded tree is in the
+        # space, and its objective (score, plus the cost to the gold tree
+        # when decoding against it) is at least the gold tree's and that
+        # of 20 random trees in the space. In the syntactic mode those
+        # are the trees crossing no NP chunk, unless the decode fell back
+        decoder = CkyDecoder(**kwargs)
+        rng = random.Random(61)
+        for n, example in zip(range(12, 21), _nested_examples(
+                "nested:oracle", range(12, 21))):
+            sentence, triggers, gold = gold_tree_instance(example)
+            x = decoder.prepare((sentence, triggers))
+            weights = HashWeights(salt=n)
+            others = [gold, *(_space_tree(rng, decoder, x, 0, n)
+                              for _ in range(20))]
+            for target, cost_unit in ((None, 1), (gold, 1), (gold, 10)):
+                def objective(tree):
+                    cost = 0 if target is None else tree_cost(target, tree)
+                    return (dot(weights, decoder.features(x, tree))
+                            + cost_unit * cost)
+
+                got = decoder.decode(x, weights, gold=target,
+                                     cost_unit=cost_unit)
+                assert decoder.contains(x, got)
+                rivals = others
+                if (decoder.conform_syntactic
+                        and not crosses_np_chunk(sentence, got)):
+                    rivals = [t for t in others
+                              if not crosses_np_chunk(sentence, t)]
+                best = objective(got)
+                assert all(best >= objective(t) for t in rivals), (n, target)
 
 
 class TestEnumeration:
