@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .core import Span
 from .corpus import AnnotatedSentence, load_corpus, sentence_from_json
@@ -19,34 +20,29 @@ from .pipeline import ModelBundle, PipelineConfig, train_bundle
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, default=3,
+    # each flag's dest is a PipelineConfig field, whose default it takes
+    parser.add_argument("--window", type=int,
                         help="token window for neighborhood features")
-    parser.add_argument("--epochs", type=int, default=5,
+    parser.add_argument("--epochs", type=int,
                         help="most training epochs per stage; training "
                         "stops after the first epoch without a mistake")
-    parser.add_argument("--learning-rate", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--outer-iters", type=int, default=10,
+    parser.add_argument("--learning-rate", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--outer-iters", type=int,
                         help="outer loops for variable-stage training")
-    parser.add_argument("--no-lexicon", action="store_true",
+    parser.add_argument("--no-lexicon", dest="use_lexicon",
+                        action="store_false",
                         help="ablation: drop the operator lexicon")
     parser.add_argument("--lexicon-as-features", action="store_true",
                         help="ablation: lexicon matches become features, not constraints")
     parser.add_argument("--conform-syntactic", action="store_true",
                         help="ablation: keep tree nodes from crossing NP chunks")
+    parser.set_defaults(**asdict(PipelineConfig()))
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        window=args.window,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        outer_iters=args.outer_iters,
-        use_lexicon=not args.no_lexicon,
-        lexicon_as_features=args.lexicon_as_features,
-        conform_syntactic=args.conform_syntactic,
-    )
+    return PipelineConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(PipelineConfig)})
 
 
 def _tokenize(text: str) -> list[str]:
@@ -85,7 +81,7 @@ def _sentence_from_args(args) -> AnnotatedSentence:
             obj = json.loads(data.decode("utf-8"))
         except UnicodeDecodeError as e:
             raise ValueError(f"{args.input}: not valid UTF-8 ({e})") from e
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # too deep
             raise ValueError(f"{args.input}: not valid JSON ({e})") from e
         try:
             return sentence_from_json(obj)
@@ -105,10 +101,11 @@ def _emit(obj) -> None:
 
 
 def cmd_train(args) -> int:
+    config = _config_from_args(args)
     examples = load_corpus(args.corpus)
     if len(examples) < 2:
         raise ValueError("corpus too small: need at least 2 examples")
-    bundle = train_bundle(examples, _config_from_args(args))
+    bundle = train_bundle(examples, config)
     bundle.save(args.model)
     _emit({"examples": len(examples), "model": args.model})
     return 0
@@ -133,9 +130,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    config = _config_from_args(args)
     examples = load_corpus(args.corpus)
-    metrics = cross_validate(examples, args.folds, args.seed,
-                             _config_from_args(args))
+    metrics = cross_validate(examples, args.folds, args.seed, config)
     _emit(metrics.to_json())
     return 0
 

@@ -312,16 +312,27 @@ _NUMBER_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?$")
 _OPS_BY_SYMBOL = {op.value: op for op in Op}
 
 
+# the most operators on a path from an equation's root to a leaf. Every later
+# pass over an equation or its tree recurses once per level: `expr_sort_key`,
+# `canonicalize`, `align_gold_tree` and `expr` take about 2 frames a level,
+# `format_tree` 1, and an equality test of two expressions (dataclass and
+# tuple comparisons) about 4. At this bound the deepest of them needs about
+# 400 frames (Python 3.11) of the default limit of 1000, which leaves room
+# for the callers' own
+MAX_EQUATION_DEPTH = 100
+
+
 def parse_equation(text: str) -> SymExpr:
     """Parse a prefix equation string like ``(= (* 2 V1) (- (* 3 V1) 25))``.
 
     The result is a symbolic expression with an EQ root; operand order of
-    SUB/DIV is taken as written (already order-resolved).
+    SUB/DIV is taken as written (already order-resolved). `=` below the
+    root and nesting beyond MAX_EQUATION_DEPTH are refused as they are read.
     """
     tokens = _TOKEN_RE.findall(text)
     pos = 0
 
-    def parse_one() -> SymExpr:
+    def parse_one(depth: int) -> SymExpr:
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError(f"truncated equation: {text!r}")
@@ -331,9 +342,14 @@ def parse_equation(text: str) -> SymExpr:
             if pos >= len(tokens) or tokens[pos] not in _OPS_BY_SYMBOL:
                 raise ValueError(f"expected operator in {text!r}")
             op = _OPS_BY_SYMBOL[tokens[pos]]
+            if op is Op.EQ and depth:
+                raise ValueError(f"EQ below the root in {text!r}")
+            if depth == MAX_EQUATION_DEPTH:
+                raise ValueError(f"equation nested deeper than "
+                                 f"{MAX_EQUATION_DEPTH} operators: {text!r}")
             pos += 1
-            left = parse_one()
-            right = parse_one()
+            left = parse_one(depth + 1)
+            right = parse_one(depth + 1)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ValueError(f"missing ')' in {text!r}")
             pos += 1
@@ -351,18 +367,9 @@ def parse_equation(text: str) -> SymExpr:
                 raise ValueError(f"zero denominator {tok!r} in {text!r}") from None
         raise ValueError(f"bad token {tok!r} in {text!r}")
 
-    result = parse_one()
+    result = parse_one(0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in {text!r}")
     if not (isinstance(result, Apply) and result.op is Op.EQ):
         raise ValueError(f"equation must have an EQ root: {text!r}")
-    for sub in result.args:
-        if isinstance(sub, Apply) and _contains_eq(sub):
-            raise ValueError(f"EQ below the root in {text!r}")
     return result
-
-
-def _contains_eq(e: SymExpr) -> bool:
-    if isinstance(e, Apply):
-        return e.op is Op.EQ or any(_contains_eq(a) for a in e.args)
-    return False

@@ -291,7 +291,8 @@ def load_corpus(path) -> list[AnnotatedExample]:
                 continue
             examples.append(example_from_json(json.loads(line),
                                               f"{name}:{lineno}"))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+            # RecursionError: JSON nested deeper than the decoder reads
             raise ValueError(f"{path}:{lineno}: malformed corpus line: {exc}") from exc
     return examples
 

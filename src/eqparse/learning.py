@@ -229,7 +229,7 @@ def config_from_json(cls, raw: str, where: str):
     value of its field's type; errors name `where`."""
     try:
         values = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deep
         raise ValueError(f"{where}: config is not JSON ({e})") from e
     if not isinstance(values, dict):
         raise ValueError(f"{where}: config is not a JSON object")

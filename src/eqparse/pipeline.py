@@ -70,6 +70,9 @@ class PipelineConfig:
         if not (math.isfinite(rate) and rate > 0):
             raise ValueError("config key 'learning_rate' must be finite and "
                              f"above 0, got {rate!r}")
+        if self.lexicon_as_features and not self.use_lexicon:
+            raise ValueError("config key 'lexicon_as_features' needs "
+                             "'use_lexicon': no rule is read without it")
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
@@ -279,11 +282,10 @@ def _variable_instances(examples, decoder: VariableDecoder):
     for ex in examples:
         x = decoder.prepare(ex.sentence)
         where = f"{ex.source}: " if ex.source else ""
-        chunks = set(ex.sentence.np_chunks)
         candidates = []
         for grounding in ex.groundings:
             for trigger in grounding:
-                if trigger.span not in chunks:
+                if trigger.span not in x.index:
                     raise ValueError(
                         f"{where}grounding of {trigger.label} at "
                         f"[{trigger.span.start}, {trigger.span.end}] is not "

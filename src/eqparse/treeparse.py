@@ -67,13 +67,15 @@ def node_context_spans(sentence: AnnotatedSentence, triggers, i: int, k: int,
     )
 
 
-_NORM_RE = re.compile(r"[^0-9a-z]+")
+_NORM_RE = re.compile(r"[\W_]+")
 
 
 def _padded(text: str | None) -> str:
     # lowercase words joined by single spaces, padded with a space each side,
-    # so f" {term} " matches on token boundaries only: " less than " never
-    # matches "bless thank"; a missing field matches no term
+    # so f" {term} " matches whole words only: " less than " never matches
+    # "bless thank", nor " plus " "plusé". A word is a run of letters and
+    # digits of any script; a combining mark (U+0301) still breaks one. A
+    # missing field matches no term
     if text is None:
         return ""
     return " " + _NORM_RE.sub(" ", text.lower()).strip() + " "

@@ -41,7 +41,7 @@ def coreference_label(sentence: AnnotatedSentence, np1: Span, np2: Span) -> Core
     text1 = np1.text(sentence.text)
     text2 = np2.text(sentence.text)
     if text1.lower() == text2.lower():
-        if not ({"two", "2"} & set(_np_tokens(text1))):
+        if not _mentions_two(sentence, np1):
             return Coref.SAME_LABEL
     elif (_contains_phrase(text2, "itself")
           or _contains_phrase(text2, "the same number")):

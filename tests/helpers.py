@@ -180,6 +180,11 @@ NOUNS = ("number", "apples", "books", "coins", "length", "width", "price")
 LEXICON_WORDS = tuple(sorted({word for rule in DEFAULT_LEXICON
                               for clause in rule.clauses
                               for _, term in clause for word in term.split()}))
+# the same words, each also with a non-ASCII letter or digit joined to it,
+# and words of other scripts
+NON_ASCII_WORDS = (LEXICON_WORDS + tuple(f"{w}é" for w in LEXICON_WORDS)
+                   + tuple(f"ñ{w}" for w in LEXICON_WORDS)
+                   + ("ß", "日本", "иand", "plus٣"))
 MULTIPLIERS = (("twice", 2), ("double", 2), ("thrice", 3), ("triple", 3),
                ("half", Fraction(1, 2)))
 
@@ -364,6 +369,12 @@ def random_arith(rng: random.Random, depth: int = 0):
 
 def random_equation(rng: random.Random) -> Apply:
     return Apply(Op.EQ, (random_arith(rng, 1), random_arith(rng, 1)))
+
+
+def nested_equation(depth: int) -> str:
+    """`(= V1 (+ 1 (+ 1 ... 1)))` with `depth` operators, the root's `=`
+    included, on its deepest path; its leaves are V1 and `depth` ones."""
+    return "(= V1 " + "(+ 1 " * (depth - 2) + "(+ 1 1" + ")" * depth
 
 
 def commute(e, rng: random.Random):

@@ -1,16 +1,25 @@
 """Command line behavior: exit codes, JSON output, determinism."""
 
 import errno
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from eqparse import cli
+from eqparse.core import MAX_EQUATION_DEPTH
 from eqparse.corpus import example_to_json, load_corpus
+from eqparse.pipeline import PipelineConfig
+
+from helpers import nested_equation
+
+# JSON nested deeper than the decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def run_cli(argv, capsys):
@@ -81,6 +90,31 @@ class TestTrain:
         assert f"error: config key '{key}' must be" in err
         assert not model.exists()
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_lexicon_as_features_without_lexicon_refused(
+            self, command, train_corpus_path, tmp_path, capsys):
+        # the pair would train the no-lexicon model under another sha
+        model = tmp_path / "m.txt"
+        argv = {"train": ["train", "--model", str(model)],
+                "cv": ["cv"]}[command]
+        code, out, err = run_cli(
+            argv + ["--corpus", str(train_corpus_path), "--no-lexicon",
+                    "--lexicon-as-features"], capsys)
+        assert code == 2
+        assert ("error: config key 'lexicon_as_features' needs "
+                "'use_lexicon'") in err
+        assert out == ""
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--corpus", "c.jsonl", "--model", "m.txt"]
+            if command == "train" else [command, "--corpus", "c.jsonl"])
+        default = PipelineConfig()
+        for field in fields(PipelineConfig):
+            assert getattr(args, field.name) == getattr(default, field.name)
 
     def test_tiny_corpus_rejected(self, synthetic_corpus, tmp_path, capsys):
         corpus = tmp_path / "one.jsonl"
@@ -252,6 +286,17 @@ class TestParse:
             capsys)
         assert code == 2
         assert "not valid JSON" in err
+
+    def test_input_nested_too_deeply(self, bundle_path, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        code, out, err = run_cli(
+            ["parse", "--model", str(bundle_path), "--input", str(deep)],
+            capsys)
+        assert code == 2
+        assert f"error: {deep}: not valid JSON (" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_missing_model_file(self, twice_triple_input_path, tmp_path,
                                 capsys):
@@ -461,6 +506,32 @@ class TestDamagedBundle:
         assert "damaged.txt: line " in err
         assert out == ""
 
+    def test_lexicon_as_features_without_lexicon(self, bundle_path,
+                                                  tmp_path, capsys):
+        # the pair on line 2, its [config] digest recomputed: refused by
+        # the config's own check
+        lines = bundle_path.read_text().split("\n")
+        lines[1] = lines[1].replace(
+            '"lexicon_as_features": false', '"lexicon_as_features": true'
+        ).replace('"use_lexicon": true', '"use_lexicon": false')
+        assert lines[-3].startswith("[config]\t")
+        lines[-3] = "[config]\t" + hashlib.sha256(
+            lines[1].encode("utf-8")).hexdigest()
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert ("damaged.txt: line 2: config key 'lexicon_as_features' "
+                "needs 'use_lexicon'") in err
+        assert out == ""
+
+    def test_deeply_nested_config_line(self, bundle_path, tmp_path, capsys):
+        lines = bundle_path.read_text().split("\n")
+        lines[1] = DEEP_JSON
+        code, out, err = parse_with_bundle("\n".join(lines), tmp_path, capsys)
+        assert code == 2
+        assert "damaged.txt: line 2: config is not JSON (" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_changed_config_line(self, bundle_path, tmp_path, capsys):
         # what `sed -e '2s/"window": 3/"window": 1/'
         # -e '2s/"use_lexicon": true/"use_lexicon": false/'` does to the
@@ -649,6 +720,44 @@ class TestCorpusInput:
         assert f"{corpus}:2: malformed equation: " in err
         assert repr(equation) in err
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cv"])
+    def test_line_nested_too_deeply_reported(self, command, bundle_path,
+                                             synthetic_corpus, tmp_path,
+                                             capsys):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                          + "\n" + DEEP_JSON + "\n")
+        argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                "eval": ["eval", "--model", str(bundle_path)],
+                "cv": ["cv", "--folds", "2"]}[command] + ["--corpus", str(corpus)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"error: {corpus}:2: malformed corpus line: " in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_equation_nesting_bound(self, command, bundle_path,
+                                    synthetic_corpus, tmp_path, capsys):
+        # an equation at the bound is read (its gold tree is unreachable
+        # here, so training skips it); one level deeper names its line
+        for depth, code in ((MAX_EQUATION_DEPTH, 0),
+                            (MAX_EQUATION_DEPTH + 1, 2)):
+            corpus = tmp_path / f"nested-{depth}.jsonl"
+            deep = example_to_json(synthetic_corpus[1])
+            deep["equation"] = nested_equation(depth)
+            corpus.write_text(json.dumps(example_to_json(synthetic_corpus[0]))
+                              + "\n" + json.dumps(deep) + "\n")
+            argv = {"train": ["train", "--model", str(tmp_path / "m.txt")],
+                    "eval": ["eval", "--model", str(bundle_path)],
+                    }[command] + ["--corpus", str(corpus)]
+            got, out, err = run_cli(argv, capsys)
+            assert got == code, err
+            assert "Traceback" not in err
+        assert (f"error: {corpus}:2: malformed equation: equation nested "
+                f"deeper than {MAX_EQUATION_DEPTH} operators: ") in err
         assert out == ""
 
     # line 4 grounds V1 and V2 in the chunk [11, 20], "two books"; each

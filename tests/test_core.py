@@ -1,6 +1,7 @@
 """Equation tree primitives: triggers, projectivity, expressions, parsing."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from eqparse.core import (
     Apply,
     Const,
     Leaf,
+    MAX_EQUATION_DEPTH,
     Node,
     Op,
     Order,
@@ -34,8 +36,9 @@ from eqparse.core import (
     validate_tree,
     validate_trigger_list,
 )
+from eqparse.evaluation import align_gold_tree, canonicalize
 
-from helpers import random_equation
+from helpers import nested_equation, random_equation
 
 
 def q(value, start, end=None) -> QuantityTrigger:
@@ -234,6 +237,48 @@ class TestParseEquation:
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError):
             parse_equation("(= V1 V2 V3)")
+
+    @pytest.mark.parametrize("text", [
+        "(= (= V1 2) 3)", "(= 3 (= V1 2))",
+        "(= (+ 1 (* 2 (- 3 (/ 4 (= V1 2))))) 3)"],
+        ids=["left-operand", "right-operand", "five-deep"])
+    def test_eq_below_the_root_named(self, text):
+        with pytest.raises(ValueError, match="^EQ below the root in "):
+            parse_equation(text)
+
+    def test_nesting_bound(self):
+        assert nested_equation(3) == "(= V1 (+ 1 (+ 1 1)))"
+        e = parse_equation(nested_equation(MAX_EQUATION_DEPTH))
+        assert format_expr(e) == nested_equation(MAX_EQUATION_DEPTH)
+        with pytest.raises(ValueError, match=(
+                f"^equation nested deeper than {MAX_EQUATION_DEPTH} "
+                "operators: ")):
+            parse_equation(nested_equation(MAX_EQUATION_DEPTH + 1))
+
+    def test_passes_at_the_nesting_bound_fit_the_stack(self):
+        # each recursive pass over the deepest equation the parser
+        # accepts, and over its tree, runs within 500 frames of its
+        # caller's, half of the interpreter's default limit
+        text = nested_equation(MAX_EQUATION_DEPTH)
+        e = parse_equation(text)
+        triggers = [VariableTrigger("V1", Span(0, 2))] + [
+            QuantityTrigger(Fraction(1), Span(i, i + 1))
+            for i in range(3, 3 + 2 * MAX_EQUATION_DEPTH, 2)]
+        tree = align_gold_tree(e, triggers)
+        assert len(internal_nodes(tree)) == MAX_EQUATION_DEPTH
+        frame, used = sys._getframe(), 0
+        while frame is not None:
+            frame, used = frame.f_back, used + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(used + 500)
+        try:
+            assert canonicalize(parse_equation(text)) == canonicalize(e)
+            assert expr_sort_key(e) == expr_sort_key(expr(tree))
+            assert align_gold_tree(e, triggers) == tree
+            assert format_tree(tree) == text
+            validate_tree(tree)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 # --- property tests ----------------------------------------------------------

@@ -33,6 +33,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
             PipelineConfig(**{key: value})
 
+    def test_lexicon_as_features_needs_the_lexicon(self):
+        # without the lexicon no rule is read, so the pair would train the
+        # no-lexicon model under another config line and sha
+        with pytest.raises(ValueError, match="^config key "
+                           "'lexicon_as_features' needs 'use_lexicon'"):
+            PipelineConfig(use_lexicon=False, lexicon_as_features=True)
+
     def test_smallest_valid_settings(self):
         config = PipelineConfig(window=0, epochs=1, outer_iters=1,
                                 learning_rate=1e-300)

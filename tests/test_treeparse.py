@@ -46,6 +46,7 @@ from helpers import (
     CKY_MODE_IDS,
     CKY_MODES,
     LEXICON_WORDS,
+    NON_ASCII_WORDS,
     HashWeights,
     _DensePacked,
     crosses_np_chunk,
@@ -135,6 +136,21 @@ class TestLexiconMatch:
                           left_token=None)
         assert lexicon_match(ctx) == (Op.SUB, Order.RL)
 
+    @pytest.mark.parametrize("mid, left", [
+        (" plusé ", ""), (" ñand ", "the sum of "), (" and ", "the ßsum of "),
+        (" plus٣ ", ""), (" иplus ", "")],
+        ids=["latin-suffix", "latin-prefix", "in-left", "digit-suffix",
+             "cyrillic-prefix"])
+    def test_terms_match_whole_words_of_any_script(self, mid, left):
+        # a letter or digit of any script stays inside its word
+        ctx = NodeContext(mid=mid, left=left, right="", left_token=None)
+        assert lexicon_match(ctx) is None
+
+    def test_ascii_term_still_matches_among_other_scripts(self):
+        ctx = NodeContext(mid=" plus ", left="ñ ß ", right=" é",
+                          left_token=None)
+        assert lexicon_match(ctx) == (Op.ADD, Order.LR)
+
 
 def context_clause_bits(context: NodeContext) -> int:
     """The clause bits a reference context meets, one bit per clause of
@@ -161,8 +177,11 @@ class TestTreeInputMatch:
         (random_tree_instance, {"filler": LEXICON_WORDS, "multipliers": True}),
         (shared_location_instance,
          {"filler": LEXICON_WORDS, "multipliers": True}),
+        (random_tree_instance, {"filler": NON_ASCII_WORDS}),
+        (shared_location_instance, {"filler": NON_ASCII_WORDS}),
     ], ids=["random", "shared-location", "lexicon-words",
-            "lexicon-words-shared-location"])
+            "lexicon-words-shared-location", "non-ascii",
+            "non-ascii-shared-location"])
     def test_matches_reference(self, make, kwargs):
         # every split of every interval, the root's included: the input's
         # met clause bits equal those of the node_context_spans fields,
@@ -170,7 +189,8 @@ class TestTreeInputMatch:
         # equals lexicon_match. Shared locations give empty mid spans and
         # left/right fields that skip the tied location; fillers from the
         # lexicon's words and quantities such as "twice" make most splits
-        # meet a rule, through every field
+        # meet a rule, through every field; with non-ASCII letters joined
+        # to those words, both must still read the same words
         rng = random.Random(41)
         for trial in range(400):
             sentence, triggers = make(rng, 2 + trial % 6, **kwargs)
