@@ -13,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add
 
 from .core import QuantityTrigger, Span, SymExpr, VariableTrigger, parse_equation
 
@@ -73,17 +75,21 @@ class AnnotatedSentence:
 
     def token_range(self, span: Span) -> tuple[int, int]:
         """Half-open token index range overlapping a character span."""
+        return self.offset_range(span.start, span.end)
+
+    def offset_range(self, start: int, end: int) -> tuple[int, int]:
+        """`token_range` of the span [start, end)."""
         # tokens are ordered and disjoint, so starts and ends both ascend:
-        # those starting before span.end are a prefix, those ending after
-        # span.start a suffix, and of the tokens starting at or before
-        # span.start only the last can end after it
+        # those starting before end are a prefix, those ending after
+        # start a suffix, and of the tokens starting at or before start
+        # only the last can end after it
         starts = self.token_starts
-        lo = bisect.bisect_right(starts, span.start)
-        if lo and self.token_ends[lo - 1] > span.start:
+        lo = bisect.bisect_right(starts, start)
+        if lo and self.token_ends[lo - 1] > start:
             lo -= 1
-        hi = bisect.bisect_left(starts, span.end)
+        hi = bisect.bisect_left(starts, end)
         if lo >= hi:
-            i = self.token_index_at(span.start)
+            i = self.token_index_at(start)
             return (i, i)
         return (lo, hi)
 
@@ -111,6 +117,103 @@ class AnnotatedSentence:
             names.append(f"{prefix}_p={tag}")
         names += pairs
         return names
+
+
+_KINDS = ("u", "p", "b")  # the word, tag and word pair names' kinds
+# the bits a field has beyond its table's widest weight: a window of fewer
+# than 2**40 names stays inside it, as a `PackedTable` slot does
+_HEADROOM = 42
+
+
+class TokenColumns:
+    """A sentence's `TokenTable` rows as two prefix-sum columns: `units[i]`
+    totals the rows of the words and tags of tokens [0, i), and `pairs[i]`
+    those of the word pairs ending before token i. A window's total is
+    then a slice sum, the difference of two column entries, and its
+    template's field of that sum is the packed total of its names."""
+
+    __slots__ = ("units", "pairs", "fields", "bias")
+
+    def __init__(self, units, pairs, fields, bias):
+        self.units, self.pairs, self.fields, self.bias = (units, pairs,
+                                                          fields, bias)
+
+    def total(self, template: str, lo: int, hi: int,
+              bigrams: bool = True) -> int:
+        """`packed.total(sentence.token_names(template, lo, hi, bigrams))`,
+        for the packed table the template's weights were compiled from."""
+        if hi <= lo:
+            return 0
+        units = self.units
+        total = units[hi] - units[lo] + self.bias
+        if bigrams:
+            pairs = self.pairs
+            total += pairs[hi] - pairs[lo + 1]
+        shift, mask, half = self.fields[template]
+        return ((total >> shift) & mask) - half
+
+
+class TokenTable:
+    """Every token-window name's packed weight, compiled by token. The
+    stages name token windows with `token_names` under a template each:
+    relevance under `qn`, variables `vp` and `vn`, the tree `tn` and `tc`.
+    `words`,
+    `tags` and `pairs` map a lowercased word, a POS tag and a word pair
+    `"{last} {word}"` to its row: one integer holding, in each template's
+    field, the packed weight of the name `token_names` gives it under the
+    template (`{template}_u=`, `_p=` or `_b=` followed by the key), 0
+    where that name has none. Rows add up field by field, as a
+    `PackedTable`'s slots do: `fields[template]` is the field's (shift,
+    mask, half offset), and `bias` adds every field's half offset. A
+    field holds a sum of fewer than 2**40 names.
+
+    `columns` looks each of a sentence's tokens up once, and every stage's
+    window totals are slice sums of the two columns it builds; no window
+    name is built. The weights are copied in: a table compiled from
+    weights that change afterwards is stale, and must be compiled again."""
+
+    __slots__ = ("words", "tags", "pairs", "fields", "bias")
+
+    def __init__(self, sources):
+        """`sources`: pairs of a packed table (`feature -> packed weight`,
+        as a `PackedTable` holds them) and the templates whose names it
+        scores. A table read for two templates is iterated once."""
+        sources = list(sources)
+        self.fields = {}
+        shift = self.bias = 0
+        for table, templates in sources:
+            width = _HEADROOM + max((abs(value).bit_length()
+                                     for value in table.values()), default=0)
+            for template in templates:
+                half = 1 << (width - 1)
+                self.fields[template] = (shift, (1 << width) - 1, half)
+                self.bias += half << shift
+                shift += width
+        rows = {kind: {} for kind in _KINDS}
+        for table, templates in sources:
+            slots = {template: self.fields[template][0]
+                     for template in templates}
+            for feature, value in table.items():
+                head, named, key = feature.partition("=")
+                template, _, kind = head.rpartition("_")
+                shift = slots.get(template)
+                if shift is not None and named and kind in rows:
+                    by_key = rows[kind]
+                    by_key[key] = by_key.get(key, 0) + (value << shift)
+        self.words, self.tags, self.pairs = (rows[kind] for kind in _KINDS)
+
+    def columns(self, sentence: AnnotatedSentence) -> TokenColumns:
+        """The sentence's `TokenColumns`: each token is lowercased once,
+        and its word, its tag and the pair it ends are looked up once."""
+        words = list(map(str.lower, sentence.tokens))
+        units = [0, *accumulate(map(add,
+                                    map(self.words.get, words, repeat(0)),
+                                    map(self.tags.get, sentence.pos,
+                                        repeat(0))))]
+        pairs = [0, 0, *accumulate(map(self.pairs.get,
+                                       map("{} {}".format, words, words[1:]),
+                                       repeat(0)))]
+        return TokenColumns(units, pairs, self.fields, self.bias)
 
 
 def _token_offsets(text: str, tokens: tuple[str, ...]

@@ -152,9 +152,12 @@ class Weights(dict):
     The table is built on first use of `packed` and kept in step by item
     assignment, the only mutator allowed; every other one raises. A
     weight too wide for the table's slots lays the table out again.
+    `changes` counts the assignments, so what is compiled from the
+    weights (a bundle's `TokenTable`) can tell when it is stale.
     """
 
     _packed = None
+    changes = 0
 
     @property
     def packed(self) -> PackedTable:
@@ -163,6 +166,7 @@ class Weights(dict):
         return self._packed
 
     def __setitem__(self, name: str, value: int) -> None:
+        self.changes += 1
         old = dict.get(self, name, 0)
         super().__setitem__(name, value)
         packed = self._packed

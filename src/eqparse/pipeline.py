@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -24,12 +25,13 @@ from .core import (
     format_tree,
     sort_triggers,
 )
-from .corpus import AnnotatedSentence
+from .corpus import AnnotatedSentence, TokenTable
 from .evaluation import gold_relevance, gold_tree_instance
 from .learning import (
     LinearModel,
     SupersetExample,
     TrainConfig,
+    Weights,
     config_from_json,
     model_from_text,
     model_to_text,
@@ -137,6 +139,11 @@ _CONFIG = "[config]"
 _LEXICON = "[lexicon]"
 
 
+# the `token_names` templates each model's weights score, in model order:
+# relevance, variables, tree
+_MODEL_TEMPLATES = (("qn",), ("vp", "vn"), ("tn", "tc"))
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -150,31 +157,63 @@ class ModelBundle:
 
     def __post_init__(self):
         self._decoder = self.config.tree_decoder()
+        # (the models' weights, their `changes`, the TokenTable compiled
+        # from them), set on the first parse
+        self._compiled = None
+
+    def _columns(self, sentence: AnnotatedSentence):
+        """The sentence's `TokenTable.columns` under the three models'
+        window weights. The table is compiled on first use, not at load,
+        and again once a model's weights are replaced or assigned to; None
+        when a model's weights are a plain dict, whose changes cannot be
+        seen, so its decoder totals names instead."""
+        weights = [model.weights for model in (
+            self.relevance_model, self.variable_model, self.tree_model)]
+        compiled = self._compiled
+        if (compiled is None
+                or not all(map(operator.is_, weights, compiled[0]))
+                or [w.changes for w in weights] != compiled[1]):
+            if not all(isinstance(w, Weights) for w in weights):
+                return None
+            table = TokenTable(zip((w.packed for w in weights),
+                                   _MODEL_TEMPLATES))
+            compiled = self._compiled = (weights,
+                                         [w.changes for w in weights], table)
+        return compiled[2].columns(sentence)
 
     # prediction ---------------------------------------------------------
+    # each reads the stages' token windows from the compiled token table
 
     def predict_relevance(self, sentence: AnnotatedSentence,
                           quantities) -> RelevanceAssignment:
         return predict_relevance(self.relevance_model, sentence, quantities,
-                                 self.config.window)
+                                 self.config.window, self._columns(sentence))
 
     def predict_variables(self, sentence: AnnotatedSentence):
         return predict_variable_triggers(self.variable_model, sentence,
-                                         self.config.window)
+                                         self.config.window,
+                                         self._columns(sentence))
 
     def decode_tree(self, sentence: AnnotatedSentence, triggers) -> EquationTree:
         return self._decoder.decode((sentence, tuple(triggers)),
-                                    self.tree_model.weights)
+                                    self.tree_model.weights,
+                                    columns=self._columns(sentence))
 
     def parse(self, sentence: AnnotatedSentence) -> ParseResult:
         """Full pipeline. Raises ValueError when the sentence yields fewer
-        than two triggers or has no NP chunks to ground a variable in."""
+        than two triggers or has no NP chunks to ground a variable in.
+        The sentence's token columns are read once, for all three
+        stages."""
+        window, columns = self.config.window, self._columns(sentence)
         quantities = sentence_quantities(sentence)
-        relevance = self.predict_relevance(sentence, quantities)
-        variables = self.predict_variables(sentence)
+        relevance = predict_relevance(self.relevance_model, sentence,
+                                      quantities, window, columns)
+        variables = predict_variable_triggers(self.variable_model, sentence,
+                                              window, columns)
         kept = [q for q, bit in zip(quantities, relevance) if bit]
         triggers = tuple(sort_triggers(kept + list(variables)))
-        tree = self.decode_tree(sentence, triggers)
+        tree = self._decoder.decode((sentence, triggers),
+                                    self.tree_model.weights, columns=columns)
         return ParseResult(
             equation=format_tree(tree),
             expr=expr(tree),

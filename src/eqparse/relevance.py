@@ -24,16 +24,18 @@ RelevanceAssignment = tuple[bool, ...]
 _SMALL = (1, 2)
 
 
-def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
-                   window: int = 3) -> list[str]:
-    """Per-quantity feature names, one per occurrence, before they are
-    conjoined with the quantity's bit."""
+def _quantity_window(sentence: AnnotatedSentence, q, window: int
+                     ) -> tuple[int, int]:
+    """The token range of a quantity's `qn` window."""
+    return sentence.window(*sentence.token_range(q.span), window)
+
+
+def _phrase_names(sentence: AnnotatedSentence, quantities,
+                  index: int) -> list[str]:
+    """The names of a quantity's own phrase and value: its lowercased
+    words, then its word pairs, in one loop as in `token_names`."""
     q = quantities[index]
-    lo, hi = sentence.window(*sentence.token_range(q.span), window)
-    names = sentence.token_names("qn", lo, hi)
-    # the quantity phrase's lowercased words, then its word pairs, in one
-    # loop as in `token_names`
-    pairs = []
+    names, pairs = [], []
     last = None
     for word in q.span.text(sentence.text).split():
         word = word.lower()
@@ -46,6 +48,17 @@ def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
         names.append("qq_small")
     if len(quantities) == 1:
         names.append("qq_only")
+    return names
+
+
+def quantity_names(sentence: AnnotatedSentence, quantities, index: int,
+                   window: int = 3) -> list[str]:
+    """Per-quantity feature names, one per occurrence, before they are
+    conjoined with the quantity's bit: its `qn` window's, then its
+    phrase's."""
+    names = sentence.token_names(
+        "qn", *_quantity_window(sentence, quantities[index], window))
+    names += _phrase_names(sentence, quantities, index)
     return names
 
 
@@ -73,18 +86,37 @@ def enumerate_assignments(k: int):
 
 class QuantityNames:
     """A `RelevanceDecoder` input prepared for one window: the sentence, its
-    quantities, each quantity's `quantity_names` and the count feature of
-    each number of relevant quantities."""
+    quantities, the count feature of each number of relevant quantities
+    and, built on first use, each quantity's `quantity_names`."""
 
-    __slots__ = ("sentence", "quantities", "window", "names", "counts")
+    __slots__ = ("sentence", "quantities", "window", "counts", "_names")
 
     def __init__(self, sentence: AnnotatedSentence, quantities, window: int):
         self.sentence, self.quantities, self.window = (sentence, quantities,
                                                        window)
         k = len(quantities)
-        self.names = [quantity_names(sentence, quantities, i, window)
-                      for i in range(k)]
         self.counts = [_count_feature(c, k) for c in range(k + 1)]
+        self._names = None
+
+    @property
+    def names(self) -> list[list[str]]:
+        if self._names is None:
+            self._names = [quantity_names(self.sentence, self.quantities, i,
+                                          self.window)
+                           for i in range(len(self.quantities))]
+        return self._names
+
+    def totals(self, packed, columns=None) -> list[int]:
+        """Each quantity's packed total: of its names or, given the
+        sentence's token columns under the table's weights, its window's
+        `qn` column total plus its phrase names' total."""
+        if columns is None:
+            return list(map(packed.total, self.names))
+        sentence, quantities, window = (self.sentence, self.quantities,
+                                        self.window)
+        return [columns.total("qn", *_quantity_window(sentence, q, window))
+                + packed.total(_phrase_names(sentence, quantities, i))
+                for i, q in enumerate(quantities)]
 
 
 class RelevanceDecoder:
@@ -93,9 +125,10 @@ class RelevanceDecoder:
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
     Hamming cost; `prepare` gives a `QuantityNames`. Each quantity's names
-    are totalled once in the packed table, and both bits' scores read from
-    the total; its margin is score(on) - score(off), plus its cost
-    difference given a gold output.
+    are totalled once in the packed table (or its window read from token
+    columns, see `decode`), and both bits' scores read from the total; its
+    margin is score(on) - score(off), plus its cost difference given a
+    gold output.
     Finalist c turns on the c largest margins, ties to the lower index, and
     scores the all-off score plus those margins plus its count weight. Ties
     keep the assignment earliest in `enumerate_assignments` order: among
@@ -131,15 +164,18 @@ class RelevanceDecoder:
                 and all(isinstance(bit, bool) for bit in assignment))
 
     def decode(self, x, weights, gold: RelevanceAssignment | None = None,
-               cost_unit: int = 1) -> RelevanceAssignment:
+               cost_unit: int = 1, columns=None) -> RelevanceAssignment:
+        """With `columns`, the sentence's `TokenTable.columns` compiled
+        from the weights, the windows are read from them and no window
+        name is built."""
         x = self.prepare(x)
         k = len(x.quantities)
         packed = packed_of(weights)
         read = packed.reader(_BITS)
         all_off = 0
         margins = []
-        for i in range(k):
-            score_off, score_on = read(packed.total(x.names[i]))
+        for i, total in enumerate(x.totals(packed, columns)):
+            score_off, score_on = read(total)
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
                     score_off += cost_unit
@@ -162,10 +198,12 @@ class RelevanceDecoder:
 
 
 def predict_relevance(model: LinearModel, sentence: AnnotatedSentence,
-                      quantities, window: int = 3) -> RelevanceAssignment:
-    """Best joint assignment; ties resolve toward earlier enumeration."""
+                      quantities, window: int = 3,
+                      columns=None) -> RelevanceAssignment:
+    """Best joint assignment; ties resolve toward earlier enumeration.
+    `columns` as in `RelevanceDecoder.decode`."""
     return RelevanceDecoder(window).decode((sentence, tuple(quantities)),
-                                           model.weights)
+                                           model.weights, columns=columns)
 
 
 def hamming_cost(gold: RelevanceAssignment, other: RelevanceAssignment) -> int:

@@ -20,7 +20,6 @@ from .core import (
     Op,
     Order,
     QuantityTrigger,
-    Span,
     location,
     validate_trigger_list,
 )
@@ -257,28 +256,45 @@ def _node_parts(locs, values, i: int, k: int, j: int) -> set:
     return parts
 
 
+def _part_window(sentence: AnnotatedSentence, part,
+                 window: int) -> tuple[str, int, int]:
+    """(template, lo, hi): the token window a boundary offset or a (lo, hi)
+    mid span names. An offset names the neighborhood of its token (`tn`),
+    a mid span the tokens overlapping its characters (`tc`)."""
+    if isinstance(part, tuple):
+        return ("tc", *sentence.offset_range(*part))
+    ti = sentence.token_index_at(part)
+    return ("tn", *sentence.window(ti, ti + 1, window))
+
+
 def _part_names(sentence: AnnotatedSentence, part, window: int) -> list[str]:
     """The feature names of one node part, one per occurrence: a boundary
-    offset names the neighborhood of its token, a (lo, hi) mid span the
-    tokens overlapping those characters, and a feature name itself."""
+    offset's or a mid span's `_part_window`, or a feature name itself."""
     if isinstance(part, str):
         return [part]
-    if isinstance(part, tuple):
-        return sentence.token_names("tc", *sentence.token_range(Span(*part)))
-    ti = sentence.token_index_at(part)
-    return sentence.token_names("tn", *sentence.window(ti, ti + 1, window))
+    return sentence.token_names(*_part_window(sentence, part, window))
 
 
-def _part_totals(x, packed) -> tuple[list, list]:
+def _part_totals(x, packed, columns=None) -> tuple[list, list]:
     """(by trigger i, the packed total of locs[i]'s names; by split k, that
     of the mid span (locs[k - 1], locs[k]), plus locs[k]'s where the two
     differ). A node's `_node_parts` total is its boundary offsets
     a <= b <= c <= d summed once each, plus the mid span and the number
-    feature: on sorted locations an offset repeats only next to itself."""
+    feature: on sorted locations an offset repeats only next to itself.
+    Given the sentence's token columns under the table's weights, each
+    part's total is its window's column total instead, and no name is
+    built."""
     locs = x.locs
-    at = [packed.total(x.part_names(p)) for p in locs]
-    split = [0, *(packed.total(x.part_names((b, c))) + (at[k] if b != c else 0)
-                  for k, (b, c) in enumerate(zip(locs, locs[1:]), 1))]
+    mids = list(zip(locs, locs[1:]))
+    if columns is None:
+        at = [packed.total(x.part_names(p)) for p in locs]
+        inner = [packed.total(x.part_names(mid)) for mid in mids]
+    else:
+        sentence, window = x.sentence, x.window
+        at, inner = ([columns.total(*_part_window(sentence, part, window))
+                      for part in parts] for parts in (locs, mids))
+    split = [0, *(total + (at[k] if b != c else 0)
+                  for k, ((b, c), total) in enumerate(zip(mids, inner), 1))]
     return at, split
 
 
@@ -501,15 +517,18 @@ class CkyDecoder:
             return match, _INTERNAL
         return match, ((*match, _OP_LABELS[match]),)
 
-    def decode(self, x, weights, gold=None, cost_unit: int = 1):
+    def decode(self, x, weights, gold=None, cost_unit: int = 1,
+               columns=None):
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit. Syntactic conformance can exhaust the space; the chart
-        then runs again without it."""
+        then runs again without it. With `columns`, the sentence's
+        `TokenTable.columns` compiled from the weights, the part windows
+        are read from them and no part name is built."""
         x = self.prepare(x)
         packed = packed_of(weights)
         triggers, locs, values = x.triggers, x.locs, x.values
         n = len(triggers)
-        at, split = _part_totals(x, packed)
+        at, split = _part_totals(x, packed, columns)
         number = [packed.total([name]) for name in _NUMBER_FEATURES]
         bias, mask, half = packed.bias, packed.mask, packed.half
         root, internal = _explored(packed, _ROOT), _explored(packed, _INTERNAL)

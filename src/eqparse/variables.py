@@ -89,15 +89,23 @@ def enumerate_variable_candidates(sentence: AnnotatedSentence) -> list[VariableC
     return out
 
 
+def _np_windows(sentence: AnnotatedSentence, np: Span, window: int) -> tuple:
+    """(template, lo, hi, bigrams) of each token window an NP's names come
+    from: its own tokens (`vp`), and the `window` tokens before and after
+    them (`vn`, words and tags only)."""
+    lo, hi = sentence.token_range(np)
+    wlo, whi = sentence.window(lo, hi, window)
+    return ("vp", lo, hi, True), ("vn", wlo, lo, False), ("vn", hi, whi, False)
+
+
 def np_feature_names(sentence: AnnotatedSentence, np: Span,
                      window: int = 3) -> list[str]:
     """One NP's content and neighborhood feature names, one per occurrence,
     before they are conjoined with the candidate's pair label."""
-    lo, hi = sentence.token_range(np)
-    wlo, whi = sentence.window(lo, hi, window)
-    return (sentence.token_names("vp", lo, hi)
-            + sentence.token_names("vn", wlo, lo, bigrams=False)
-            + sentence.token_names("vn", hi, whi, bigrams=False))
+    names = []
+    for spec in _np_windows(sentence, np, window):
+        names += sentence.token_names(*spec)
+    return names
 
 
 # the label of a single NP, a pair of distinct NPs and a self-pair
@@ -118,18 +126,39 @@ def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
 
 class NpNames:
     """A `VariableDecoder` input prepared for one window: the sentence, its
-    distinct NP chunks in position order, each one's index, its
-    `np_feature_names` and whether it mentions "two"."""
+    distinct NP chunks in position order, each one's index, whether it
+    mentions "two" and, built on first use, its `np_feature_names`."""
 
-    __slots__ = ("sentence", "window", "chunks", "index", "names", "twos")
+    __slots__ = ("sentence", "window", "chunks", "index", "twos", "_names")
 
     def __init__(self, sentence: AnnotatedSentence, window: int):
         self.sentence, self.window = sentence, window
         self.chunks = sorted(set(sentence.np_chunks))
         self.index = {np: c for c, np in enumerate(self.chunks)}
-        self.names = [np_feature_names(sentence, np, window)
-                      for np in self.chunks]
         self.twos = [_mentions_two(sentence, np) for np in self.chunks]
+        self._names = None
+
+    @property
+    def names(self) -> list[list[str]]:
+        if self._names is None:
+            self._names = [np_feature_names(self.sentence, np, self.window)
+                           for np in self.chunks]
+        return self._names
+
+    def totals(self, packed, columns=None) -> list[int]:
+        """Each chunk's packed total: of its names or, given the sentence's
+        token columns under the table's weights, of its windows' column
+        totals."""
+        if columns is None:
+            return list(map(packed.total, self.names))
+        sentence, window = self.sentence, self.window
+        totals = []
+        for np in self.chunks:
+            total = 0
+            for window_spec in _np_windows(sentence, np, window):
+                total += columns.total(*window_spec)
+            totals.append(total)
+        return totals
 
 
 def _label_costs(gold: VariableCandidate) -> dict[str, int]:
@@ -185,7 +214,10 @@ class VariableDecoder:
                      or x.twos[x.index[candidate.nps[0]]]))
 
     def decode(self, sentence, weights, gold: VariableCandidate | None = None,
-               cost_unit: int = 1) -> VariableCandidate:
+               cost_unit: int = 1, columns=None) -> VariableCandidate:
+        """With `columns`, the sentence's `TokenTable.columns` compiled
+        from the weights, the windows are read from them and no window
+        name is built."""
         x = self.prepare(sentence)
         m = len(x.chunks)
         if not m:
@@ -205,8 +237,8 @@ class VariableDecoder:
         # (score, key) of each finalist; its key, (0, chunk) for a single
         # and (1, chunk, chunk) for a pair, sorts in enumeration order
         finalists = []
-        for c, names in enumerate(x.names):
-            single, pair, self_pair = read(packed.total(names))
+        for c, total in enumerate(x.totals(packed, columns)):
+            single, pair, self_pair = read(total)
             singles.append(single + hits[c])
             pairs.append(pair + hits[c])
             if x.twos[c]:
@@ -241,8 +273,12 @@ def assign_labels(sentence: AnnotatedSentence,
 
 
 def predict_variable_triggers(model: LinearModel, sentence: AnnotatedSentence,
-                              window: int = 3) -> tuple[VariableTrigger, ...]:
-    candidate = VariableDecoder(window).decode(sentence, model.weights)
+                              window: int = 3, columns=None
+                              ) -> tuple[VariableTrigger, ...]:
+    """The labeled triggers of the best candidate; `columns` as in
+    `VariableDecoder.decode`."""
+    candidate = VariableDecoder(window).decode(sentence, model.weights,
+                                               columns=columns)
     return assign_labels(sentence, candidate)
 
 

@@ -1,0 +1,301 @@
+"""The token table a bundle parses through: every window total it reads
+equals the packed total of the window's names, a bundle's parse equals its
+stage decoders on raw inputs, the table follows the weights it was compiled
+from, and a parse after the first builds no window name."""
+
+import importlib.util
+import random
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from eqparse import treeparse
+from eqparse.core import sort_triggers
+from eqparse.corpus import AnnotatedSentence, TokenTable
+from eqparse.learning import LinearModel, Weights
+from eqparse.pipeline import (
+    _MODEL_TEMPLATES,
+    ModelBundle,
+    PipelineConfig,
+    train_bundle,
+)
+from eqparse.quantities import sentence_quantities
+from eqparse.relevance import RelevanceDecoder
+from eqparse.variables import VariableDecoder, assign_labels
+
+# the five window templates, in model order
+TEMPLATES = [template for group in _MODEL_TEMPLATES for template in group]
+# tokens that test the keys: case, a space inside a token (so a pair key
+# "a b c" has two splits), a bar (the label separator), and "İ", whose
+# lowercase "i̇" is two characters long, as is the token "i̇" itself
+TOKENS = ("The", "the", "THE", "sum", "a", "b", "a b", "b c", "c", "x|y",
+          "İ", "i̇", "80")
+TAGS = ("DT", "NN", "CD", "X|Y", "a b")
+LABELS = ("r=0", "r=1", "t=0s=0", "t=1s=0", "o=+", "o=-lr")
+# every config `PipelineConfig` accepts: the lexicon as a constraint, as
+# features or off, each with and without syntactic conformance
+CONFIGS = [{"use_lexicon": lexicon, "lexicon_as_features": features,
+            "conform_syntactic": conform}
+           for (lexicon, features), conform
+           in product(((True, False), (True, True), (False, False)),
+                      (False, True))]
+CONFIG_IDS = ["-".join(key for key, on in config.items() if on) or "none"
+              for config in CONFIGS]
+
+
+def random_sentence(rng: random.Random, length: int) -> AnnotatedSentence:
+    tokens = tuple(rng.choice(TOKENS) for _ in range(length))
+    pos = tuple(rng.choice(TAGS) for _ in range(length))
+    return AnnotatedSentence(" ".join(tokens), tokens, pos, ())
+
+
+def random_weights(rng: random.Random) -> Weights:
+    """Sparse weights over every template's word, tag and pair names and
+    over names the table must skip: other templates', unlabeled ones, and
+    names without a template. A few weights are wide."""
+    words = sorted({token.lower() for token in TOKENS})
+    keys = {"u": words + ["absent"], "p": list(TAGS),
+            "b": [f"{a} {b}" for a in words for b in words]}
+    names = [f"{template}_{kind}={key}"
+             for template in (*TEMPLATES, "qq", "xtn")
+             for kind, values in keys.items() for key in values]
+    names += ["tn_u", "tn=the", "_u=the", "tnum_left_smaller=1"]
+    weights = Weights()
+    for name in rng.sample(names, len(names) // 3):
+        value = rng.randint(-3, 3) or rng.choice((1, -1)) << rng.randrange(80)
+        if rng.random() < 0.9:
+            name = f"{name}|{rng.choice(LABELS)}"
+        weights[name] = value
+    return weights
+
+
+def test_column_totals_equal_packed_name_totals():
+    # every template's total of every window, empty and one-token ones
+    # included, with and without word pairs, is the packed total of the
+    # window's `token_names` under the template's model
+    rng = random.Random(22)
+    for trial in range(150):
+        packed = [random_weights(rng).packed for _ in _MODEL_TEMPLATES]
+        table = TokenTable(zip(packed, _MODEL_TEMPLATES))
+        by_template = {template: table_of
+                       for table_of, group in zip(packed, _MODEL_TEMPLATES)
+                       for template in group}
+        sentence = random_sentence(rng, trial % 9)
+        columns = table.columns(sentence)
+        n = len(sentence.tokens)
+        for template, lo, hi, bigrams in product(
+                TEMPLATES, range(n + 1), range(n + 1), (True, False)):
+            want = by_template[template].total(
+                sentence.token_names(template, lo, hi, bigrams))
+            assert columns.total(template, lo, hi, bigrams) == want, (
+                sentence.tokens, template, lo, hi, bigrams)
+
+
+def _held_out(name: str, seed: int):
+    """The benchmark's (train, held-out sentences) of a workload, quantities
+    left to detection as `eqparse parse --text` leaves them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    train, held_out = workloads.generate(name, seed)
+    return train, [workloads.without_quantities(ex).sentence
+                   for ex in held_out]
+
+
+def _oracle_parse(bundle: ModelBundle, sentence):
+    """The parse composed from the stage decoders on raw inputs, which
+    total name lists: (relevance, variable triggers, equation), or None
+    where the parse raises."""
+    window = bundle.config.window
+    quantities = sentence_quantities(sentence)
+    relevance = RelevanceDecoder(window).decode(
+        (sentence, tuple(quantities)), bundle.relevance_model.weights)
+    try:
+        candidate = VariableDecoder(window).decode(
+            sentence, bundle.variable_model.weights)
+    except ValueError:
+        return relevance, None, None
+    variables = assign_labels(sentence, candidate)
+    kept = [q for q, bit in zip(quantities, relevance) if bit]
+    triggers = tuple(sort_triggers(kept + list(variables)))
+    try:
+        tree = bundle.config.tree_decoder().decode(
+            (sentence, triggers), bundle.tree_model.weights)
+    except ValueError:
+        return relevance, variables, None
+    return relevance, variables, (triggers, tree)
+
+
+def _bundle_parse(bundle: ModelBundle, sentence):
+    """The same triple from the bundle's own methods."""
+    relevance = bundle.predict_relevance(sentence,
+                                         sentence_quantities(sentence))
+    try:
+        variables = bundle.predict_variables(sentence)
+    except ValueError:
+        return relevance, None, None
+    try:
+        result = bundle.parse(sentence)
+    except ValueError:
+        return relevance, variables, None
+    assert result.relevance == relevance
+    assert result.variable_triggers == variables
+    kept = [q for q, bit in zip(result.quantities, relevance) if bit]
+    triggers = tuple(sort_triggers(kept + list(variables)))
+    assert bundle.decode_tree(sentence, triggers) == result.tree
+    return relevance, variables, (triggers, result.tree)
+
+
+def assert_parses_as_oracle(bundle: ModelBundle, sentences) -> int:
+    """Each sentence's bundle parse equals the oracle's; returns how many
+    parsed to a tree."""
+    trees = 0
+    for sentence in sentences:
+        got = _bundle_parse(bundle, sentence)
+        assert got == _oracle_parse(bundle, sentence), sentence.text
+        trees += got[2] is not None
+    return trees
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_bundle_parses_as_its_stage_decoders(config, synthetic_corpus,
+                                             multiplier_corpus):
+    # on the shipped corpora and on both workloads' held-out seeds 1-3
+    config = PipelineConfig(**config)
+    shipped = synthetic_corpus + multiplier_corpus
+    bundle = train_bundle(shipped, config)
+    assert assert_parses_as_oracle(
+        bundle, [ex.sentence for ex in shipped]) == len(shipped)
+    for name, seed in product(("families", "distractors"), (1, 2, 3)):
+        train, sentences = _held_out(name, seed)
+        bundle = train_bundle(train, config)
+        assert assert_parses_as_oracle(bundle, sentences) >= 0.9 * len(
+            sentences)
+
+
+@pytest.fixture(scope="module")
+def shipped_bundle_text(request):
+    synthetic = request.getfixturevalue("synthetic_corpus")
+    multiplier = request.getfixturevalue("multiplier_corpus")
+    return train_bundle(synthetic + multiplier,
+                        PipelineConfig(use_lexicon=False)).to_text()
+
+
+def _flip_everything(bundle: ModelBundle, sentences) -> None:
+    """Assign weights that change most parses: each word of the sentences
+    pulls every quantity into the equation, every NP to the pair label,
+    and every tree node to `-` (no lexicon pins it), through
+    `Weights.__setitem__`."""
+    words = {token.lower() for s in sentences for token in s.tokens}
+    for word in sorted(words):
+        bundle.relevance_model.weights[f"qn_u={word}|r=1"] = 10 ** 6
+        bundle.variable_model.weights[f"vp_u={word}|t=1s=0"] = 10 ** 6
+        bundle.tree_model.weights[f"tn_u={word}|o=-lr"] = 10 ** 6
+
+
+def test_weights_set_after_a_parse_are_read(shipped_bundle_text,
+                                            synthetic_corpus):
+    sentences = [ex.sentence for ex in synthetic_corpus]
+    bundle = ModelBundle.from_text(shipped_bundle_text)
+    before = [_bundle_parse(bundle, s) for s in sentences]
+    _flip_everything(bundle, sentences)
+    after = [_bundle_parse(bundle, s) for s in sentences]
+    assert after == [_oracle_parse(bundle, s) for s in sentences]
+    assert sum(a != b for a, b in zip(after, before)) >= len(sentences) // 2
+    # a weight too wide for the packed slots lays the table out again
+    bundle.tree_model.weights["tn_u=the|o=+"] = 1 << 300
+    assert_parses_as_oracle(bundle, sentences)
+    bundle.tree_model.weights["tn_u=the|o=+"] = 0
+    assert_parses_as_oracle(bundle, sentences)
+    # so are replaced weights and models, and plain dict weights
+    bundle.tree_model.weights = Weights(bundle.tree_model.weights)
+    bundle.tree_model.weights["tn_u=the|o=*"] = 10 ** 7
+    assert_parses_as_oracle(bundle, sentences)
+    bundle.variable_model = LinearModel(dict(bundle.variable_model.weights))
+    assert_parses_as_oracle(bundle, sentences)
+    bundle.variable_model.weights["vp_u=number|t=0s=0"] = 10 ** 8
+    assert_parses_as_oracle(bundle, sentences)
+
+
+def test_bundles_in_one_process_share_no_table(shipped_bundle_text,
+                                               synthetic_corpus,
+                                               multiplier_corpus):
+    # a trained and a loaded bundle parse alike; a change to the loaded
+    # one's weights is read by it alone
+    examples = synthetic_corpus + multiplier_corpus
+    sentences = [ex.sentence for ex in examples]
+    trained = train_bundle(examples, PipelineConfig(use_lexicon=False))
+    loaded = ModelBundle.from_text(shipped_bundle_text)
+    assert trained.to_text() == shipped_bundle_text
+    first = [_bundle_parse(trained, s) for s in sentences]
+    assert [_bundle_parse(loaded, s) for s in sentences] == first
+    _flip_everything(loaded, sentences)
+    assert_parses_as_oracle(loaded, sentences)
+    assert [_bundle_parse(trained, s) for s in sentences] == first
+    assert [_bundle_parse(loaded, s) for s in sentences] != first
+    # bundles loaded and dropped one after another, with weights that
+    # parse differently and none assigned to, reuse memory and so the ids
+    # of their objects: each parses by its own weights
+    texts = [shipped_bundle_text, loaded.to_text()]
+    assert [_bundle_parse(ModelBundle.from_text(text), s)
+            for text in texts for s in sentences[:6]] \
+        == first[:6] + [_bundle_parse(loaded, s) for s in sentences[:6]]
+    for trial in range(20):
+        bundle = ModelBundle.from_text(texts[trial % 2])
+        assert_parses_as_oracle(bundle, sentences[:6])
+        del bundle
+
+
+def test_no_table_is_found_by_id(shipped_bundle_text, synthetic_corpus):
+    # an id is reused once its object is freed, so a table looked up by
+    # the id of a bundle or of its weights could be another's: loading,
+    # parsing and changing a bundle never call `id`
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is id:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        bundle = ModelBundle.from_text(shipped_bundle_text)
+        for ex in synthetic_corpus:
+            _bundle_parse(bundle, ex.sentence)
+        _flip_everything(bundle, [synthetic_corpus[0].sentence])
+        _bundle_parse(bundle, synthetic_corpus[0].sentence)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+def test_a_parse_builds_no_window_name(monkeypatch, synthetic_corpus,
+                                       multiplier_corpus):
+    # training names the windows; a bundle's parses after its first (which
+    # compiles the table from the packed weights) build no window or part
+    # name, through any of its prediction methods
+    calls = {"token_names": 0, "_part_names": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(AnnotatedSentence, "token_names")
+    counting(treeparse, "_part_names")
+    examples = synthetic_corpus + multiplier_corpus
+    for config in CONFIGS:
+        bundle = train_bundle(examples, PipelineConfig(**config))
+        assert calls["token_names"] and calls["_part_names"]
+        bundle.parse(examples[0].sentence)
+        calls.update(dict.fromkeys(calls, 0))
+        for ex in examples:
+            _bundle_parse(bundle, ex.sentence)
+        assert calls == {"token_names": 0, "_part_names": 0}
