@@ -132,11 +132,10 @@ class TokenColumns:
     then a slice sum, the difference of two column entries, and its
     template's field of that sum is the packed total of its names."""
 
-    __slots__ = ("units", "pairs", "fields", "bias")
+    __slots__ = ("units", "pairs", "table")
 
-    def __init__(self, units, pairs, fields, bias):
-        self.units, self.pairs, self.fields, self.bias = (units, pairs,
-                                                          fields, bias)
+    def __init__(self, units, pairs, table):
+        self.units, self.pairs, self.table = units, pairs, table
 
     def total(self, template: str, lo: int, hi: int,
               bigrams: bool = True) -> int:
@@ -145,34 +144,40 @@ class TokenColumns:
         if hi <= lo:
             return 0
         units = self.units
-        total = units[hi] - units[lo] + self.bias
+        total = units[hi] - units[lo]
         if bigrams:
             pairs = self.pairs
             total += pairs[hi] - pairs[lo + 1]
-        shift, mask, half = self.fields[template]
-        return ((total >> shift) & mask) - half
+        table = self.table
+        shift, mask, half = table.fields[template]
+        return (((total + table.bias) >> shift) & mask) - half
 
 
 class TokenTable:
     """Every token-window name's packed weight, compiled by token. The
     stages name token windows with `token_names` under a template each:
-    relevance under `qn`, variables `vp` and `vn`, the tree `tn` and `tc`.
-    `words`,
+    relevance under `qn`, variables `vp` and `vn`, the tree `tn` and `tc`;
+    relevance names a quantity's own phrase under `qq` too. `words`,
     `tags` and `pairs` map a lowercased word, a POS tag and a word pair
-    `"{last} {word}"` to its row: one integer holding, in each template's
+    `(last, word)` to its row: one integer holding, in each template's
     field, the packed weight of the name `token_names` gives it under the
-    template (`{template}_u=`, `_p=` or `_b=` followed by the key), 0
-    where that name has none. Rows add up field by field, as a
-    `PackedTable`'s slots do: `fields[template]` is the field's (shift,
-    mask, half offset), and `bias` adds every field's half offset. A
-    field holds a sum of fewer than 2**40 names.
+    template (`{template}_u=`, `_p=` or `_b=` followed by the key, a pair
+    as `"{last} {word}"`), 0 where that name has none. A pair name is
+    keyed under each split of its key at a space, so that a word holding
+    a space finds it too. Rows add up field by field, as a `PackedTable`'s
+    slots do: `fields[template]` is the field's (shift, mask, half
+    offset) and `bias` adds every field's half offset, so a sum's field
+    is `(((rows + bias) >> shift) & mask) - half`. A field holds a sum of
+    fewer than 2**40 names.
 
     `columns` looks each of a sentence's tokens up once, and every stage's
     window totals are slice sums of the two columns it builds; no window
     name is built. The weights are copied in: a table compiled from
-    weights that change afterwards is stale, and must be compiled again."""
+    weights that change afterwards is stale, and must be compiled again,
+    and with it what the decoders compiled from the same weights into
+    `constants` (see `constant`)."""
 
-    __slots__ = ("words", "tags", "pairs", "fields", "bias")
+    __slots__ = ("words", "tags", "pairs", "fields", "bias", "constants")
 
     def __init__(self, sources):
         """`sources`: pairs of a packed table (`feature -> packed weight`,
@@ -180,6 +185,7 @@ class TokenTable:
         scores. A table read for two templates is iterated once."""
         sources = list(sources)
         self.fields = {}
+        self.constants = {}
         shift = self.bias = 0
         for table, templates in sources:
             width = _HEADROOM + max((abs(value).bit_length()
@@ -197,23 +203,50 @@ class TokenTable:
                 head, named, key = feature.partition("=")
                 template, _, kind = head.rpartition("_")
                 shift = slots.get(template)
-                if shift is not None and named and kind in rows:
-                    by_key = rows[kind]
-                    by_key[key] = by_key.get(key, 0) + (value << shift)
+                if shift is None or not named or kind not in rows:
+                    continue
+                by_key = rows[kind]
+                value <<= shift
+                if kind != "b":
+                    by_key[key] = by_key.get(key, 0) + value
+                    continue
+                space = key.find(" ")
+                while space >= 0:  # under each (last, word) split
+                    pair = key[:space], key[space + 1:]
+                    by_key[pair] = by_key.get(pair, 0) + value
+                    space = key.find(" ", space + 1)
         self.words, self.tags, self.pairs = (rows[kind] for kind in _KINDS)
+
+    def rows(self, words: list[str]) -> int:
+        """The summed rows of lowercased words and of each pair of
+        neighbors among them, for a run of words that are not a
+        sentence's tokens: a template's field of it is the packed total
+        of their word and pair names under the template."""
+        pairs = self.pairs
+        return (sum(map(self.words.get, words, repeat(0)))
+                + sum(map(pairs.get, zip(words, words[1:]), repeat(0))))
+
+    def constant(self, key, compile, *args):
+        """`compile(*args)`, called on the first read of the key: what a
+        decoder compiles from the weights this table was compiled from,
+        kept for as long as the table is."""
+        value = self.constants.get(key)
+        if value is None:
+            value = self.constants[key] = compile(*args)
+        return value
 
     def columns(self, sentence: AnnotatedSentence) -> TokenColumns:
         """The sentence's `TokenColumns`: each token is lowercased once,
-        and its word, its tag and the pair it ends are looked up once."""
+        and its word, its tag and the pair it ends are looked up once,
+        the pair by its `(last, word)` tuple: no key string is built."""
         words = list(map(str.lower, sentence.tokens))
         units = [0, *accumulate(map(add,
                                     map(self.words.get, words, repeat(0)),
                                     map(self.tags.get, sentence.pos,
                                         repeat(0))))]
-        pairs = [0, 0, *accumulate(map(self.pairs.get,
-                                       map("{} {}".format, words, words[1:]),
+        pairs = [0, 0, *accumulate(map(self.pairs.get, zip(words, words[1:]),
                                        repeat(0)))]
-        return TokenColumns(units, pairs, self.fields, self.bias)
+        return TokenColumns(units, pairs, self)
 
 
 def _token_offsets(text: str, tokens: tuple[str, ...]

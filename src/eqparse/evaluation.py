@@ -235,21 +235,31 @@ class Metrics:
 
 
 def evaluate(bundle, examples) -> Metrics:
-    """Score a model bundle (or any object with its prediction methods)."""
+    """Score a model bundle (or any object with its prediction methods).
+    Relevance and grounding come from the example's parse; the stages are
+    decoded on their own only where the parse raises."""
     if not examples:
         raise ValueError("empty evaluation corpus")
     rel_ok = var_ok = tree_ok = eq_ok = eqg_ok = 0
     for example in examples:
         sentence = example.sentence
         quantities, gold_expr, gold_rel = gold = gold_relevance(example)
-
-        if bundle.predict_relevance(sentence, quantities) == gold_rel:
-            rel_ok += 1
-
         try:
-            predicted_vars = bundle.predict_variables(sentence)
+            result = bundle.parse(sentence)
         except ValueError:
-            predicted_vars = None
+            result = None
+
+        if result is not None:
+            relevance = result.relevance
+            predicted_vars = result.variable_triggers
+        else:
+            relevance = bundle.predict_relevance(sentence, quantities)
+            try:
+                predicted_vars = bundle.predict_variables(sentence)
+            except ValueError:
+                predicted_vars = None
+        if relevance == gold_rel:
+            rel_ok += 1
         if predicted_vars is not None and (
                 grounding_matches(predicted_vars, example.groundings)
                 or grounding_matches(_swap_triggers(predicted_vars),
@@ -266,10 +276,6 @@ def evaluate(bundle, examples) -> Metrics:
             except ValueError:
                 pass
 
-        try:
-            result = bundle.parse(sentence)
-        except ValueError:
-            result = None
         if result is not None:
             if equations_equal(result.expr, gold_expr, Mode.EQUATION_ONLY):
                 eq_ok += 1

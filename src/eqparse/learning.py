@@ -124,7 +124,9 @@ class PackedTable(dict):
     def reader(self, labels):
         """`read(total)`: the total's `score` under each of the labels, in
         their order, with each label's shift looked up once. A decoder
-        makes one per decode; the table must not change while it reads."""
+        called directly makes one per decode, and a bundle's parse one per
+        token table (`TokenTable.constant`): the table must not change
+        while it reads."""
         bias, mask, half = self.bias, self.mask, self.half
         shifts = tuple(map(self.shift, labels))
 

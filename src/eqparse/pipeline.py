@@ -139,9 +139,10 @@ _CONFIG = "[config]"
 _LEXICON = "[lexicon]"
 
 
-# the `token_names` templates each model's weights score, in model order:
-# relevance, variables, tree
-_MODEL_TEMPLATES = (("qn",), ("vp", "vn"), ("tn", "tc"))
+# the templates of the word, tag and word pair names each model's weights
+# score, in model order: relevance (a quantity's window, `qn`, and its own
+# phrase, `qq`), variables, tree
+_MODEL_TEMPLATES = (("qn", "qq"), ("vp", "vn"), ("tn", "tc"))
 
 
 def _sha256(text: str) -> str:
@@ -164,9 +165,10 @@ class ModelBundle:
     def _columns(self, sentence: AnnotatedSentence):
         """The sentence's `TokenTable.columns` under the three models'
         window weights. The table is compiled on first use, not at load,
-        and again once a model's weights are replaced or assigned to; None
-        when a model's weights are a plain dict, whose changes cannot be
-        seen, so its decoder totals names instead."""
+        and again once a model's weights are replaced or assigned to, so
+        the decoders' constants it keeps (`TokenTable.constant`) go with
+        it; None when a model's weights are a plain dict, whose changes
+        cannot be seen, so its decoder totals names instead."""
         weights = [model.weights for model in (
             self.relevance_model, self.variable_model, self.tree_model)]
         compiled = self._compiled

@@ -27,24 +27,28 @@ _SMALL = (1, 2)
 def _quantity_window(sentence: AnnotatedSentence, q, window: int
                      ) -> tuple[int, int]:
     """The token range of a quantity's `qn` window."""
-    return sentence.window(*sentence.token_range(q.span), window)
+    return sentence.window(*sentence.offset_range(q.span.start, q.span.end),
+                           window)
+
+
+def _phrase_words(sentence: AnnotatedSentence, q) -> list[str]:
+    """The lowercased words of a quantity's own phrase."""
+    return [word.lower() for word in q.span.text(sentence.text).split()]
 
 
 def _phrase_names(sentence: AnnotatedSentence, quantities,
                   index: int) -> list[str]:
     """The names of a quantity's own phrase and value: its lowercased
     words, then its word pairs, in one loop as in `token_names`."""
-    q = quantities[index]
     names, pairs = [], []
     last = None
-    for word in q.span.text(sentence.text).split():
-        word = word.lower()
+    for word in _phrase_words(sentence, quantities[index]):
         names.append(f"qq_u={word}")
         if last is not None:
             pairs.append(f"qq_b={last} {word}")
         last = word
     names += pairs
-    if q.value in _SMALL:
+    if quantities[index].value in _SMALL:
         names.append("qq_small")
     if len(quantities) == 1:
         names.append("qq_only")
@@ -70,6 +74,30 @@ def _count_feature(c: int, k: int) -> str:
     return f"qg_count={c}/{k}"
 
 
+def _count_weights(weights) -> dict[int, list[int]]:
+    """{k: the weight of `_count_feature(c, k)` for each c in 0..k}, for
+    every k that has one; a name that `_count_feature` does not write is
+    never read."""
+    out: dict[int, list[int]] = {}
+    for name, value in weights.items():
+        if name.startswith("qg_count="):
+            c, _, k = name[len("qg_count="):].partition("/")
+            if (c.isdecimal() and k.isdecimal()
+                    and name == _count_feature(int(c), int(k))
+                    and int(c) <= int(k)):
+                out.setdefault(int(k), [0] * (int(k) + 1))[int(c)] = value
+    return out
+
+
+def _compile(weights) -> tuple:
+    """What a decode reads of the weights alone: the reader of both bits,
+    the packed totals of `qq_small` and `qq_only`, and the
+    `_count_weights`."""
+    packed = packed_of(weights)
+    return (packed.reader(_BITS), packed.total(["qq_small"]),
+            packed.total(["qq_only"]), _count_weights(weights))
+
+
 def relevance_features(sentence: AnnotatedSentence, quantities,
                        assignment: RelevanceAssignment,
                        window: int = 3) -> FeatureVector:
@@ -86,16 +114,14 @@ def enumerate_assignments(k: int):
 
 class QuantityNames:
     """A `RelevanceDecoder` input prepared for one window: the sentence, its
-    quantities, the count feature of each number of relevant quantities
-    and, built on first use, each quantity's `quantity_names`."""
+    quantities and, built on first use, each quantity's
+    `quantity_names`."""
 
-    __slots__ = ("sentence", "quantities", "window", "counts", "_names")
+    __slots__ = ("sentence", "quantities", "window", "_names")
 
     def __init__(self, sentence: AnnotatedSentence, quantities, window: int):
         self.sentence, self.quantities, self.window = (sentence, quantities,
                                                        window)
-        k = len(quantities)
-        self.counts = [_count_feature(c, k) for c in range(k + 1)]
         self._names = None
 
     @property
@@ -106,17 +132,31 @@ class QuantityNames:
                            for i in range(len(self.quantities))]
         return self._names
 
-    def totals(self, packed, columns=None) -> list[int]:
-        """Each quantity's packed total: of its names or, given the
-        sentence's token columns under the table's weights, its window's
-        `qn` column total plus its phrase names' total."""
-        if columns is None:
-            return list(map(packed.total, self.names))
+    def column_totals(self, columns, small: int, only: int) -> list[int]:
+        """Each quantity's packed total of its names, from the sentence's
+        token columns: its window's `qn` total, plus the `qq` total of its
+        phrase words' and pairs' rows in the columns' table, plus `small`
+        (the packed total of `qq_small`) for a value in `_SMALL` and `only`
+        (that of `qq_only`) for a lone quantity."""
         sentence, quantities, window = (self.sentence, self.quantities,
                                         self.window)
-        return [columns.total("qn", *_quantity_window(sentence, q, window))
-                + packed.total(_phrase_names(sentence, quantities, i))
-                for i, q in enumerate(quantities)]
+        text, total, table = sentence.text, columns.total, columns.table
+        word_row, bias = table.words.get, table.bias
+        shift, mask, half = table.fields["qq"]
+        if len(quantities) != 1:
+            only = 0
+        totals = []
+        for q in quantities:
+            words = text[q.span.start:q.span.end].split()
+            if len(words) == 1:  # `_phrase_words` in one lookup
+                rows = word_row(words[0].lower(), 0)
+            else:
+                rows = table.rows(_phrase_words(sentence, q))
+            # the rows' `qq` field
+            totals.append(total("qn", *_quantity_window(sentence, q, window))
+                          + (((rows + bias) >> shift) & mask) - half + only
+                          + (small if q.value in _SMALL else 0))
+        return totals
 
 
 class RelevanceDecoder:
@@ -125,7 +165,7 @@ class RelevanceDecoder:
 
     Implements the learner's decoder protocol (see ExhaustiveDecoder) with
     Hamming cost; `prepare` gives a `QuantityNames`. Each quantity's names
-    are totalled once in the packed table (or its window read from token
+    are totalled once in the packed table (or its windows read from token
     columns, see `decode`), and both bits' scores read from the total; its
     margin is score(on) - score(off), plus its cost difference given a
     gold output.
@@ -166,15 +206,25 @@ class RelevanceDecoder:
     def decode(self, x, weights, gold: RelevanceAssignment | None = None,
                cost_unit: int = 1, columns=None) -> RelevanceAssignment:
         """With `columns`, the sentence's `TokenTable.columns` compiled
-        from the weights, the windows are read from them and no window
+        from the weights, the windows and phrases are read from them, what
+        depends on the weights alone is compiled once per table, and no
         name is built."""
         x = self.prepare(x)
         k = len(x.quantities)
-        packed = packed_of(weights)
-        read = packed.reader(_BITS)
+        if columns is None:
+            packed = packed_of(weights)
+            read = packed.reader(_BITS)
+            totals = list(map(packed.total, x.names))
+            counts = [weights.get(_count_feature(c, k), 0)
+                      for c in range(k + 1)]
+        else:
+            read, small, only, by_k = columns.table.constant(
+                RelevanceDecoder, _compile, weights)
+            totals = x.column_totals(columns, small, only)
+            counts = by_k.get(k) or [0] * (k + 1)
         all_off = 0
         margins = []
-        for i, total in enumerate(x.totals(packed, columns)):
+        for i, total in enumerate(totals):
             score_off, score_on = read(total)
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
@@ -184,13 +234,13 @@ class RelevanceDecoder:
             all_off += score_off
             margins.append(score_on - score_off)
 
-        order = sorted(range(k), key=lambda i: (-margins[i], i))
-        counts = x.counts
-        best_c, best = 0, all_off + weights.get(counts[0], 0)
+        # by margin, largest first; a stable sort keeps ties in index order
+        order = sorted(range(k), key=margins.__getitem__, reverse=True)
+        best_c, best = 0, all_off + counts[0]
         score = all_off
         for c in range(1, k + 1):
             score += margins[order[c - 1]]
-            total = score + weights.get(counts[c], 0)
+            total = score + counts[c]
             if total >= best:  # equal: more bits on is earlier
                 best_c, best = c, total
         chosen = set(order[:best_c])

@@ -77,7 +77,12 @@ def _padded(text: str | None) -> str:
     # missing field matches no term
     if text is None:
         return ""
-    return " " + _NORM_RE.sub(" ", text.lower()).strip() + " "
+    return _padded_lower(text.lower())
+
+
+def _padded_lower(lowered: str) -> str:
+    """`_padded` of a text already lowercased."""
+    return " " + _NORM_RE.sub(" ", lowered).strip() + " "
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,23 @@ def _compile_lexicon(rules):
 # clause bits in a scan's result
 _SCANNED = ("left", "mid", "right", "token")
 _WIDTH, _TERMS, _EMPTY_MID, _RULES = _compile_lexicon(DEFAULT_LEXICON)
+# finds a term's first word as a word of a lowercased text: a run of the
+# characters `_NORM_RE` keeps, so that `_padded` splits it out whole
+_FIRST_WORDS = re.compile(
+    r"(?<![^\W_])(?:" + "|".join(map(re.escape, sorted(_TERMS, reverse=True)))
+    + r")(?![^\W_])").search
 
 
 def _met(text: str | None) -> int:
     """The clause bits of the terms that the `_padded` text contains, each
-    field's at its `_SCANNED` offset."""
-    padded = _padded(text)
+    field's at its `_SCANNED` offset. A text holding no term's first word
+    meets none, and is not normalized."""
+    if text is None:
+        return 0
+    lowered = text.lower()
+    if _FIRST_WORDS(lowered) is None:
+        return 0
+    padded = _padded_lower(lowered)
     met = 0
     for word in padded.split():
         for term, bits in _TERMS.get(word, ()):
@@ -282,7 +298,8 @@ def _part_totals(x, packed, columns=None) -> tuple[list, list]:
     a <= b <= c <= d summed once each, plus the mid span and the number
     feature: on sorted locations an offset repeats only next to itself.
     Given the sentence's token columns under the table's weights, each
-    part's total is its window's column total instead, and no name is
+    part's total is its `_part_window`'s template field of the columns'
+    slice sum instead, read here without a call per part, and no name is
     built."""
     locs = x.locs
     mids = list(zip(locs, locs[1:]))
@@ -291,8 +308,22 @@ def _part_totals(x, packed, columns=None) -> tuple[list, list]:
         inner = [packed.total(x.part_names(mid)) for mid in mids]
     else:
         sentence, window = x.sentence, x.window
-        at, inner = ([columns.total(*_part_window(sentence, part, window))
-                      for part in parts] for parts in (locs, mids))
+        units, pairs, table = columns.units, columns.pairs, columns.table
+        bias, n = table.bias, len(units) - 1
+        (tn, tn_mask, tn_half), (tc, tc_mask, tc_half) = (table.fields["tn"],
+                                                          table.fields["tc"])
+        at = []
+        for p in locs:  # a `tn` window: around a token, so not empty
+            ti = sentence.token_index_at(p)
+            lo, hi = max(0, ti - window), min(n, ti + 1 + window)
+            at.append((((units[hi] - units[lo] + pairs[hi] - pairs[lo + 1]
+                         + bias) >> tn) & tn_mask) - tn_half)
+        inner = []
+        for b, c in mids:  # a `tc` window, the tokens the span overlaps
+            lo, hi = sentence.offset_range(b, c)
+            inner.append((((units[hi] - units[lo] + pairs[hi] - pairs[lo + 1]
+                            + bias) >> tc) & tc_mask) - tc_half
+                          if hi > lo else 0)
     split = [0, *(total + (at[k] if b != c else 0)
                   for k, ((b, c), total) in enumerate(zip(mids, inner), 1))]
     return at, split
@@ -517,36 +548,49 @@ class CkyDecoder:
             return match, _INTERNAL
         return match, ((*match, _OP_LABELS[match]),)
 
+    def _compile(self, packed) -> tuple:
+        """What a decode reads of the weights alone: the packed table's
+        bias, mask and half offset, the packed totals of the two number
+        features, the explored tuples (`_explored`) of the root and of a
+        node no rule matches, and by r those of a node that a rule with
+        the match INTERNAL_OPS[r] pins: its op alone or, in feature mode,
+        every op with its agreement total."""
+        number = [packed.total([name]) for name in _NUMBER_FEATURES]
+        root, internal = _explored(packed, _ROOT), _explored(packed, _INTERNAL)
+        pinned = ()
+        if self.lexicon_as_features:
+            agree = tuple(packed.total([name]) for name in _AGREE)
+            pinned = [_explored(packed, _INTERNAL, agree, match)
+                      for match in INTERNAL_OPS]
+        elif self.use_lexicon:
+            pinned = [(op,) for op in internal]
+        return (packed.bias, packed.mask, packed.half, number, root,
+                internal, pinned)
+
     def decode(self, x, weights, gold=None, cost_unit: int = 1,
                columns=None):
         """Best tree; with a gold tree, each node absent from it scores
         +cost_unit. Syntactic conformance can exhaust the space; the chart
         then runs again without it. With `columns`, the sentence's
         `TokenTable.columns` compiled from the weights, the part windows
-        are read from them and no part name is built."""
+        are read from them, what depends on the weights alone is compiled
+        once per table, and no part name is built."""
         x = self.prepare(x)
         packed = packed_of(weights)
         triggers, locs, values = x.triggers, x.locs, x.values
         n = len(triggers)
         at, split = _part_totals(x, packed, columns)
-        number = [packed.total([name]) for name in _NUMBER_FEATURES]
-        bias, mask, half = packed.bias, packed.mask, packed.half
-        root, internal = _explored(packed, _ROOT), _explored(packed, _INTERNAL)
-        # by r, the explored tuples of a node that a rule with the match
-        # INTERNAL_OPS[r] pins: its op alone or, in feature mode, every op
-        # with its agreement total. Without the lexicon no rule is read
-        # and every field has no bits
-        rules, pinned = (), ()
+        bias, mask, half, number, root, internal, pinned = (
+            self._compile(packed) if columns is None
+            else columns.table.constant(
+                (CkyDecoder, self.use_lexicon, self.lexicon_as_features),
+                self._compile, packed))
+        # without the lexicon no rule is read and every field has no bits
+        rules = ()
         left = token = mid = right = [0] * (n + 1)
         if self.use_lexicon:
             rules = _RULES
             left, token, mid, right = x.fields
-            if self.lexicon_as_features:
-                agree = tuple(packed.total([name]) for name in _AGREE)
-                pinned = [_explored(packed, _INTERNAL, agree, match)
-                          for match in INTERNAL_OPS]
-            else:
-                pinned = [(op,) for op in internal]
         # the gold tree's op label by its (i, j) cell: a tree has one node
         # per cell
         gold_at = {} if gold is None else {

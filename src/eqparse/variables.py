@@ -8,7 +8,9 @@ Labels are then assigned by rule-based coreference.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
+from operator import attrgetter
 
 from .core import Span, VariableTrigger
 from .corpus import AnnotatedSentence
@@ -20,13 +22,24 @@ class Coref(Enum):
     DIFFERENT_LABELS = "different"
 
 
-def _np_tokens(text: str) -> list[str]:
-    return [t.lower().strip(".,!?;:") for t in text.split()]
+def _phrase_search(*phrases: str):
+    """The `search` of a regex that finds any of the phrases, lowercase
+    ASCII words and digits joined by single spaces, in an NP's text as
+    consecutive whole tokens. A token is a run of non-space characters
+    (a piece of `str.split`), read lowercased and stripped of `.,!?;:` at
+    both ends. No character but a letter's two ASCII cases lowercases to
+    one of these phrases' letters (`İ` lowercases to `i` and a combining
+    dot), so each letter matches its two cases."""
+    edge = "[.,!?;:]*"
+    words = (r"\s+".join(edge + "".join(f"[{c}{c.upper()}]" if c.isalpha()
+                                         else c for c in word) + edge
+                         for word in phrase.split())
+             for phrase in phrases)
+    return re.compile(r"(?<!\S)(?:" + "|".join(words) + r")(?!\S)").search
 
 
-def _contains_phrase(text: str, phrase: str) -> bool:
-    padded = " " + " ".join(_np_tokens(text)) + " "
-    return f" {phrase} " in padded
+_two = _phrase_search("two", "2")
+_same = _phrase_search("itself", "the same number")
 
 
 def coreference_label(sentence: AnnotatedSentence, np1: Span, np2: Span) -> Coref:
@@ -43,14 +56,14 @@ def coreference_label(sentence: AnnotatedSentence, np1: Span, np2: Span) -> Core
     if text1.lower() == text2.lower():
         if not _mentions_two(sentence, np1):
             return Coref.SAME_LABEL
-    elif (_contains_phrase(text2, "itself")
-          or _contains_phrase(text2, "the same number")):
+    elif _same(text2):
         return Coref.SAME_LABEL
     return Coref.DIFFERENT_LABELS
 
 
 def _mentions_two(sentence: AnnotatedSentence, np: Span) -> bool:
-    return bool({"two", "2"} & set(_np_tokens(np.text(sentence.text))))
+    """Whether a token of the NP's text says "two" or "2"."""
+    return _two(np.text(sentence.text)) is not None
 
 
 class VariableCandidate:
@@ -89,27 +102,34 @@ def enumerate_variable_candidates(sentence: AnnotatedSentence) -> list[VariableC
     return out
 
 
-def _np_windows(sentence: AnnotatedSentence, np: Span, window: int) -> tuple:
-    """(template, lo, hi, bigrams) of each token window an NP's names come
-    from: its own tokens (`vp`), and the `window` tokens before and after
-    them (`vn`, words and tags only)."""
-    lo, hi = sentence.token_range(np)
+def _np_windows(sentence: AnnotatedSentence, np: Span,
+                window: int) -> tuple[int, int, int, int]:
+    """(wlo, lo, hi, whi): an NP's names come from its own tokens [lo, hi)
+    (`vp`), and from the `window` tokens before and after them, [wlo, lo)
+    and [hi, whi) (`vn`, words and tags only). An NP chunk covers a token,
+    so lo < hi."""
+    lo, hi = sentence.offset_range(np.start, np.end)
     wlo, whi = sentence.window(lo, hi, window)
-    return ("vp", lo, hi, True), ("vn", wlo, lo, False), ("vn", hi, whi, False)
+    return wlo, lo, hi, whi
 
 
 def np_feature_names(sentence: AnnotatedSentence, np: Span,
                      window: int = 3) -> list[str]:
     """One NP's content and neighborhood feature names, one per occurrence,
     before they are conjoined with the candidate's pair label."""
-    names = []
-    for spec in _np_windows(sentence, np, window):
-        names += sentence.token_names(*spec)
-    return names
+    wlo, lo, hi, whi = _np_windows(sentence, np, window)
+    return (sentence.token_names("vp", lo, hi)
+            + sentence.token_names("vn", wlo, lo, False)
+            + sentence.token_names("vn", hi, whi, False))
 
 
 # the label of a single NP, a pair of distinct NPs and a self-pair
-_SINGLE, _PAIR, _SELF = "t=0s=0", "t=1s=0", "t=1s=1"
+_LABELS = _SINGLE, _PAIR, _SELF = "t=0s=0", "t=1s=0", "t=1s=1"
+
+
+def _reader(weights):
+    """What a decode reads of the weights alone: every label's reader."""
+    return packed_of(weights).reader(_LABELS)
 
 
 def _label(candidate: VariableCandidate) -> str:
@@ -124,6 +144,9 @@ def variable_features(sentence: AnnotatedSentence, candidate: VariableCandidate,
     return VariableDecoder(window).features(sentence, candidate)
 
 
+_start_end = attrgetter("start", "end")
+
+
 class NpNames:
     """A `VariableDecoder` input prepared for one window: the sentence, its
     distinct NP chunks in position order, each one's index, whether it
@@ -133,7 +156,8 @@ class NpNames:
 
     def __init__(self, sentence: AnnotatedSentence, window: int):
         self.sentence, self.window = sentence, window
-        self.chunks = sorted(set(sentence.np_chunks))
+        # by (start, end), a `Span`'s order, compared without its `__lt__`
+        self.chunks = sorted(set(sentence.np_chunks), key=_start_end)
         self.index = {np: c for c, np in enumerate(self.chunks)}
         self.twos = [_mentions_two(sentence, np) for np in self.chunks]
         self._names = None
@@ -145,19 +169,24 @@ class NpNames:
                            for np in self.chunks]
         return self._names
 
-    def totals(self, packed, columns=None) -> list[int]:
-        """Each chunk's packed total: of its names or, given the sentence's
-        token columns under the table's weights, of its windows' column
-        totals."""
-        if columns is None:
-            return list(map(packed.total, self.names))
+    def column_totals(self, columns) -> list[int]:
+        """Each chunk's packed total of its names, from the sentence's
+        token columns: its `vp` window's field and the field of its two
+        `vn` windows' joint sum."""
         sentence, window = self.sentence, self.window
+        units, pairs, table = columns.units, columns.pairs, columns.table
+        bias = table.bias
+        (vp, vp_mask, vp_half), (vn, vn_mask, vn_half) = (table.fields["vp"],
+                                                          table.fields["vn"])
         totals = []
         for np in self.chunks:
-            total = 0
-            for window_spec in _np_windows(sentence, np, window):
-                total += columns.total(*window_spec)
-            totals.append(total)
+            wlo, lo, hi, whi = _np_windows(sentence, np, window)
+            # the `vp` field of its own window's rows, the `vn` field of
+            # its neighbors'
+            own = units[hi] - units[lo] + pairs[hi] - pairs[lo + 1] + bias
+            near = units[lo] - units[wlo] + units[whi] - units[hi] + bias
+            totals.append(((own >> vp) & vp_mask) + ((near >> vn) & vn_mask)
+                          - vp_half - vn_half)
         return totals
 
 
@@ -216,8 +245,8 @@ class VariableDecoder:
     def decode(self, sentence, weights, gold: VariableCandidate | None = None,
                cost_unit: int = 1, columns=None) -> VariableCandidate:
         """With `columns`, the sentence's `TokenTable.columns` compiled
-        from the weights, the windows are read from them and no window
-        name is built."""
+        from the weights, the windows are read from them, the labels'
+        reader is compiled once per table, and no window name is built."""
         x = self.prepare(sentence)
         m = len(x.chunks)
         if not m:
@@ -231,13 +260,18 @@ class VariableDecoder:
                     hits[x.index[np]] = -2 * cost_unit
             costs = {label: cost_unit * cost
                      for label, cost in _label_costs(gold).items()}
-        packed = packed_of(weights)
-        read = packed.reader((_SINGLE, _PAIR, _SELF))
+        if columns is None:
+            packed = packed_of(weights)
+            read = packed.reader(_LABELS)
+            totals = list(map(packed.total, x.names))
+        else:
+            read = columns.table.constant(VariableDecoder, _reader, weights)
+            totals = x.column_totals(columns)
         singles, pairs = [], []
         # (score, key) of each finalist; its key, (0, chunk) for a single
         # and (1, chunk, chunk) for a pair, sorts in enumeration order
         finalists = []
-        for c, total in enumerate(x.totals(packed, columns)):
+        for c, total in enumerate(totals):
             single, pair, self_pair = read(total)
             singles.append(single + hits[c])
             pairs.append(pair + hits[c])
@@ -247,9 +281,10 @@ class VariableDecoder:
         best = max(range(m), key=singles.__getitem__)  # the first maximum
         finalists.append((singles[best] + costs[_SINGLE], (0, best)))
         if m > 1:
-            # a stable sort: equal scores keep position order
-            first, second = sorted(sorted(range(m),
-                                          key=lambda c: -pairs[c])[:2])
+            # largest first; a stable sort, reversed or not, keeps equal
+            # scores in position order
+            first, second = sorted(sorted(range(m), key=pairs.__getitem__,
+                                          reverse=True)[:2])
             finalists.append((pairs[first] + pairs[second] + costs[_PAIR],
                               (1, first, second)))
         # the highest score, the earliest key on ties

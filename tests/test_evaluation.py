@@ -2,6 +2,8 @@
 
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,6 +24,7 @@ from eqparse.core import (
     parse_equation,
     sort_triggers,
 )
+from eqparse.corpus import TokenTable
 from eqparse.evaluation import (
     Metrics,
     Mode,
@@ -36,8 +39,11 @@ from eqparse.evaluation import (
     mean_metrics,
     swap_labels,
 )
+from eqparse.pipeline import PipelineConfig, train_bundle
 from eqparse.quantities import sentence_quantities
-from eqparse.relevance import derive_gold_relevance
+from eqparse.relevance import RelevanceDecoder, derive_gold_relevance
+from eqparse.treeparse import CkyDecoder
+from eqparse.variables import VariableDecoder
 
 from helpers import (
     commute,
@@ -283,9 +289,13 @@ class OracleBundle:
         return tree
 
     def parse(self, sentence):
+        # the stages' answers, as a bundle's parse composes them
         ex = self.by_text[sentence.text]
-        return SimpleNamespace(expr=parse_equation(ex.equation),
-                               variable_triggers=tuple(ex.groundings[0]))
+        return SimpleNamespace(
+            expr=parse_equation(ex.equation),
+            relevance=self.predict_relevance(sentence,
+                                             sentence_quantities(sentence)),
+            variable_triggers=self.predict_variables(sentence))
 
 
 class FirstNpBundle(OracleBundle):
@@ -309,6 +319,44 @@ class TestEvaluate:
         assert metrics.relevance_accuracy == 1.0
         assert metrics.tree_accuracy_gold_pipeline == 1.0
         assert metrics.equation_accuracy == 1.0
+
+    def test_stages_are_decoded_once_per_example(
+            self, monkeypatch, synthetic_corpus, multiplier_corpus):
+        # relevance and grounding come from the example's parse; the tree
+        # is decoded for the parse and on the gold trigger list, and the
+        # sentence's token columns are built for each of the two. Where the
+        # parse raises (here: no NP chunk to ground a variable in), the
+        # relevance and variable decoders run again on their own
+        examples = synthetic_corpus + multiplier_corpus
+        bundle = train_bundle(examples, PipelineConfig())
+        calls = Counter()
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(RelevanceDecoder, "decode", "relevance")
+        counting(VariableDecoder, "decode", "variables")
+        counting(CkyDecoder, "decode", "tree")
+        counting(TokenTable, "columns", "columns")
+        assert evaluate(bundle, examples).count == len(examples)
+        assert calls["columns"] == 2 * len(examples)
+        no_np = replace(examples[0], groundings=(),
+                        sentence=replace(examples[0].sentence, np_chunks=()))
+        for example in examples + [no_np]:
+            gold = gold_tree_instance(example) is not None
+            parsed = bool(example.sentence.np_chunks)
+            calls.clear()
+            evaluate(bundle, [example])
+            assert calls == Counter(relevance=1 + (not parsed),
+                                    variables=1 + (not parsed),
+                                    tree=parsed + gold,
+                                    columns=1 + 2 * (not parsed) + gold)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -6,13 +6,14 @@ from, and a parse after the first builds no window name."""
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from eqparse import treeparse
-from eqparse.core import sort_triggers
+from eqparse import relevance, treeparse, variables
+from eqparse.core import QuantityTrigger, Span, sort_triggers
 from eqparse.corpus import AnnotatedSentence, TokenTable
 from eqparse.learning import LinearModel, Weights
 from eqparse.pipeline import (
@@ -22,16 +23,18 @@ from eqparse.pipeline import (
     train_bundle,
 )
 from eqparse.quantities import sentence_quantities
-from eqparse.relevance import RelevanceDecoder
-from eqparse.variables import VariableDecoder, assign_labels
+from eqparse.relevance import QuantityNames, RelevanceDecoder
+from eqparse.variables import NpNames, VariableDecoder, assign_labels
 
-# the five window templates, in model order
+# the six templates of window and phrase names, in model order
 TEMPLATES = [template for group in _MODEL_TEMPLATES for template in group]
 # tokens that test the keys: case, a space inside a token (so a pair key
-# "a b c" has two splits), a bar (the label separator), and "İ", whose
-# lowercase "i̇" is two characters long, as is the token "i̇" itself
+# "a b c" has two splits, and "x y z" is a pair's key as the token pair
+# ("x y", "z"), ("x", "y z") or half of a longer one), a bar (the label
+# separator), and "İ", whose lowercase "i̇" is two characters long, as is
+# the token "i̇" itself
 TOKENS = ("The", "the", "THE", "sum", "a", "b", "a b", "b c", "c", "x|y",
-          "İ", "i̇", "80")
+          "x y z", "x", "y z", "x y", "z", "İ", "i̇", "80", "5-dollar")
 TAGS = ("DT", "NN", "CD", "X|Y", "a b")
 LABELS = ("r=0", "r=1", "t=0s=0", "t=1s=0", "o=+", "o=-lr")
 # every config `PipelineConfig` accepts: the lexicon as a constraint, as
@@ -55,13 +58,16 @@ def random_weights(rng: random.Random) -> Weights:
     """Sparse weights over every template's word, tag and pair names and
     over names the table must skip: other templates', unlabeled ones, and
     names without a template. A few weights are wide."""
-    words = sorted({token.lower() for token in TOKENS})
+    words = sorted({word for token in TOKENS
+                    for word in (token.lower(), *token.lower().split(),
+                                 "5", "dollar")})
     keys = {"u": words + ["absent"], "p": list(TAGS),
             "b": [f"{a} {b}" for a in words for b in words]}
     names = [f"{template}_{kind}={key}"
-             for template in (*TEMPLATES, "qq", "xtn")
+             for template in (*TEMPLATES, "xtn")
              for kind, values in keys.items() for key in values]
-    names += ["tn_u", "tn=the", "_u=the", "tnum_left_smaller=1"]
+    names += ["tn_u", "tn=the", "_u=the", "tnum_left_smaller=1", "qq_small",
+              "qq_only"]
     weights = Weights()
     for name in rng.sample(names, len(names) // 3):
         value = rng.randint(-3, 3) or rng.choice((1, -1)) << rng.randrange(80)
@@ -91,6 +97,101 @@ def test_column_totals_equal_packed_name_totals():
                 sentence.token_names(template, lo, hi, bigrams))
             assert columns.total(template, lo, hi, bigrams) == want, (
                 sentence.tokens, template, lo, hi, bigrams)
+
+
+def random_quantities(rng: random.Random, sentence: AnnotatedSentence,
+                      k: int) -> tuple:
+    """k quantities over one token, a run of tokens, part of a token ("5"
+    of "5-dollar") or any span of the text, with values in and out of
+    `relevance._SMALL`."""
+    n = len(sentence.tokens)
+    starts, ends = sentence.token_starts, sentence.token_ends
+    quantities = []
+    for _ in range(k):
+        i = rng.randrange(n)
+        j = rng.randrange(i, n) + 1
+        a = rng.randrange(len(sentence.text))
+        start, end = rng.choice([
+            (starts[i], ends[i]), (starts[i], ends[j - 1]),
+            (starts[i], starts[i] + 1),
+            (a, rng.randrange(a, len(sentence.text)) + 1)])
+        value = rng.choice((1, 2, Fraction(1, 2), Fraction(5, 2), 3))
+        quantities.append(QuantityTrigger(value, Span(start, end)))
+    return tuple(quantities)
+
+
+def test_phrase_totals_equal_packed_name_totals():
+    # a quantity's phrase total, from the table's word and pair rows, is the
+    # packed total of its `_phrase_names`, and its whole total that of its
+    # `quantity_names`: for one-word, multi-word, prefixed and non-token
+    # spans, every value, and a lone quantity (`qq_only`)
+    rng = random.Random(23)
+    for trial in range(300):
+        weights = random_weights(rng)
+        packed = weights.packed
+        table = TokenTable([(packed, ("qn", "qq"))])
+        sentence = random_sentence(rng, 1 + trial % 8)
+        quantities = random_quantities(rng, sentence, 1 + trial % 4)
+        columns = table.columns(sentence)
+        x = QuantityNames(sentence, quantities, trial % 4)
+        _, small, only, _ = relevance._compile(weights)
+        totals = x.column_totals(columns, small, only)
+        assert totals == list(map(packed.total, x.names)), sentence.tokens
+        for i, q in enumerate(quantities):
+            window = columns.total(
+                "qn", *relevance._quantity_window(sentence, q, x.window))
+            assert totals[i] - window == packed.total(
+                relevance._phrase_names(sentence, quantities, i))
+
+
+def test_relevance_decode_reads_count_weights_by_name():
+    # the compiled count weights are those of the `qg_count=c/k` names: a
+    # name `_count_feature` does not write (a leading zero, another digit
+    # script, a label, c above k) is not read
+    rng = random.Random(24)
+    decoder = RelevanceDecoder()
+    for trial in range(200):
+        weights = random_weights(rng)
+        for c, k in product(range(5), range(1, 5)):
+            if rng.random() < 0.5:
+                weights[f"qg_count={c}/{k}"] = rng.randint(-60, 60)
+        for name in ("qg_count=01/2", "qg_count=\u0661/2",
+                     "qg_count=1/2|r=1", "qg_count=3/2", "qg_count=1/02"):
+            weights[name] = rng.choice((-1000, 1000))
+        table = TokenTable([(weights.packed, ("qn", "qq"))])
+        sentence = random_sentence(rng, 1 + trial % 8)
+        x = decoder.prepare(
+            (sentence, random_quantities(rng, sentence, 1 + trial % 4)))
+        assert decoder.decode(x, weights, columns=table.columns(sentence)) \
+            == decoder.decode(x, weights)
+
+
+def test_np_window_reads_equal_packed_name_totals():
+    # an NP's two field reads equal the packed total of its
+    # `np_feature_names`, for chunks over whole and part tokens and for
+    # every window size; and the decode reads them as the names path does
+    rng = random.Random(25)
+    for trial in range(300):
+        weights = random_weights(rng)
+        packed = weights.packed
+        table = TokenTable([(packed, ("vp", "vn"))])
+        plain = random_sentence(rng, 1 + trial % 8)
+        starts, ends = plain.token_starts, plain.token_ends
+        chunks = []
+        for _ in range(1 + trial % 4):
+            i = rng.randrange(len(starts))
+            j = rng.randrange(i, len(starts)) + 1
+            start = rng.randrange(starts[i], ends[i])
+            end = rng.randrange(max(start, starts[j - 1]), ends[j - 1]) + 1
+            chunks.append(Span(start, end))
+        sentence = AnnotatedSentence(plain.text, plain.tokens, plain.pos,
+                                     tuple(chunks))
+        columns = table.columns(sentence)
+        x = NpNames(sentence, trial % 4)
+        assert x.column_totals(columns) == list(map(packed.total, x.names))
+        decoder = VariableDecoder(x.window)
+        assert decoder.decode(x, weights, columns=columns) \
+            == decoder.decode(x, weights)
 
 
 def _held_out(name: str, seed: int):
@@ -221,6 +322,31 @@ def test_weights_set_after_a_parse_are_read(shipped_bundle_text,
     assert_parses_as_oracle(bundle, sentences)
 
 
+def test_weights_of_compiled_constants_set_after_a_parse_are_read(
+        synthetic_corpus, multiplier_corpus):
+    # each weight a decode compiles once per table, assigned after a parse,
+    # is read by the next: the count, `qq_small` and `qq_only` weights, the
+    # number and lexicon-agreement features, and a label the tree model
+    # had not seen, which takes the spare slot that `o=/rl` (no weight in
+    # this bundle) reads
+    examples = synthetic_corpus + multiplier_corpus
+    sentences = [ex.sentence for ex in examples]
+    bundle = train_bundle(examples, PipelineConfig(lexicon_as_features=True))
+    assert_parses_as_oracle(bundle, sentences)
+    before = [_bundle_parse(bundle, s) for s in sentences]
+    for model, name, value in (
+            (bundle.relevance_model, "qg_count=2/3", 10 ** 9),
+            (bundle.relevance_model, "qq_small|r=1", -10 ** 9),
+            (bundle.relevance_model, "qq_only|r=0", 10 ** 9),
+            (bundle.tree_model, "tnum_left_smaller=1|o=+", 10 ** 9),
+            (bundle.tree_model, "lex_agree=1|o=-rl", 10 ** 10),
+            (bundle.tree_model, "tn_u=the|o=new", 10 ** 6)):
+        assert "o=/rl" not in bundle.tree_model.weights.packed.shifts
+        model.weights[name] = value
+        assert_parses_as_oracle(bundle, sentences)
+    assert [_bundle_parse(bundle, s) for s in sentences] != before
+
+
 def test_bundles_in_one_process_share_no_table(shipped_bundle_text,
                                                synthetic_corpus,
                                                multiplier_corpus):
@@ -275,9 +401,12 @@ def test_no_table_is_found_by_id(shipped_bundle_text, synthetic_corpus):
 def test_a_parse_builds_no_window_name(monkeypatch, synthetic_corpus,
                                        multiplier_corpus):
     # training names the windows; a bundle's parses after its first (which
-    # compiles the table from the packed weights) build no window or part
-    # name, through any of its prediction methods
-    calls = {"token_names": 0, "_part_names": 0}
+    # compiles the table from the packed weights) build no window, part,
+    # phrase or count name, no name list of a quantity or an NP, through
+    # any of its prediction methods
+    calls = dict.fromkeys(("token_names", "_part_names", "_phrase_names",
+                           "quantity_names", "_count_feature",
+                           "np_feature_names"), 0)
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -290,12 +419,15 @@ def test_a_parse_builds_no_window_name(monkeypatch, synthetic_corpus,
 
     counting(AnnotatedSentence, "token_names")
     counting(treeparse, "_part_names")
+    for name in ("_phrase_names", "quantity_names", "_count_feature"):
+        counting(relevance, name)
+    counting(variables, "np_feature_names")
     examples = synthetic_corpus + multiplier_corpus
     for config in CONFIGS:
         bundle = train_bundle(examples, PipelineConfig(**config))
-        assert calls["token_names"] and calls["_part_names"]
+        assert all(calls.values())
         bundle.parse(examples[0].sentence)
         calls.update(dict.fromkeys(calls, 0))
         for ex in examples:
             _bundle_parse(bundle, ex.sentence)
-        assert calls == {"token_names": 0, "_part_names": 0}
+        assert not any(calls.values()), calls

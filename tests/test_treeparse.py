@@ -24,6 +24,7 @@ from eqparse.core import (
 from eqparse.corpus import AnnotatedSentence
 from eqparse.evaluation import gold_tree_instance
 from eqparse.learning import TrainConfig, dot, train_structured
+from eqparse import treeparse
 from eqparse.quantities import sentence_quantities
 from eqparse.treeparse import (
     CkyDecoder,
@@ -203,6 +204,37 @@ class TestTreeInputMatch:
                 where = (sentence.text, i, k, j)
                 assert x.met(i, k, j) == context_clause_bits(context), where
                 assert x.match(i, k, j) == lexicon_match(context), where
+
+    def test_met_skip_equals_full_scan(self):
+        # `_met` returns 0, without normalizing the text, when no term's
+        # first word is one of its words; else it scans every `_padded`
+        # word. Both equal the full scan on random substrings of lexicon
+        # words in three cases, words of other scripts, combining marks,
+        # underscores, and characters whose lowercase differs in length
+        # ("İ") or script ("K", the Kelvin sign)
+        def full_scan(text):
+            padded = _padded(text)
+            met = 0
+            for word in padded.split():
+                for term, bits in treeparse._TERMS.get(word, ()):
+                    if term in padded:
+                        met |= bits
+            return met
+
+        rng = random.Random(43)
+        pieces = (*NON_ASCII_WORDS, *(w.upper() for w in LEXICON_WORDS),
+                  *(w.title() for w in LEXICON_WORDS), "\u0301", "_", "-",
+                  ",", "İ", "\u212a", "ſ", "\t", "\xa0")
+        skipped = 0
+        for trial in range(4000):
+            text = "".join(rng.choice(pieces) + rng.choice(("", " ", " "))
+                           for _ in range(rng.randrange(8)))
+            a = rng.randrange(len(text) + 1)
+            text = text[a:rng.randrange(a, len(text) + 1)]
+            assert treeparse._met(text) == full_scan(text), text
+            skipped += treeparse._FIRST_WORDS(text.lower()) is None
+        assert 500 < skipped < 3500
+        assert treeparse._met(None) == full_scan(None) == 0
 
     def test_rejects_out_of_order_locations(self, twice_triple_sentence):
         # the input checks its trigger list when it is built: an

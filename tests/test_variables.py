@@ -1,6 +1,8 @@
 """Variable grounding: coreference rules, candidate space, labeling."""
 
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -19,7 +21,7 @@ from eqparse.variables import (
     predict_variable_triggers,
     variable_features,
 )
-from eqparse.variables import _label, _label_costs
+from eqparse.variables import _label, _label_costs, _mentions_two, _same
 
 from helpers import HashWeights, draw_weights, random_np_instance
 
@@ -82,6 +84,54 @@ class TestCoreference:
         np1, np2 = twice_triple_sentence.np_chunks
         with pytest.raises(ValueError):
             coreference_label(twice_triple_sentence, np2, np1)
+
+
+def _np_tokens(text: str) -> list[str]:
+    """The reference tokens an NP's text is matched on: its pieces at
+    whitespace, lowercased, with `.,!?;:` stripped from both ends."""
+    return [t.lower().strip(".,!?;:") for t in text.split()]
+
+
+def _contains_phrase(text: str, phrase: str) -> bool:
+    """Whether the phrase's words are consecutive `_np_tokens`."""
+    return f" {phrase} " in " " + " ".join(_np_tokens(text)) + " "
+
+
+class TestPhraseSearch:
+    # "two" and the coreference phrases are found by compiled regexes on
+    # the NP's text; the reference splits it into `_np_tokens`
+    PIECES = ("two", "Two", "TWO", "tWo", "2", "22", "two2", "itself",
+              "ITSELF", "itſelf", "the", "The", "same", "number", "numbers",
+              "İtself", "\u212a", "twó", "two\u0301", "tw o", ".", ",", "!?",
+              ";", ":", "-", "'", "(", " ", "  ", "\t", "\n", "\xa0",
+              "\u2003", "\x1c", "\u200b", "x")
+
+    def test_matches_np_tokens(self):
+        rng = random.Random(61)
+        found = [0, 0]
+        for trial in range(6000):
+            text = "".join(rng.choice(self.PIECES)
+                           for _ in range(rng.randrange(10)))
+            sentence = AnnotatedSentence(f"{text}|", (f"{text}|",), ("NN",),
+                                         ())
+            two = _mentions_two(sentence, Span(0, len(text)))
+            assert two == bool({"two", "2"} & set(_np_tokens(text))), text
+            same = _same(text) is not None
+            assert same == (_contains_phrase(text, "itself")
+                            or _contains_phrase(text, "the same number")), text
+            found[0] += two
+            found[1] += same
+        assert min(found) > 150
+
+    def test_case_and_space_classes(self):
+        # the regexes match each letter of their phrases in its two ASCII
+        # cases and split at `\s`: no other character lowercases to such
+        # a letter, and `\s` is exactly what `str.split` splits at
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        letters = set("twoitselfhesamenumber")
+        assert {c for c in every if c.lower() in letters} \
+            == letters | {c.upper() for c in letters}
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 class TestCandidate:
