@@ -121,23 +121,14 @@ class PackedTable(dict):
         return (((total + self.bias) >> self.shift(label)) & self.mask) \
             - self.half
 
-    def reader(self, labels):
-        """`read(total)`: the total's `score` under each of the labels, in
-        their order, with each label's shift looked up once. A decoder
-        called directly makes one per decode, and a bundle's parse one per
-        token table (`TokenTable.constant`): the table must not change
-        while it reads."""
-        bias, mask, half = self.bias, self.mask, self.half
-        shifts = tuple(map(self.shift, labels))
-
-        def read(total: int) -> list[int]:
-            total += bias
-            scores = []
-            for shift in shifts:  # a loop, not a comprehension's own frame
-                scores.append(((total >> shift) & mask) - half)
-            return scores
-
-        return read
+    def slots(self, labels) -> tuple:
+        """(bias, mask, half, each label's shift, in their order): what a
+        decoder reads a total's `score` under the labels with, inline,
+        as `(((total + bias) >> shift) & mask) - half`. A decoder called
+        directly looks them up once per decode, and a bundle's parse once
+        per token table (`TokenTable.constant`): the table must not
+        change while they are read."""
+        return (self.bias, self.mask, self.half, *map(self.shift, labels))
 
 
 def packed_of(weights: FeatureVector) -> PackedTable:

@@ -90,11 +90,11 @@ def _count_weights(weights) -> dict[int, list[int]]:
 
 
 def _compile(weights) -> tuple:
-    """What a decode reads of the weights alone: the reader of both bits,
-    the packed totals of `qq_small` and `qq_only`, and the
+    """What a decode reads of the weights alone: both bits' `slots`, the
+    packed totals of `qq_small` and `qq_only`, and the
     `_count_weights`."""
     packed = packed_of(weights)
-    return (packed.reader(_BITS), packed.total(["qq_small"]),
+    return (packed.slots(_BITS), packed.total(["qq_small"]),
             packed.total(["qq_only"]), _count_weights(weights))
 
 
@@ -134,28 +134,43 @@ class QuantityNames:
 
     def column_totals(self, columns, small: int, only: int) -> list[int]:
         """Each quantity's packed total of its names, from the sentence's
-        token columns: its window's `qn` total, plus the `qq` total of its
-        phrase words' and pairs' rows in the columns' table, plus `small`
-        (the packed total of `qq_small`) for a value in `_SMALL` and `only`
-        (that of `qq_only`) for a lone quantity."""
-        sentence, quantities, window = (self.sentence, self.quantities,
-                                        self.window)
-        text, total, table = sentence.text, columns.total, columns.table
+        token columns: the `qn` field of its `_quantity_window`'s rows,
+        plus the `qq` field of its phrase words' and pairs' rows in the
+        columns' table, plus `small` (the packed total of `qq_small`) for a
+        value in `_SMALL` and `only` (that of `qq_only`) for a lone
+        quantity. One loop step per quantity reads both, with no call but
+        its `offset_range` and, for a phrase of more than one word, the
+        table's `rows`."""
+        sentence, window = self.sentence, self.window
+        text, offset_range = sentence.text, sentence.offset_range
+        n = len(sentence.tokens)
+        units, pairs, table = columns.units, columns.pairs, columns.table
         word_row, bias = table.words.get, table.bias
-        shift, mask, half = table.fields["qq"]
-        if len(quantities) != 1:
+        qn, qn_mask, qn_half = table.fields["qn"]
+        qq, qq_mask, qq_half = table.fields["qq"]
+        if len(self.quantities) != 1:
             only = 0
         totals = []
-        for q in quantities:
-            words = text[q.span.start:q.span.end].split()
+        for q in self.quantities:
+            start, end = q.span.start, q.span.end
+            lo, hi = offset_range(start, end)
+            lo = lo - window if lo > window else 0
+            hi = hi + window if hi + window < n else n
+            # the window's `qn` field; a window of no token names nothing
+            near = ((((units[hi] - units[lo] + pairs[hi] - pairs[lo + 1]
+                       + bias) >> qn) & qn_mask) - qn_half if hi > lo else 0)
+            words = text[start:end].split()
             if len(words) == 1:  # `_phrase_words` in one lookup
                 rows = word_row(words[0].lower(), 0)
             else:
                 rows = table.rows(_phrase_words(sentence, q))
-            # the rows' `qq` field
-            totals.append(total("qn", *_quantity_window(sentence, q, window))
-                          + (((rows + bias) >> shift) & mask) - half + only
-                          + (small if q.value in _SMALL else 0))
+            # a Fraction's terms are in lowest form: it is an int in
+            # `_SMALL` exactly when its numerator is and its denominator
+            # is 1, read without a `Fraction.__eq__` call
+            value = q.value
+            totals.append(near + (((rows + bias) >> qq) & qq_mask) - qq_half
+                          + only + (small if value.numerator in _SMALL
+                                    and value.denominator == 1 else 0))
         return totals
 
 
@@ -213,19 +228,23 @@ class RelevanceDecoder:
         k = len(x.quantities)
         if columns is None:
             packed = packed_of(weights)
-            read = packed.reader(_BITS)
+            slots = packed.slots(_BITS)
             totals = list(map(packed.total, x.names))
             counts = [weights.get(_count_feature(c, k), 0)
                       for c in range(k + 1)]
         else:
-            read, small, only, by_k = columns.table.constant(
+            slots, small, only, by_k = columns.table.constant(
                 RelevanceDecoder, _compile, weights)
             totals = x.column_totals(columns, small, only)
             counts = by_k.get(k) or [0] * (k + 1)
+        bias, mask, half, off_at, on_at = slots
         all_off = 0
         margins = []
         for i, total in enumerate(totals):
-            score_off, score_on = read(total)
+            # both bits' fields of the total (`PackedTable.slots`)
+            total += bias
+            score_off = ((total >> off_at) & mask) - half
+            score_on = ((total >> on_at) & mask) - half
             if gold is not None:  # Hamming cost: one unit per wrong bit
                 if gold[i]:
                     score_off += cost_unit

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     INTERNAL_OPS,
@@ -178,11 +179,10 @@ def _compile_lexicon(rules):
     """The rules as clause bits: each clause of each rule gets one bit,
     highest precedence first, and each (field, term) atom the bits of the
     clauses it satisfies. Returns the number w of clauses; the terms as
-    {first word: ((" term ", bits), ...)}, a term's clause bits in the
-    i-th field of `_SCANNED` at offset i * w; the bits an empty mid span
-    meets; and the rules highest precedence first as (needed bits, r),
-    the rule's (op, order) being INTERNAL_OPS[r]. A node's match is the
-    first rule whose needed bits it meets."""
+    {field: {" term ": bits}}; the bits an empty mid span meets; and the
+    rules highest precedence first as (needed bits, r), the rule's (op,
+    order) being INTERNAL_OPS[r]. A node's match is the first rule whose
+    needed bits it meets."""
     width = sum(len(rule.clauses) for rule in rules)
     atoms: dict = {}
     compiled = []
@@ -198,38 +198,57 @@ def _compile_lexicon(rules):
             (needed, INTERNAL_OPS.index((rule.op, rule.order or Order.LR))))
     terms: dict = {}
     for (field, term), bits in atoms.items():
-        if field in _SCANNED:
-            row = terms.setdefault(term.split()[0], {})
-            bits <<= width * _SCANNED.index(field)
-            row[f" {term} "] = row.get(f" {term} ", 0) | bits
-    return (width, {word: tuple(row.items()) for word, row in terms.items()},
-            atoms.get(("mid_empty", ""), 0), tuple(compiled))
+        if field != "mid_empty":
+            terms.setdefault(field, {})[f" {term} "] = bits
+    return (width, terms, atoms.get(("mid_empty", ""), 0), tuple(compiled))
 
 
-# the fields whose terms a text is scanned for, in the order of their
-# clause bits in a scan's result
-_SCANNED = ("left", "mid", "right", "token")
 _WIDTH, _TERMS, _EMPTY_MID, _RULES = _compile_lexicon(DEFAULT_LEXICON)
-# finds a term's first word as a word of a lowercased text: a run of the
-# characters `_NORM_RE` keeps, so that `_padded` splits it out whole
-_FIRST_WORDS = re.compile(
-    r"(?<![^\W_])(?:" + "|".join(map(re.escape, sorted(_TERMS, reverse=True)))
-    + r")(?![^\W_])").search
 
 
-def _met(text: str | None) -> int:
-    """The clause bits of the terms that the `_padded` text contains, each
-    field's at its `_SCANNED` offset. A text holding no term's first word
-    meets none, and is not normalized."""
+def _scan(fields) -> tuple:
+    """The scan of a text for the terms of some context fields, for
+    `_met`: the search for a term's first word as a word of a
+    lowercased text (a run of the characters `_NORM_RE` keeps, so that
+    `_padded` splits it out whole), and {first word: ((" term ", bits),
+    ...)}, a term's clause bits in the i-th of the fields at offset
+    i * w for the w of `_compile_lexicon`."""
+    by_word: dict = {}
+    for offset, field in enumerate(fields):
+        for term, bits in _TERMS[field].items():
+            row = by_word.setdefault(term.split()[0], {})
+            row[term] = row.get(term, 0) | bits << offset * _WIDTH
+    search = re.compile(
+        r"(?<![^\W_])(?:" + "|".join(map(re.escape, sorted(by_word,
+                                                            reverse=True)))
+        + r")(?![^\W_])").search
+    return search, {word: tuple(row.items()) for word, row in by_word.items()}
+
+
+# the scans `TreeInput._field_bits` makes: a gap between two trigger
+# locations is read as `left`, `mid` and `right`, the text before the
+# first location as `left` alone, that after the last as `right` alone,
+# and a trigger's surface as `token`
+_GAP_SCAN = _scan(("left", "mid", "right"))
+_HEAD_SCAN, _TAIL_SCAN, _TOKEN_SCAN = (_scan((field,))
+                                       for field in ("left", "right", "token"))
+
+
+def _met(text: str | None, scan: tuple) -> int:
+    """The clause bits of the terms of the scan's fields (see `_scan`)
+    that the `_padded` text contains, each field's at its offset. A text
+    holding none of those terms' first words meets none, and is not
+    normalized, so a scan for fewer fields skips more texts."""
     if text is None:
         return 0
+    search, terms = scan
     lowered = text.lower()
-    if _FIRST_WORDS(lowered) is None:
+    if search(lowered) is None:
         return 0
     padded = _padded_lower(lowered)
     met = 0
     for word in padded.split():
-        for term, bits in _TERMS.get(word, ()):
+        for term, bits in terms.get(word, ()):
             if term in padded:
                 met |= bits
     return met
@@ -394,6 +413,21 @@ def _crosses_np(sentence: AnnotatedSentence, triggers, i: int, j: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=16)
+def _schedule(n: int) -> tuple:
+    """The CKY chart of n triggers as one walk: each cell (i, j) with
+    j - i >= 2, shorter cells first and then from the left, as (i, j, its
+    index, its splits), and each split k as (k, the index of cell (i, k),
+    that of cell (k, j)). Cell (i, j)'s index is i * (n + 1) + j, an
+    entry of the decode's flat score and back lists."""
+    width = n + 1
+    return tuple((i, i + length, i * width + i + length,
+                  tuple((k, i * width + k, k * width + i + length)
+                        for k in range(i + 1, i + length)))
+                 for length in range(2, n + 1)
+                 for i in range(n - length + 1))
+
+
 class TreeInput:
     """A `CkyDecoder` input prepared for one window: the sentence and its
     trigger list, checked once with `validate_trigger_list`, with the
@@ -423,22 +457,29 @@ class TreeInput:
     def _field_bits(self) -> tuple:
         """(left by i, token by i, mid by k, right by j): the clause bits
         that the node-context fields meet, for every trigger i, split
-        1 <= k <= n - 1 and end j >= 1. Each gap between consecutive
-        distinct locations, and the text before the first and after the
-        last, is normalized and scanned once: `left` is the gap before
-        locs[i], `right` the gap after locs[j - 1], and `mid` the gap
-        between locs[k - 1] and locs[k], empty where they are equal."""
+        1 <= k <= n - 1 and end j >= 1. `left` is the gap before locs[i],
+        `right` the gap after locs[j - 1], and `mid` the gap between
+        locs[k - 1] and locs[k], empty where they are equal. Each gap is
+        scanned once, and only for the terms of the fields it is read
+        as: a gap between consecutive distinct locations for those of
+        all three, the text before the first location (the head gap) for
+        the `left` terms alone, the text after the last (the tail gap)
+        for the `right` terms, and each trigger's surface for the `token`
+        terms."""
         locs, text = self.locs, self.sentence.text
         cuts = [0, *dict.fromkeys(locs), len(text)]
         clauses = (1 << _WIDTH) - 1
-        lefts, mids, rights = [], [], []  # by gap
-        for a, b in zip(cuts, cuts[1:]):
-            gap = text[a:b]
-            bits = _met(gap)
+        head, *inner, tail = (text[a:b] for a, b in zip(cuts, cuts[1:]))
+        # by gap: the head gap is only ever read as a `left` and the tail
+        # gap as a `right`, so each is scanned for that field's terms alone
+        lefts, mids, rights = [_met(head, _HEAD_SCAN)], [0], [0]
+        for gap in inner:
+            bits = _met(gap, _GAP_SCAN)
             lefts.append(bits & clauses)
             mids.append((bits >> _WIDTH) & clauses
                         | (0 if gap.strip() else _EMPTY_MID))
             rights.append((bits >> 2 * _WIDTH) & clauses)
+        rights.append(_met(tail, _TAIL_SCAN))
         left, mid, right = [], [0], [0]
         g = 0  # the gap before locs[i]
         for i, p in enumerate(locs):
@@ -450,7 +491,7 @@ class TreeInput:
                     mid.append(mids[g])
             left.append(lefts[g])
             right.append(rights[g + 1])
-        token = [_met(t.span.text(text)) >> 3 * _WIDTH
+        token = [_met(text[t.span.start:t.span.end], _TOKEN_SCAN)
                  for t in self.triggers[:-1]]
         return left, token, mid, right
 
@@ -509,12 +550,13 @@ class CkyDecoder:
     lexicon is disabled or demoted to features.
 
     `decode` runs its chart on integers, with no call, set or memo per
-    split. Once per decode it totals each part a node can have
-    (`_part_totals`) and builds the explored tuples (`_explored`) of the
-    root, of a node no rule matches and of each rule. A split then joins
-    its fields' clause bits, takes the first rule whose needed bits they
-    hold, adds its distinct boundary offsets' totals after two
-    comparisons, and reads each explored op's field of the sum.
+    split, walking the `_schedule` of n triggers. Once per decode it
+    totals each part a node can have (`_part_totals`) and builds the
+    explored tuples (`_explored`) of the root, of a node no rule matches
+    and of each rule. A split then joins its fields' clause bits, takes
+    the first rule whose needed bits they hold, adds its distinct
+    boundary offsets' totals after two comparisons, and reads each
+    explored op's field of the sum.
     `node_ops` makes the same choice one node at a time, for `features`
     and `contains`.
     """
@@ -598,68 +640,67 @@ class CkyDecoder:
             for i, j, op, order in gold_node_set(gold)}
         cost = 0 if gold is None else cost_unit
 
+        schedule, width = _schedule(n), n + 1
         for crossing in ((x.crossing, frozenset()) if self.conform_syntactic
                          else (frozenset(),)):
-            # score[i][j] is cell (i, j)'s best score, and col[j][i] the
-            # same; back[i][j] its (split k, op, order). A leaf scores 0,
-            # a cell with no tree has none
-            score = [[None] * (n + 1) for _ in range(n + 1)]
-            col = [[None] * (n + 1) for _ in range(n + 1)]
-            back = [[None] * (n + 1) for _ in range(n + 1)]
+            # score[c] is the best score of the cell with index c (see
+            # `_schedule`), back[c] its (split k, op, order). A leaf scores
+            # 0, a cell with no tree has none
+            score = [None] * (width * width)
+            back = [None] * (width * width)
             for i in range(n):
-                score[i][i + 1] = col[i + 1][i] = 0
-            for length in range(2, n + 1):
-                for i in range(n - length + 1):
-                    j = i + length
-                    if (i, j) in crossing:
+                score[i * width + i + 1] = 0
+            for i, j, cell, splits in schedule:
+                if crossing and (i, j) in crossing:
+                    continue
+                a, d, at_d = locs[i], locs[j - 1], at[j - 1]
+                # the node's boundary total: locs[i]'s, plus the number
+                # feature of two quantity leaves
+                base = bias + at[i]
+                if (j - i == 2 and values[i] is not None
+                        and values[j - 1] is not None):
+                    base += number[values[i] < values[j - 1]]
+                cell_rules, ops_else = ((rules, internal) if j - i < n
+                                        else ((), root))
+                outer = left[i] | right[j]
+                lead = token[i]  # read by the first split alone
+                glabel = gold_at.get((i, j))
+                best = None
+                for k, below_left, below_right in splits:
+                    met = outer | lead | mid[k]
+                    lead = 0
+                    below = score[below_left]
+                    if below is None:
                         continue
-                    row, column = score[i], col[j]
-                    a, d, at_d = locs[i], locs[j - 1], at[j - 1]
-                    # the node's boundary total: locs[i]'s, plus the
-                    # number feature of two quantity leaves
-                    base = bias + at[i]
-                    if (length == 2 and values[i] is not None
-                            and values[j - 1] is not None):
-                        base += number[values[i] < values[j - 1]]
-                    cell_rules, ops_else = (rules, internal) if length < n \
-                        else ((), root)
-                    outer = left[i] | right[j]
-                    lead = token[i]  # read by the first split alone
-                    glabel = gold_at.get((i, j))
-                    best = None
-                    for k in range(i + 1, j):
-                        met = outer | lead | mid[k]
-                        lead = 0
-                        below = row[k]
-                        if below is None or column[k] is None:
-                            continue
-                        below += column[k] - half + cost
-                        for needed, r in cell_rules:
-                            if needed & met == needed:
-                                ops = pinned[r]
-                                break
-                        else:
-                            ops = ops_else
-                        # locs[i] <= locs[k - 1] <= locs[k] <= locs[j - 1]:
-                        # split[k] holds the mid span and locs[k] unless it
-                        # equals locs[k - 1]; each outer offset counts
-                        # unless it equals its inner neighbor
-                        total = base + split[k]
-                        if locs[k - 1] != a:
-                            total += at[k - 1]
-                        if locs[k] != d:
-                            total += at_d
-                        for op, order, label, shift, bonus in ops:
-                            node = below + (((total + bonus) >> shift) & mask)
-                            # labels are the `_OP_LABELS` strings
-                            if label is glabel:
-                                node -= cost  # no margin cost on a gold node
-                            if best is None or node > best:
-                                best, choice = node, (k, op, order)
-                    if best is not None:
-                        row[j] = column[i] = best
-                        back[i][j] = choice
-            if back[0][n] is not None:
+                    right_score = score[below_right]
+                    if right_score is None:
+                        continue
+                    below += right_score - half + cost
+                    for needed, r in cell_rules:
+                        if needed & met == needed:
+                            ops = pinned[r]
+                            break
+                    else:
+                        ops = ops_else
+                    # locs[i] <= locs[k - 1] <= locs[k] <= locs[j - 1]:
+                    # split[k] holds the mid span and locs[k] unless it
+                    # equals locs[k - 1]; each outer offset counts unless
+                    # it equals its inner neighbor
+                    total = base + split[k]
+                    if locs[k - 1] != a:
+                        total += at[k - 1]
+                    if locs[k] != d:
+                        total += at_d
+                    for op, order, label, shift, bonus in ops:
+                        node = below + (((total + bonus) >> shift) & mask)
+                        # labels are the `_OP_LABELS` strings
+                        if label is glabel:
+                            node -= cost  # no margin cost on a gold node
+                        if best is None or node > best:
+                            best, choice = node, (k, op, order)
+                if best is not None:
+                    score[cell], back[cell] = best, choice
+            if back[n] is not None:  # the root cell (0, n)
                 break
         else:
             raise ValueError("no full-span tree")
@@ -667,7 +708,7 @@ class CkyDecoder:
         def build(i, j):
             if j - i == 1:
                 return Leaf(triggers[i])
-            k, op, order = back[i][j]
+            k, op, order = back[i * width + j]
             return Node(op, order, build(i, k), build(k, j))
 
         return build(0, n)

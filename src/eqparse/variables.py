@@ -127,11 +127,6 @@ def np_feature_names(sentence: AnnotatedSentence, np: Span,
 _LABELS = _SINGLE, _PAIR, _SELF = "t=0s=0", "t=1s=0", "t=1s=1"
 
 
-def _reader(weights):
-    """What a decode reads of the weights alone: every label's reader."""
-    return packed_of(weights).reader(_LABELS)
-
-
 def _label(candidate: VariableCandidate) -> str:
     return (_SELF if candidate.same_np else _PAIR if candidate.two_variables
             else _SINGLE)
@@ -149,18 +144,35 @@ _start_end = attrgetter("start", "end")
 
 class NpNames:
     """A `VariableDecoder` input prepared for one window: the sentence, its
-    distinct NP chunks in position order, each one's index, whether it
-    mentions "two" and, built on first use, its `np_feature_names`."""
+    distinct NP chunks in position order, whether each mentions "two" and,
+    each built on first use, every chunk's index and `np_feature_names`.
 
-    __slots__ = ("sentence", "window", "chunks", "index", "twos", "_names")
+    The chunks are deduplicated by their (start, end) pairs, so no `Span`
+    is hashed. The "two" search runs per chunk only when the sentence
+    holds "2" or, lowercased, "two": every chunk's text is a piece of the
+    sentence's, and a letter `_two` matches lowercases to the same
+    letter."""
+
+    __slots__ = ("sentence", "window", "chunks", "twos", "_index", "_names")
 
     def __init__(self, sentence: AnnotatedSentence, window: int):
         self.sentence, self.window = sentence, window
-        # by (start, end), a `Span`'s order, compared without its `__lt__`
-        self.chunks = sorted(set(sentence.np_chunks), key=_start_end)
-        self.index = {np: c for c, np in enumerate(self.chunks)}
-        self.twos = [_mentions_two(sentence, np) for np in self.chunks]
-        self._names = None
+        chunks = sentence.np_chunks
+        by_key = dict(zip(map(_start_end, chunks), chunks))
+        self.chunks = list(map(by_key.__getitem__, sorted(by_key)))
+        text = sentence.text
+        if "2" in text or "two" in text.lower():
+            self.twos = [_mentions_two(sentence, np) for np in self.chunks]
+        else:
+            self.twos = [False] * len(self.chunks)
+        self._index = self._names = None
+
+    @property
+    def index(self) -> dict[Span, int]:
+        """{chunk: its position in `chunks`}, built on first use."""
+        if self._index is None:
+            self._index = {np: c for c, np in enumerate(self.chunks)}
+        return self._index
 
     @property
     def names(self) -> list[list[str]]:
@@ -171,22 +183,25 @@ class NpNames:
 
     def column_totals(self, columns) -> list[int]:
         """Each chunk's packed total of its names, from the sentence's
-        token columns: its `vp` window's field and the field of its two
-        `vn` windows' joint sum."""
+        token columns: the `vp` field of its own tokens' rows and the `vn`
+        field of its neighbors', its `_np_windows` read in one loop step
+        with no call but its `offset_range`."""
         sentence, window = self.sentence, self.window
+        offset_range, n = sentence.offset_range, len(sentence.tokens)
         units, pairs, table = columns.units, columns.pairs, columns.table
         bias = table.bias
         (vp, vp_mask, vp_half), (vn, vn_mask, vn_half) = (table.fields["vp"],
                                                           table.fields["vn"])
+        halves = vp_half + vn_half
         totals = []
         for np in self.chunks:
-            wlo, lo, hi, whi = _np_windows(sentence, np, window)
-            # the `vp` field of its own window's rows, the `vn` field of
-            # its neighbors'
+            lo, hi = offset_range(np.start, np.end)
+            wlo = lo - window if lo > window else 0
+            whi = hi + window if hi + window < n else n
             own = units[hi] - units[lo] + pairs[hi] - pairs[lo + 1] + bias
             near = units[lo] - units[wlo] + units[whi] - units[hi] + bias
             totals.append(((own >> vp) & vp_mask) + ((near >> vn) & vn_mask)
-                          - vp_half - vn_half)
+                          - halves)
         return totals
 
 
@@ -246,7 +261,8 @@ class VariableDecoder:
                cost_unit: int = 1, columns=None) -> VariableCandidate:
         """With `columns`, the sentence's `TokenTable.columns` compiled
         from the weights, the windows are read from them, the labels'
-        reader is compiled once per table, and no window name is built."""
+        slots are looked up once per table, and no window name is
+        built."""
         x = self.prepare(sentence)
         m = len(x.chunks)
         if not m:
@@ -262,22 +278,26 @@ class VariableDecoder:
                      for label, cost in _label_costs(gold).items()}
         if columns is None:
             packed = packed_of(weights)
-            read = packed.reader(_LABELS)
+            slots = packed.slots(_LABELS)
             totals = list(map(packed.total, x.names))
         else:
-            read = columns.table.constant(VariableDecoder, _reader, weights)
+            slots = columns.table.constant(
+                VariableDecoder, packed_of(weights).slots, _LABELS)
             totals = x.column_totals(columns)
-        singles, pairs = [], []
+        bias, mask, half, single_at, pair_at, self_at = slots
+        twos, singles, pairs = x.twos, [], []
         # (score, key) of each finalist; its key, (0, chunk) for a single
         # and (1, chunk, chunk) for a pair, sorts in enumeration order
         finalists = []
         for c, total in enumerate(totals):
-            single, pair, self_pair = read(total)
-            singles.append(single + hits[c])
-            pairs.append(pair + hits[c])
-            if x.twos[c]:
-                finalists.append((2 * self_pair + hits[c] + costs[_SELF],
-                                  (1, c, c)))
+            # each label's field of the total (`PackedTable.slots`)
+            total += bias
+            hit = hits[c]
+            singles.append(((total >> single_at) & mask) - half + hit)
+            pairs.append(((total >> pair_at) & mask) - half + hit)
+            if twos[c]:
+                finalists.append((2 * (((total >> self_at) & mask) - half)
+                                  + hit + costs[_SELF], (1, c, c)))
         best = max(range(m), key=singles.__getitem__)  # the first maximum
         finalists.append((singles[best] + costs[_SINGLE], (0, best)))
         if m > 1:

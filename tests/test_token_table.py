@@ -14,7 +14,7 @@ import pytest
 
 from eqparse import relevance, treeparse, variables
 from eqparse.core import QuantityTrigger, Span, sort_triggers
-from eqparse.corpus import AnnotatedSentence, TokenTable
+from eqparse.corpus import AnnotatedSentence, TokenTable, parse_value
 from eqparse.learning import LinearModel, Weights
 from eqparse.pipeline import (
     _MODEL_TEMPLATES,
@@ -142,6 +142,32 @@ def test_phrase_totals_equal_packed_name_totals():
                 "qn", *relevance._quantity_window(sentence, q, x.window))
             assert totals[i] - window == packed.total(
                 relevance._phrase_names(sentence, quantities, i))
+
+
+def test_small_value_check_equals_membership():
+    # a quantity's column total adds `qq_small` exactly when
+    # `value in (1, 2)`: for Fractions and for values as annotations give
+    # them ("2.0", "4/2", 2.0), a lone quantity or one of several
+    weights = Weights()
+    weights["qq_small|r=1"] = 5
+    packed = weights.packed
+    table = TokenTable([(packed, ("qn", "qq"))])
+    sentence = AnnotatedSentence("a 7 b c", ("a", "7", "b", "c"),
+                                 ("DT", "CD", "NN", "NN"), ())
+    columns = table.columns(sentence)
+    _, small, only, _ = relevance._compile(weights)
+    values = (Fraction(1), Fraction(2), Fraction(4, 2), Fraction(1, 2),
+              Fraction(-1), Fraction(-2), Fraction(3), Fraction(0),
+              *map(parse_value, ("2.0", "1.0", "4/2", "0.5", "-2", 2.0, 3)))
+    for value in values:
+        for k in (1, 2):
+            quantities = tuple(QuantityTrigger(value, Span(2, 3))
+                               for _ in range(k))
+            x = QuantityNames(sentence, quantities, 1)
+            totals = x.column_totals(columns, small, only)
+            assert [packed.score(total, "r=1") for total in totals] \
+                == [5 if value in (1, 2) else 0] * k, value
+            assert totals == list(map(packed.total, x.names))
 
 
 def test_relevance_decode_reads_count_weights_by_name():

@@ -211,16 +211,20 @@ class TestTreeInputMatch:
         # word. Both equal the full scan on random substrings of lexicon
         # words in three cases, words of other scripts, combining marks,
         # underscores, and characters whose lowercase differs in length
-        # ("İ") or script ("K", the Kelvin sign)
-        def full_scan(text):
+        # ("İ") or script ("K", the Kelvin sign), for a scan of every
+        # field and for each one-field scan
+        def full_scan(text, terms):
             padded = _padded(text)
             met = 0
             for word in padded.split():
-                for term, bits in treeparse._TERMS.get(word, ()):
+                for term, bits in terms.get(word, ()):
                     if term in padded:
                         met |= bits
             return met
 
+        fields = ("left", "mid", "right", "token")
+        scans = [treeparse._scan(fields),
+                 *(treeparse._scan((field,)) for field in fields)]
         rng = random.Random(43)
         pieces = (*NON_ASCII_WORDS, *(w.upper() for w in LEXICON_WORDS),
                   *(w.title() for w in LEXICON_WORDS), "\u0301", "_", "-",
@@ -231,10 +235,85 @@ class TestTreeInputMatch:
                            for _ in range(rng.randrange(8)))
             a = rng.randrange(len(text) + 1)
             text = text[a:rng.randrange(a, len(text) + 1)]
-            assert treeparse._met(text) == full_scan(text), text
-            skipped += treeparse._FIRST_WORDS(text.lower()) is None
+            for search, terms in scans:
+                assert treeparse._met(text, (search, terms)) \
+                    == full_scan(text, terms), text
+            skipped += scans[0][0](text.lower()) is None
         assert 500 < skipped < 3500
-        assert treeparse._met(None) == full_scan(None) == 0
+        for scan in scans:
+            assert treeparse._met(None, scan) == full_scan(None, scan[1]) == 0
+
+    def test_role_scans_equal_the_all_field_scan(self):
+        # `_field_bits` scans the head gap for `left` terms alone, the tail
+        # gap for `right` terms and trigger surfaces for `token` terms:
+        # its fields equal those read out of one scan of every field's
+        # terms, and its matches `lexicon_match`. Gaps hold terms of every
+        # field (a head "more than", a tail "sum of"), locations tie, sit
+        # at 0 and at len(text), and gaps hold non-ASCII text ("İas", a
+        # combining mark)
+        all_fields = treeparse._scan(("left", "mid", "right", "token"))
+        w = treeparse._WIDTH
+        clauses = (1 << w) - 1
+
+        def reference_fields(x):
+            text, locs = x.sentence.text, x.locs
+
+            def field(gap, f):
+                return treeparse._met(gap, all_fields) >> f * w & clauses
+            n = len(locs)
+            left = [field(text[max([p for p in locs if p < locs[i]],
+                                   default=0):locs[i]], 0)
+                    for i in range(n)]
+            mid = [0] + [field(text[locs[k - 1]:locs[k]], 1)
+                         | (0 if text[locs[k - 1]:locs[k]].strip()
+                            else treeparse._EMPTY_MID)
+                         for k in range(1, n)]
+            right = [0] + [field(text[locs[j - 1]:min(
+                [p for p in locs if p > locs[j - 1]], default=len(text))], 2)
+                for j in range(1, n + 1)]
+            token = [field(t.span.text(text), 3) for t in x.triggers[:-1]]
+            return left, token, mid, right
+
+        # texts whose digits are quantities; "twice" stands for a 2
+        gap_words = ("more than", "sum of", "by", "as", "and", "twice",
+                     "İas", "as\u0301", "difference of", "times",
+                     "less than")
+        texts = ["more than 3 and 4 sum of", "3 and 4 and sum of",
+                 "The sum of 3 and 4", "İas twice 3 times İas 4 by as"]
+        rng = random.Random(47)
+        for _ in range(300):
+            tokens = [rng.choice(gap_words) for _ in range(rng.randrange(5))]
+            for _ in range(rng.randrange(2, 5)):
+                tokens.insert(rng.randrange(len(tokens) + 1),
+                              str(rng.randrange(1, 9)))
+            texts.append(" ".join(tokens))
+        for trial, text in enumerate(texts):
+            tokens = tuple(text.split())
+            sentence = AnnotatedSentence(text, tokens, ("NN",) * len(tokens),
+                                         ())
+            triggers = [QuantityTrigger(2 if token == "twice" else int(token),
+                                        Span(start, end))
+                        for token, start, end in zip(
+                            tokens, sentence.token_starts, sentence.token_ends)
+                        if token.isdigit() or token == "twice"]
+            # a variable tied with a quantity, and one at the end of the
+            # text, an empty tail gap
+            if trial % 3 == 1:
+                tied = rng.choice(triggers).span
+                triggers.append(VariableTrigger("V1", tied))
+            if trial % 4 == 2:
+                triggers.append(VariableTrigger("V1",
+                                                Span(len(text), len(text))))
+            triggers = sort_triggers(triggers)
+            x = TreeInput(sentence, triggers, 3)
+            assert x.fields == reference_fields(x), text
+            n = len(triggers)
+            for i, k, j in ((i, k, j) for i in range(n)
+                            for j in range(i + 2, n + 1)
+                            for k in range(i + 1, j)):
+                assert x.match(i, k, j) == lexicon_match(
+                    node_context_spans(sentence, triggers, i, k, j)), (
+                        text, i, k, j)
 
     def test_rejects_out_of_order_locations(self, twice_triple_sentence):
         # the input checks its trigger list when it is built: an
@@ -443,14 +522,17 @@ class TestCkyDecoder:
 
     def test_by_parts_decode_matches_enumeration_in_every_mode(self):
         # the decode sums memoized part scores; the oracle scores every
-        # tree's whole feature dict. Extra multi-token NP chunks make the
-        # syntactic mode prune, and its oracle keeps the trees with no
+        # tree's whole feature dict, in each of the six configurations.
+        # Extra multi-token NP chunks make the syntactic modes prune, and its oracle keeps the trees with no
         # node crossing a chunk, or every tree when none is left. The last
         # 30 instances have a quantity and an NP at one location.
         rng = random.Random(37)
         modes = (({}, True), ({"use_lexicon": False}, False),
                  ({"lexicon_as_features": True}, False),
-                 ({"conform_syntactic": True}, True))
+                 ({"conform_syntactic": True}, True),
+                 ({"use_lexicon": False, "conform_syntactic": True}, False),
+                 ({"lexicon_as_features": True, "conform_syntactic": True},
+                  False))
         for trial in range(90):
             make = random_tree_instance if trial < 60 else shared_location_instance
             sentence, triggers = make(rng, 2 + trial % 3)
@@ -596,6 +678,28 @@ def _space_tree(rng, decoder, x, i, j):
     op, order, _ = rng.choice(decoder.node_ops(x, i, k, j)[1])
     return Node(op, order, _space_tree(rng, decoder, x, i, k),
                 _space_tree(rng, decoder, x, k, j))
+
+
+def test_schedule_lists_every_split_once_shorter_cells_first():
+    # the chart's walk: each (i, k, j) with 0 <= i < k < j <= n once, a
+    # cell's splits together, cells by length, and each index the flat
+    # list entry of its cell
+    for n in range(2, 13):
+        schedule = treeparse._schedule(n)
+        width = n + 1
+        triples = [(i, k, j) for i, j, _, splits in schedule
+                   for k, _, _ in splits]
+        assert sorted(triples) == [(i, k, j) for i in range(n)
+                                   for k in range(i + 1, n)
+                                   for j in range(k + 1, n + 1)]
+        lengths = [j - i for i, j, _, _ in schedule]
+        assert lengths == sorted(lengths)
+        assert len(set((i, j) for i, j, _, _ in schedule)) == len(schedule)
+        for i, j, cell, splits in schedule:
+            assert cell == i * width + j
+            assert [k for k, _, _ in splits] == list(range(i + 1, j))
+            assert all((left, right) == (i * width + k, k * width + j)
+                       for k, left, right in splits)
 
 
 class TestChartOracles:

@@ -12,6 +12,7 @@ from eqparse.corpus import AnnotatedSentence
 from eqparse.learning import ExhaustiveDecoder, LinearModel, Weights, dot
 from eqparse.variables import (
     Coref,
+    NpNames,
     VariableCandidate,
     VariableDecoder,
     assign_labels,
@@ -132,6 +133,54 @@ class TestPhraseSearch:
         assert {c for c in every if c.lower() in letters} \
             == letters | {c.upper() for c in letters}
         assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+class TestNpNames:
+    # words that hold "two" or "2" as a token of a chunk starting inside
+    # them or not ("xtwo", "İtwo", "x2"), in other cases or with an edge
+    # mark ("TWO", "two,"), and words that hold neither
+    WORDS = ("xtwo", "TWO", "two,", "2", "İtwo", "Two", "x2", "twelve",
+             "tw", "o", "w", "the", "apples", "T")
+
+    def test_chunks_match_definition(self):
+        # the chunks are `sorted(set(np_chunks))`, the index built on
+        # first use the dict of their positions, and `twos` the
+        # `_mentions_two` of each: the sentence's "2"/"two" test never
+        # hides a chunk that the search finds. Chunks start and end
+        # inside words, repeat, and come in any order
+        rng = random.Random(71)
+        without = with_two = 0
+        for trial in range(600):
+            words = self.WORDS if trial % 3 else self.WORDS[7:]
+            tokens = tuple(rng.choice(words)
+                           for _ in range(rng.randint(1, 6)))
+            bare = AnnotatedSentence(" ".join(tokens), tokens,
+                                     ("NN",) * len(tokens), ())
+            starts, ends = bare.token_starts, bare.token_ends
+            chunks = []
+            for _ in range(rng.randint(1, 5)):
+                i = rng.randrange(len(tokens))
+                j = rng.randrange(i, len(tokens))
+                start = rng.choice((starts[i], rng.randrange(starts[i],
+                                                             ends[i])))
+                end = rng.choice((ends[j], rng.randrange(max(start, starts[j]),
+                                                         ends[j]) + 1))
+                chunks.append(Span(start, end))
+            chunks += rng.choices(chunks, k=rng.randint(0, 2))
+            rng.shuffle(chunks)
+            sentence = AnnotatedSentence(bare.text, tokens, bare.pos,
+                                         tuple(chunks))
+            x = NpNames(sentence, 3)
+            want = sorted(set(chunks))
+            assert x.chunks == want
+            assert x.twos == [_mentions_two(sentence, np) for np in want], (
+                sentence.text, want)
+            assert x._index is None
+            assert x.index == {np: c for c, np in enumerate(want)}
+            found = any(x.twos)
+            with_two += found
+            without += not ("2" in bare.text or "two" in bare.text.lower())
+        assert with_two > 100 and without > 100
 
 
 class TestCandidate:

@@ -78,20 +78,22 @@ def nonzero(rows: dict) -> dict:
 def assert_packs(weights, multisets=()) -> None:
     """The packed table of the weights reads, under every label it has and
     one it has not, what their dict rows give: for each feature, and for
-    the total of each multiset of names. A `reader` of the labels reads
-    the same, in their order."""
+    the total of each multiset of names. Their `slots` read the same, in
+    their order."""
     packed = packed_of(weights)
     rows = label_rows(dict(weights))
     labels = sorted({label for row in rows.values() for label in row}
                     | {"unseen"})
     assert unpacked(packed, labels) == nonzero(rows)
-    read = packed.reader(labels)
+    bias, mask, half, *shifts = packed.slots(labels)
     for names in multisets:
         total = packed.total(names)
         expected = label_scores(rows, names)
         for label in labels:
             assert packed.score(total, label) == expected.get(label, 0)
-        assert read(total) == [expected.get(label, 0) for label in labels]
+        assert [(((total + bias) >> shift) & mask) - half
+                for shift in shifts] == [expected.get(label, 0)
+                                         for label in labels]
 
 
 class TestWeights:
@@ -159,9 +161,11 @@ class TestWeights:
         assert packed.score(total, "b") == 2 ** 71 - 2
         assert packed.score(total, "c") == 0
         assert packed.score(packed.total([]), "a") == 0
-        assert packed.reader(["c", "b", "a", "b"])(total) == [
-            0, 2 ** 71 - 2, -(2 ** 71), 2 ** 71 - 2]
-        assert packed.reader([])(total) == []
+        bias, mask, half, *shifts = packed.slots(["c", "b", "a", "b"])
+        assert [(((total + bias) >> shift) & mask) - half
+                for shift in shifts] == [0, 2 ** 71 - 2, -(2 ** 71),
+                                         2 ** 71 - 2]
+        assert packed.slots([]) == (packed.bias, packed.mask, packed.half)
 
 
 names = st.text(alphabet="ab|", max_size=4)
