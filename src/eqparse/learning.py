@@ -19,13 +19,23 @@ feature (a labeled name's part before its last `|`) holding its weight under
 every label. Label s, in the order labels are first seen, owns bits
 [s*W, (s+1)*W): a feature's integer is the sum of w << s*W over its
 labels' weights w, so a sum of such integers holds each label's summed
-weight in that label's field. W is the bit length of the largest |weight|
-plus 41 (or more, once weights shrink), so a sum of fewer than 2**40 names
-has |field| < 2**(W-1), the half offset. Adding the half offset of every
-slot (the bias) makes every field non-negative and below 2**W, so no field
+weight in that label's field. W is at least the bit length of the largest
+|weight| plus 41, so a sum of fewer than 2**40 names has
+|field| < 2**(W-1), the half offset. Adding the half offset of every slot
+(the bias) makes every field non-negative and below 2**W, so no field
 borrows from the one above, and one label's sum is
 `(((total + bias) >> s*W) & mask) - half`. Python integers are unbounded,
 so this is exact for any weights, and the sum itself runs in C.
+
+The learner works in that layout too. A decoder's `parts(x, y)` gives an
+output's `(names, label)` parts and its untagged features apart, and an
+update adds the gold parts and subtracts the guess's straight into the
+packed running weights and lagged sum, which share one table's slots; it
+widens them once a bound on their fields outgrows the slots. The
+averaged weights are unpacked into flat `name|label` weights once, at
+the end of training. The flat helpers (`tagged`, `subtract`,
+`add_scaled`) serve the untagged features and the tests' reference
+learner.
 """
 
 from __future__ import annotations
@@ -50,14 +60,18 @@ def add_scaled(acc: FeatureVector, features: FeatureVector, scale: int) -> None:
         acc[name] = acc.get(name, 0) + scale * value
 
 
-def tagged(parts) -> FeatureVector:
+def tagged(parts, flat: FeatureVector | None = None) -> FeatureVector:
     """The feature vector of `(names, label)` parts: each name conjoined
-    with its part's label as `name|label`, counted once per occurrence."""
+    with its part's label as `name|label`, counted once per occurrence,
+    plus the untagged features `flat`. A decoder's `features(x, y)` is
+    `tagged(*parts(x, y))`."""
     feats: FeatureVector = {}
     for names, label in parts:
         for name in names:
             name = f"{name}|{label}"
             feats[name] = feats.get(name, 0) + 1
+    if flat:
+        add_scaled(feats, flat, 1)
     return feats
 
 
@@ -73,39 +87,62 @@ class PackedTable(dict):
     reads the spare slot above the others, which holds no weight.
 
     Built from flat weights, the width is the bit length of the largest
-    |weight| of a labeled name plus 41; `add` keeps it as long as every
-    weight `fits`.
+    |weight| of a labeled name plus 41, or `width` if that is wider; `add`
+    keeps it as long as every weight `fits`.
     """
 
-    def __init__(self, weights: FeatureVector):
+    def __init__(self, weights: FeatureVector, width: int = 0):
         super().__init__()
         labeled = []
         for name, value in weights.items():
             feature, bar, label = name.rpartition("|")
             if bar:
                 labeled.append((feature, label, value))
-        self.width = _HEADROOM + max(
-            (abs(value).bit_length() for _, _, value in labeled), default=0)
+        self.width = max(width, _HEADROOM + max(
+            (abs(value).bit_length() for _, _, value in labeled), default=0))
         self.mask = (1 << self.width) - 1
         self.half = 1 << (self.width - 1)
         self.shifts: dict[str, int] = {}  # label -> s * width
         self.spare = 0  # the shift of the spare slot
         self.bias = self.half  # the half offset of every slot
+        self.constants = {}  # see `constant`
         for feature, label, value in labeled:
             self.add(feature, label, value)
 
     def fits(self, value: int) -> bool:
         return abs(value).bit_length() + _HEADROOM <= self.width
 
-    def add(self, feature: str, label: str, delta: int) -> None:
-        """Add delta to the feature's weight under the label, giving the
-        label the spare slot if it has none; the sum must fit."""
+    def slot(self, label: str) -> int:
+        """The label's shift, giving it the spare slot if it has none."""
         shift = self.shifts.get(label)
         if shift is None:
             shift = self.shifts[sys.intern(label)] = self.spare
             self.spare += self.width
             self.bias += self.half << self.spare
-        self[feature] = dict.get(self, feature, 0) + (delta << shift)
+        return shift
+
+    def add(self, feature: str, label: str, delta: int) -> None:
+        """Add delta to the feature's weight under the label, giving the
+        label the spare slot if it has none; the sum must fit."""
+        self[feature] = dict.get(self, feature, 0) + (delta << self.slot(label))
+
+    def fields(self, packed: int):
+        """(label, value) of each non-zero field of one packed integer,
+        each field's |value| below the half offset: a feature's entry, or
+        a sum of a few entries whose fields stay that small. The labels'
+        slots run from the lowest bits up, so each field is read, as a
+        signed value, at the bottom of what is left, and the read stops
+        once nothing is left."""
+        mask, half, width = self.mask, self.half, self.width
+        for label in self.shifts:
+            if not packed:
+                return
+            value = packed & mask
+            if value >= half:
+                value -= mask + 1
+            if value:
+                yield label, value
+            packed = (packed - value) >> width
 
     def shift(self, label: str) -> int:
         """Where the label's field starts in a total."""
@@ -121,13 +158,24 @@ class PackedTable(dict):
         return (((total + self.bias) >> self.shift(label)) & self.mask) \
             - self.half
 
+    def constant(self, key, compile, *args):
+        """`compile(*args)`, called on the first read of the key since the
+        weights last changed: what a decoder compiles from the weights
+        alone, as `TokenTable.constant` keeps it for a parse. Whatever
+        changes the weights drops them: a `Weights` item assignment, and
+        the learner's update."""
+        value = self.constants.get(key)
+        if value is None:
+            value = self.constants[key] = compile(*args)
+        return value
+
     def slots(self, labels) -> tuple:
         """(bias, mask, half, each label's shift, in their order): what a
         decoder reads a total's `score` under the labels with, inline,
         as `(((total + bias) >> shift) & mask) - half`. A decoder called
-        directly looks them up once per decode, and a bundle's parse once
-        per token table (`TokenTable.constant`): the table must not
-        change while they are read."""
+        directly looks them up once per version of the weights
+        (`constant`), and a bundle's parse once per token table
+        (`TokenTable.constant`)."""
         return (self.bias, self.mask, self.half, *map(self.shift, labels))
 
 
@@ -140,7 +188,8 @@ def packed_of(weights: FeatureVector) -> PackedTable:
 
 class Weights(dict):
     """Flat `name -> weight` dict that also keeps its `PackedTable`, so a
-    decoder reads a feature's weight under every label with one lookup.
+    decoder reads a feature's weight under every label with one lookup:
+    the weights a trained or loaded model holds.
 
     The table is built on first use of `packed` and kept in step by item
     assignment, the only mutator allowed; every other one raises. A
@@ -163,8 +212,11 @@ class Weights(dict):
         old = dict.get(self, name, 0)
         super().__setitem__(name, value)
         packed = self._packed
+        if packed is None:
+            return
+        packed.constants.clear()  # untagged weights are compiled too
         feature, bar, label = name.rpartition("|")
-        if packed is None or not bar:
+        if not bar:
             return
         if packed.fits(value):
             packed.add(feature, label, value - old)
@@ -290,9 +342,13 @@ class ExhaustiveDecoder:
     what does not depend on the weights built once, and returns a prepared
     input as is; `decode(x, weights, gold=None, cost_unit=1)` returns the
     best output, adding `cost_unit * cost_fn(gold, y)` to each score given
-    a gold output; `features(x, y)` is an output's feature vector;
-    `contains(x, y)` says whether y is in the search space. The last three
-    take x raw or prepared alike. Here `prepare` is the identity.
+    a gold output, and reads labeled weights through `packed_of(weights)`
+    and untagged ones with `weights.get`; `parts(x, y)` is an output's
+    features as (its `(names, label)` parts, a flat dict of its untagged
+    features), and `features(x, y)` the vector `tagged(*parts(x, y))`;
+    `contains(x, y)` says whether y is in the search space. The last four
+    take x raw or prepared alike. Here `prepare` is the identity, and every
+    feature is untagged, with values of any number type.
     """
 
     def __init__(self, candidates_fn, feature_fn, cost_fn=zero_one_cost):
@@ -302,6 +358,9 @@ class ExhaustiveDecoder:
 
     def prepare(self, x):
         return x
+
+    def parts(self, x, y) -> tuple:
+        return (), self.features(x, y)
 
     def decode(self, x, weights, gold=None, cost_unit: int = 1):
         best = None
@@ -320,6 +379,30 @@ class ExhaustiveDecoder:
         return any(candidate == y for candidate in self.candidates_fn(x))
 
 
+class _Running(dict):
+    """The learner's running weights: untagged names in the dict itself,
+    read with `get`, and labeled ones in `packed`."""
+
+    def __init__(self, packed: PackedTable):
+        super().__init__()
+        self.packed = packed
+
+
+def _widened(table: PackedTable, lagged: dict, width: int) -> tuple:
+    """(a table `width` bits wide with the same labels in the same slot
+    order and the same weights, `lagged` in its layout)."""
+    wider = PackedTable({}, width)
+    for label in table.shifts:
+        wider.slot(label)
+
+    def move(packed: int) -> int:
+        return sum(value << wider.shifts[label]
+                   for label, value in table.fields(packed))
+
+    wider.update((feature, move(packed)) for feature, packed in table.items())
+    return wider, {feature: move(packed) for feature, packed in lagged.items()}
+
+
 def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     """Averaged cost-augmented online margin training from zero weights.
 
@@ -328,8 +411,23 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     With the learning rate num/den, weights are kept in units of 1/den: an
     update adds num * delta and the decode's cost unit is den. The result is
     the averaged weight vector times den * (number of steps), in integers.
-    Each input is prepared once, and each gold output's features are
-    computed on its first update.
+    Each input is prepared once, and each gold output's parts are computed
+    on its first update.
+
+    The running weights and the lagged sum (each update scaled by
+    step - 1) keep their labeled names packed, in one `PackedTable` layout,
+    and their untagged names flat. An update nets the gold output's parts
+    against the guess's, adds what is left into one packed delta, at each
+    label's shift, and adds it times num to the weights and times
+    num * (step - 1) to the lagged sum; no `name|label` string is built.
+    Each field of the delta is at most the number of names in the netted
+    parts, so the sum of those counts bounds every field of the weights
+    and of the lagged sum. Once a bound outgrows the slots (the weights'
+    41 bits of headroom, the lagged sum's half offset), both are laid out
+    again: slots that `need` bits would fit become `2 * need - 41` bits
+    wide, so the weights' bound may double its bits before the next
+    layout. The averaged weights `total * weights - lagged` are unpacked
+    into flat `Weights` once, at the end.
 
     `epochs` is an upper bound: training stops after the first epoch
     without a mistake. Decoding is deterministic, so such an epoch leaves
@@ -341,11 +439,14 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
     for x, gold in examples:
         if not decoder.contains(x, gold):
             raise ValueError(f"gold output outside the candidate space: {gold!r}")
-    gold_features: list[FeatureVector | None] = [None] * len(examples)
+    gold_parts: list[tuple | None] = [None] * len(examples)
     rate = Fraction(str(config.learning_rate))
     num, den = rate.numerator, rate.denominator
-    weights = Weights()
-    lagged: FeatureVector = {}  # sum of updates scaled by (step - 1), for averaging
+    table = PackedTable({})
+    weights = _Running(table)
+    lagged: dict[str, int] = {}  # packed, in the table's layout
+    lagged_flat: FeatureVector = {}
+    bound = lag_bound = 0  # above every |field| of the weights, the lagged sum
     step = 1
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
@@ -357,22 +458,61 @@ def train_structured(examples, decoder, config: TrainConfig) -> LinearModel:
             guess = decoder.decode(x, weights, gold=gold, cost_unit=den)
             if guess != gold:
                 mistakes += 1
-                if gold_features[i] is None:
-                    gold_features[i] = decoder.features(x, gold)
-                delta = subtract(gold_features[i], decoder.features(x, guess))
-                add_scaled(weights, delta, num)
-                add_scaled(lagged, delta, num * (step - 1))
+                if gold_parts[i] is None:
+                    gold_parts[i] = decoder.parts(x, gold)
+                gold_labeled, gold_flat = gold_parts[i]
+                guess_labeled, guess_flat = decoder.parts(x, guess)
+                # each distinct part's count, gold less guess: the parts
+                # both outputs share cancel before any name is read
+                net: dict[tuple, int] = {}
+                for sign, parts in ((1, gold_labeled), (-1, guess_labeled)):
+                    for names, label in parts:
+                        key = tuple(names), label
+                        net[key] = net.get(key, 0) + sign
+                lag = num * (step - 1)
+                size = sum(abs(count) * len(names)
+                           for (names, _), count in net.items())
+                bound += num * size
+                lag_bound += lag * size
+                need = max(bound.bit_length() + _HEADROOM,
+                           lag_bound.bit_length() + 1)
+                if need > table.width:
+                    table, lagged = _widened(table, lagged,
+                                             2 * need - _HEADROOM)
+                    weights.packed = table
+                delta: dict[str, int] = {}
+                for (names, label), count in net.items():
+                    if count:
+                        unit = count << table.slot(label)
+                        for name in names:
+                            delta[name] = delta.get(name, 0) + unit
+                for name, value in delta.items():
+                    if value:
+                        table[name] = table.get(name, 0) + num * value
+                        lagged[name] = lagged.get(name, 0) + lag * value
+                flat = subtract(gold_flat, guess_flat)
+                add_scaled(weights, flat, num)
+                add_scaled(lagged_flat, flat, lag)
+                table.constants.clear()
             step += 1
         if not mistakes:  # the later epochs would repeat this one
             step += (config.epochs - epoch - 1) * len(examples)
             break
     total = step - 1
+    averaged: FeatureVector = {}
     if total:
-        averaged = {name: value * total - lagged.get(name, 0)
-                    for name, value in weights.items()}
-        weights = Weights({name: value for name, value in averaged.items()
-                           if value != 0})
-    return LinearModel(weights, config)
+        need = (total * bound + lag_bound).bit_length() + 1
+        if need > table.width:
+            table, lagged = _widened(table, lagged, need)
+        for feature, packed in table.items():
+            for label, value in table.fields(
+                    total * packed - lagged.get(feature, 0)):
+                averaged[f"{feature}|{label}"] = value
+        for name, value in weights.items():
+            averaged[name] = (averaged.get(name, 0) + total * value
+                              - lagged_flat.get(name, 0))
+    return LinearModel(Weights({name: value for name, value in averaged.items()
+                                if value != 0}), config)
 
 
 def train_superset(examples, decoder, config: TrainConfig) -> LinearModel:
@@ -382,22 +522,28 @@ def train_superset(examples, decoder, config: TrainConfig) -> LinearModel:
     current weights (first listed wins ties, so the zero model picks the
     first), retrain from scratch on those picks, and stop once the picks
     repeat or max_outer_iters is reached. Each input is prepared, and each
-    option's features computed, once.
+    option's parts computed, once; an option scores its labeled parts
+    through the model's packed table and its untagged features flat,
+    which is `model.score` of its features with no `name|label` built.
     """
     for ex in examples:
         if not ex.gold_set:
             raise ValueError("superset example with empty gold set")
     xs = [decoder.prepare(ex.x) for ex in examples]
-    options = [[(y, decoder.features(x, y)) for y in ex.gold_set]
+    options = [[(y, decoder.parts(x, y)) for y in ex.gold_set]
                for x, ex in zip(xs, examples)]
     model = LinearModel({}, config)
     previous = None
     for _ in range(config.max_outer_iters):
+        weights = model.weights
+        packed = packed_of(weights)
         selected = []
         for scored in options:
             best, best_score = None, None
-            for y, features in scored:
-                score = model.score(features)
+            for y, (labeled, flat) in scored:
+                score = dot(weights, flat) + sum(
+                    packed.score(packed.total(names), label)
+                    for names, label in labeled)
                 if best_score is None or score > best_score:
                     best, best_score = y, score
             selected.append(best)

@@ -74,6 +74,11 @@ def _count_feature(c: int, k: int) -> str:
     return f"qg_count={c}/{k}"
 
 
+def _count_row(weights, k: int) -> list[int]:
+    """The weight of `_count_feature(c, k)` for each c in 0..k."""
+    return [weights.get(_count_feature(c, k), 0) for c in range(k + 1)]
+
+
 def _count_weights(weights) -> dict[int, list[int]]:
     """{k: the weight of `_count_feature(c, k)` for each c in 0..k}, for
     every k that has one; a name that `_count_feature` does not write is
@@ -203,14 +208,18 @@ class RelevanceDecoder:
         sentence, quantities = x
         return QuantityNames(sentence, quantities, self.window)
 
+    def parts(self, x, assignment: RelevanceAssignment) -> tuple:
+        """(each quantity's names under its bit, the untagged global
+        relevant-count feature)."""
+        x = self.prepare(x)
+        return ([(x.names[i], _BITS[relevant])
+                 for i, relevant in enumerate(assignment)],
+                {_count_feature(sum(assignment), len(assignment)): 1})
+
     def features(self, x, assignment: RelevanceAssignment) -> FeatureVector:
         """Each quantity's names conjoined with its bit, plus the global
         relevant-count feature."""
-        x = self.prepare(x)
-        feats = tagged((x.names[i], _BITS[relevant])
-                       for i, relevant in enumerate(assignment))
-        feats[_count_feature(sum(assignment), len(assignment))] = 1
-        return feats
+        return tagged(*self.parts(x, assignment))
 
     def contains(self, x, assignment) -> bool:
         x = self.prepare(x)
@@ -223,15 +232,16 @@ class RelevanceDecoder:
         """With `columns`, the sentence's `TokenTable.columns` compiled
         from the weights, the windows and phrases are read from them, what
         depends on the weights alone is compiled once per table, and no
-        name is built."""
+        name is built; without, it is compiled once per version of the
+        weights (`PackedTable.constant`)."""
         x = self.prepare(x)
         k = len(x.quantities)
         if columns is None:
             packed = packed_of(weights)
-            slots = packed.slots(_BITS)
+            slots = packed.constant(RelevanceDecoder, packed.slots, _BITS)
             totals = list(map(packed.total, x.names))
-            counts = [weights.get(_count_feature(c, k), 0)
-                      for c in range(k + 1)]
+            counts = packed.constant((RelevanceDecoder, k), _count_row,
+                                     weights, k)
         else:
             slots, small, only, by_k = columns.table.constant(
                 RelevanceDecoder, _compile, weights)

@@ -432,8 +432,9 @@ class TreeInput:
     """A `CkyDecoder` input prepared for one window: the sentence and its
     trigger list, checked once with `validate_trigger_list`, with the
     trigger locations and `_values`, and, each built on first use, the
-    lexicon clause bits of every node-context field, each node part's names
-    and the `crossing` cells. It holds O(n) state for n triggers: a node's
+    lexicon clause bits of every node-context field, each node part's
+    names, the `crossing` cells and the `gold_labels` of the last gold
+    tree decoded against. It holds O(n) state for n triggers: a node's
     parts are computed where they are read, by `_node_parts`.
 
     On sorted locations the fields of `node_context_spans` factor: `left`
@@ -444,14 +445,14 @@ class TreeInput:
     union of a few field bits, and its lexicon match a few mask tests."""
 
     __slots__ = ("sentence", "triggers", "window", "locs", "values",
-                 "_fields", "_names", "_crossing")
+                 "_fields", "_names", "_crossing", "_gold")
 
     def __init__(self, sentence: AnnotatedSentence, triggers, window: int):
         validate_trigger_list(triggers)
         self.sentence, self.triggers, self.window = sentence, triggers, window
         self.locs = [location(t) for t in triggers]
         self.values = _values(triggers)
-        self._fields = self._crossing = None
+        self._fields = self._crossing = self._gold = None
         self._names = {}
 
     def _field_bits(self) -> tuple:
@@ -517,6 +518,15 @@ class TreeInput:
             if needed & met == needed:
                 return INTERNAL_OPS[r]
         return None
+
+    def gold_labels(self, gold) -> dict:
+        """The gold tree's op label by its (i, j) cell (a tree has one node
+        per cell), built once per gold tree: kept for the last tree asked
+        about, by identity."""
+        if self._gold is None or self._gold[0] is not gold:
+            self._gold = gold, {(i, j): _OP_LABELS[op, order]
+                                for i, j, op, order in gold_node_set(gold)}
+        return self._gold[1]
 
     def part_names(self, part) -> list[str]:
         """The part's `_part_names`, built on first use."""
@@ -616,28 +626,25 @@ class CkyDecoder:
         then runs again without it. With `columns`, the sentence's
         `TokenTable.columns` compiled from the weights, the part windows
         are read from them, what depends on the weights alone is compiled
-        once per table, and no part name is built."""
+        once per table, and no part name is built; without, that is
+        compiled once per version of the weights
+        (`PackedTable.constant`)."""
         x = self.prepare(x)
         packed = packed_of(weights)
         triggers, locs, values = x.triggers, x.locs, x.values
         n = len(triggers)
         at, split = _part_totals(x, packed, columns)
         bias, mask, half, number, root, internal, pinned = (
-            self._compile(packed) if columns is None
-            else columns.table.constant(
+            packed if columns is None else columns.table).constant(
                 (CkyDecoder, self.use_lexicon, self.lexicon_as_features),
-                self._compile, packed))
+                self._compile, packed)
         # without the lexicon no rule is read and every field has no bits
         rules = ()
         left = token = mid = right = [0] * (n + 1)
         if self.use_lexicon:
             rules = _RULES
             left, token, mid, right = x.fields
-        # the gold tree's op label by its (i, j) cell: a tree has one node
-        # per cell
-        gold_at = {} if gold is None else {
-            (i, j): _OP_LABELS[op, order]
-            for i, j, op, order in gold_node_set(gold)}
+        gold_at = {} if gold is None else x.gold_labels(gold)
         cost = 0 if gold is None else cost_unit
 
         schedule, width = _schedule(n), n + 1
@@ -713,10 +720,10 @@ class CkyDecoder:
 
         return build(0, n)
 
-    def features(self, x, tree) -> FeatureVector:
-        """Whole-tree features: each node's parts under its op label, and
-        the lexicon-agreement features when the lexicon runs in feature
-        mode rather than as a constraint."""
+    def parts(self, x, tree) -> tuple:
+        """(each node's parts' names under its op label, and the
+        lexicon-agreement features under it when the lexicon runs in
+        feature mode rather than as a constraint; no untagged feature)."""
         x = self.prepare(x)
         leaves, nodes = tree_nodes(tree)
         if len(leaves) != len(x.triggers):
@@ -730,7 +737,11 @@ class CkyDecoder:
                 if match is not None:
                     pair = node.op, node.order
                     parts.append(([_AGREE[pair == match]], _OP_LABELS[pair]))
-        return tagged(parts)
+        return parts, {}
+
+    def features(self, x, tree) -> FeatureVector:
+        """Whole-tree features: the sum over all internal nodes."""
+        return tagged(*self.parts(x, tree))
 
     def contains(self, x, tree) -> bool:
         """Whether the decoder's search space includes this exact tree."""

@@ -241,14 +241,19 @@ class VariableDecoder:
             sentence = sentence.sentence
         return NpNames(sentence, self.window)
 
+    def parts(self, sentence, candidate: VariableCandidate) -> tuple:
+        """(the names of each of the candidate's NPs under its pair label,
+        no untagged feature); a self-pair lists its NP twice."""
+        x = self.prepare(sentence)
+        label = _label(candidate)
+        return [(x.names[x.index[np]] if np in x.index
+                 else np_feature_names(x.sentence, np, self.window), label)
+                for np in candidate.nps], {}
+
     def features(self, sentence, candidate: VariableCandidate) -> FeatureVector:
         """The names of the candidate's NPs conjoined with its pair label;
         a self-pair lists its NP twice, so counts it twice."""
-        x = self.prepare(sentence)
-        label = _label(candidate)
-        return tagged((x.names[x.index[np]] if np in x.index
-                       else np_feature_names(x.sentence, np, self.window),
-                       label) for np in candidate.nps)
+        return tagged(*self.parts(sentence, candidate))
 
     def contains(self, sentence, candidate) -> bool:
         x = self.prepare(sentence)
@@ -262,7 +267,8 @@ class VariableDecoder:
         """With `columns`, the sentence's `TokenTable.columns` compiled
         from the weights, the windows are read from them, the labels'
         slots are looked up once per table, and no window name is
-        built."""
+        built; without, the slots are looked up once per version of the
+        weights (`PackedTable.constant`)."""
         x = self.prepare(sentence)
         m = len(x.chunks)
         if not m:
@@ -276,14 +282,11 @@ class VariableDecoder:
                     hits[x.index[np]] = -2 * cost_unit
             costs = {label: cost_unit * cost
                      for label, cost in _label_costs(gold).items()}
-        if columns is None:
-            packed = packed_of(weights)
-            slots = packed.slots(_LABELS)
-            totals = list(map(packed.total, x.names))
-        else:
-            slots = columns.table.constant(
-                VariableDecoder, packed_of(weights).slots, _LABELS)
-            totals = x.column_totals(columns)
+        packed = packed_of(weights)
+        slots = (packed if columns is None else columns.table).constant(
+            VariableDecoder, packed.slots, _LABELS)
+        totals = (list(map(packed.total, x.names)) if columns is None
+                  else x.column_totals(columns))
         bias, mask, half, single_at, pair_at, self_at = slots
         twos, singles, pairs = x.twos, [], []
         # (score, key) of each finalist; its key, (0, chunk) for a single

@@ -24,12 +24,20 @@ from eqparse.learning import (
 )
 from eqparse.evaluation import gold_relevance
 from eqparse.pipeline import PipelineConfig, _tree_instances, train_bundle
+from eqparse.quantities import sentence_quantities
+from eqparse.relevance import RelevanceDecoder, enumerate_assignments
+from eqparse.treeparse import CkyDecoder, enumerate_projective_trees
+from eqparse.variables import VariableDecoder, enumerate_variable_candidates
 
 from helpers import (
     CKY_MODE_IDS,
     CKY_MODES,
+    LABELS,
     CountingDecoder,
     full_epoch_learner,
+    random_np_instance,
+    random_relevance_instance,
+    random_tree_instance,
     run_epochs,
 )
 
@@ -362,3 +370,189 @@ class TestTrainSuperset:
         first_picks = train_structured([(0, 2), (1, 3)], decoder,
                                        TrainConfig())
         assert capped.weights == first_picks.weights
+
+
+def decoder_spaces(rng: random.Random):
+    """(decoder, input, its candidate space) for random inputs of every
+    decoder, the tree decoder in every mode."""
+    for _ in range(10):
+        sentence = random_relevance_instance(rng, rng.randint(0, 5))
+        x = (sentence, tuple(sentence_quantities(sentence)))
+        yield (RelevanceDecoder(), x,
+               list(enumerate_assignments(len(x[1]))))
+        sentence = random_np_instance(rng, rng.randint(1, 4))
+        yield (VariableDecoder(), sentence,
+               enumerate_variable_candidates(sentence))
+        sentence, triggers = random_tree_instance(rng, rng.randint(2, 4))
+        for kwargs in CKY_MODES:
+            yield (CkyDecoder(**kwargs), (sentence, triggers),
+                   enumerate_projective_trees(sentence, triggers,
+                                              use_lexicon=False))
+
+
+def test_features_are_the_tagged_parts():
+    # every decoder defines its features once, as parts: the labeled ones
+    # under the decoders' labels, the untagged ones never spelled like a
+    # labeled name
+    for decoder, x, space in decoder_spaces(random.Random(81)):
+        for y in space:
+            labeled, flat = decoder.parts(x, y)
+            assert learning.tagged(labeled, flat) == decoder.features(x, y)
+            assert {label for _, label in labeled} <= set(LABELS)
+            assert all("|" not in name for name in flat)
+
+
+class LabeledToy:
+    """A toy decoder with labeled parts: each output's parts are a few
+    `(names, label)` pairs drawn from small vocabularies, with repeated
+    names, plus an untagged feature per output. It decodes by scoring
+    every candidate, reading each labeled name's weight from its own
+    packed entry (exact for any slot headroom) and each untagged one with
+    `get`."""
+
+    def __init__(self, rng: random.Random, inputs: int):
+        self.space = list(range(rng.randint(2, 4)))
+        labels = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+        self.table = {
+            (x, y): [([rng.choice("abcde") for _ in range(rng.randint(0, 4))],
+                      rng.choice(labels)) for _ in range(rng.randint(1, 3))]
+            for x in range(inputs) for y in self.space}
+
+    def prepare(self, x):
+        return x
+
+    def parts(self, x, y) -> tuple:
+        return self.table[x, y], {f"y={y % 2}": 1}
+
+    def features(self, x, y):
+        return learning.tagged(*self.parts(x, y))
+
+    def contains(self, x, y) -> bool:
+        return y in self.space
+
+    def decode(self, x, weights, gold=None, cost_unit: int = 1):
+        packed = learning.packed_of(weights)
+        best, best_score = None, None
+        for y in self.space:
+            labeled, flat = self.parts(x, y)
+            score = sum(packed.score(packed.total([name]), label)
+                        for names, label in labeled for name in names)
+            score += sum(weights.get(name, 0) * value
+                         for name, value in flat.items())
+            if gold is not None:
+                score += cost_unit * (y != gold)
+            if best_score is None or score > best_score:
+                best, best_score = y, score
+        return best
+
+
+class TestPackedUpdates:
+    """`train_structured` keeps its weights packed; the full-epoch learner
+    keeps them as flat `name|label` dicts."""
+
+    @pytest.mark.parametrize("headroom", [learning._HEADROOM, 2])
+    def test_labeled_toys_match_the_full_epoch_learner(self, headroom,
+                                                       monkeypatch):
+        # a 2-bit headroom makes the lagged sum outgrow the slots before
+        # the weights do, and the averaged weights outgrow them at the end
+        monkeypatch.setattr(learning, "_HEADROOM", headroom)
+        widened = []
+        widen = learning._widened
+
+        def counting(table, lagged, width):
+            widened.append(len(table))
+            return widen(table, lagged, width)
+
+        monkeypatch.setattr(learning, "_widened", counting)
+        rng = random.Random(82)
+        for trial in range(60):
+            inputs = rng.randint(2, 5)
+            decoder = LabeledToy(rng, inputs)
+            # repeated inputs with different golds make a non-separable
+            # toy; one conflict among many copies of an input updates
+            # rarely, over many steps
+            examples = [(rng.randrange(inputs), rng.choice(decoder.space))
+                        for _ in range(rng.randint(1, 8))]
+            if trial % 3 == 0:
+                examples = [(0, 0)] * 20 + [(1, 0), (1, 1)]
+            config = TrainConfig(epochs=rng.choice((1, 5, 40, 200)),
+                                 seed=trial,
+                                 learning_rate=rng.choice((0.1, 1, 1000.0)))
+            model = train_structured(examples, decoder, config)
+            reference = full_epoch_learner(examples, decoder, config)
+            assert model.weights == reference.weights
+            assert isinstance(model.weights, learning.Weights)
+        assert any(widened)  # some tables were laid out again when full
+
+    def test_float_features_train_through_the_flat_part(self):
+        # the c05 toy's features are floats and untagged
+        space = list(range(4))
+        decoder = ExhaustiveDecoder(
+            lambda x: space,
+            lambda x, y: {f"xy={x}:{y}": 1.0, f"y={y}": 0.5})
+        examples = [(0, 1), (1, 3), (2, 1), (2, 2)]
+        for lr in (0.1, 1):
+            config = TrainConfig(learning_rate=lr, epochs=6)
+            model = train_structured(examples, decoder, config)
+            assert model.weights
+            assert model.weights == full_epoch_learner(examples, decoder,
+                                                       config).weights
+            assert all(type(v) is float for v in model.weights.values())
+
+    def test_subtract_runs_once_per_mistake(self, monkeypatch):
+        # the benchmark's tracer counts updates by wrapping `subtract`
+        calls = []
+        original = learning.subtract
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(learning, "subtract", counting)
+        rng = random.Random(83)
+        for trial in range(40):
+            decoder = LabeledToy(rng, 3)
+            examples = [(rng.randrange(3), rng.choice(decoder.space))
+                        for _ in range(rng.randint(1, 6))]
+            config = TrainConfig(epochs=6, seed=trial, learning_rate=1)
+            calls.clear()
+            train_structured(examples, decoder, config)
+            mistakes = run_epochs(examples, decoder, config, 1, 1)[3]
+            assert len(calls) == sum(mistakes)
+
+
+def reference_superset(examples, decoder, config):
+    """`train_superset` with each option scored as `model.score` of its
+    flat `name|label` features."""
+    options = [[(y, decoder.features(ex.x, y)) for y in ex.gold_set]
+               for ex in examples]
+    model, previous = LinearModel({}, config), None
+    for _ in range(config.max_outer_iters):
+        # max keeps the first of equal scores
+        selected = [max(scored, key=lambda option: model.score(option[1]))[0]
+                    for scored in options]
+        if selected == previous:
+            break
+        model = train_structured([(ex.x, y) for ex, y in
+                                  zip(examples, selected)], decoder, config)
+        previous = selected
+    return model
+
+
+def test_superset_selection_scores_the_parts_as_their_features():
+    rng = random.Random(84)
+    for trial in range(60):
+        # labeled parts, or the untagged features of `random_toy`
+        if trial % 2:
+            decoder = LabeledToy(rng, 4)
+            space = decoder.space
+        else:
+            decoder, _ = random_toy(rng)
+            space = decoder.candidates_fn(0)
+        examples = [SupersetExample(rng.randrange(4), tuple(rng.sample(
+            space, rng.randint(1, len(space)))))
+            for _ in range(rng.randint(1, 6))]
+        config = TrainConfig(seed=trial, max_outer_iters=rng.randint(1, 4))
+        model = train_superset(examples, decoder, config)
+        assert model.weights == reference_superset(examples, decoder,
+                                                   config).weights

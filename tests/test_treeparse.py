@@ -438,6 +438,30 @@ class TestTreeCost:
             (0, 2, Op.MUL, Order.LR), (3, 5, Op.MUL, Order.LR),
             (2, 5, Op.SUB, Order.RL), (0, 5, Op.EQ, Order.LR)})
 
+    def test_gold_labels_built_once_per_gold_tree(self,
+                                                   twice_triple_sentence,
+                                                   monkeypatch):
+        # training decodes an input against the same gold tree each epoch:
+        # its cell labels are walked once, and an equal but distinct tree
+        # gets its own walk
+        triggers = twice_triple_triggers(twice_triple_sentence)
+        tree = twice_triple_gold(triggers)
+        walks = []
+        monkeypatch.setattr(treeparse, "gold_node_set", lambda t: (
+            walks.append(t) or gold_node_set(t)))
+        decoder = CkyDecoder()
+        x = decoder.prepare((twice_triple_sentence, triggers))
+        for _ in range(3):
+            decoder.decode(x, {}, gold=tree)
+        assert walks == [tree]
+        assert x.gold_labels(tree) == {
+            (i, j): treeparse._OP_LABELS[op, order]
+            for i, j, op, order in gold_node_set(tree)}
+        other = twice_triple_gold(triggers)
+        assert other == tree and other is not tree
+        decoder.decode(x, {}, gold=other)
+        assert len(walks) == 2 and walks[1] is other
+
     def test_zero_against_itself(self, twice_triple_sentence):
         triggers = twice_triple_triggers(twice_triple_sentence)
         tree = twice_triple_gold(triggers)

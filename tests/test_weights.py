@@ -425,3 +425,32 @@ class TestSparseWeights:
         labels = {name.rpartition("|")[2] for name in names}
         assert 0.5 < len(rows) / len(features) < 0.9
         assert any(len(row) < len(labels) for row in rows.values())
+
+
+def test_decoders_recompile_once_the_weights_change():
+    # a decode compiles what it reads of the weights alone once per
+    # version of them (`PackedTable.constant`): after each assignment,
+    # labeled or untagged, it decodes as a fresh copy of the weights does
+    rng = random.Random(73)
+    sentence, triggers = random_tree_instance(rng, 4)
+    quantities = tuple(sentence_quantities(sentence))
+    np_sentence = random_np_instance(rng, 3)
+    cases = [(RelevanceDecoder(), (sentence, quantities),
+              list(enumerate_assignments(len(quantities)))),
+             (VariableDecoder(), np_sentence,
+              enumerate_variable_candidates(np_sentence))]
+    for kwargs in ({}, {"use_lexicon": False}, {"lexicon_as_features": True}):
+        cases.append((CkyDecoder(**kwargs), (sentence, triggers),
+                      enumerate_projective_trees(sentence, triggers)))
+    names = sorted({name for decoder, x, space in cases for y in space
+                    for name in decoder.features(x, y)})
+    untagged = [name for name in names if "|" not in name]
+    assert untagged
+    weights = Weights()
+    for step in range(60):
+        for decoder, x, space in cases:
+            gold = rng.choice(space)
+            assert decoder.decode(x, weights, gold=gold) == decoder.decode(
+                x, Weights(dict(weights)), gold=gold)
+        weights[rng.choice(untagged if step % 3 == 0 else names)] = (
+            rng.randint(-3, 3))
