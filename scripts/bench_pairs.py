@@ -12,14 +12,15 @@ in odd ones, so that a slow spell of the machine hits both sides alike.
 For each end-to-end metric of `BENCHMARK.json` it prints the median and
 quartiles of each side, their ratio, the pairs in which the working tree
 is better, and the exact two-sided sign-test p of that count (tied pairs
-dropped), and then whether each pair's golden records (bundle and
-prediction digests) are equal. A run that fails its checks or raises in
-a parse stops the script. Standard library only.
+dropped; see `stats.py`), and then whether each pair's golden records
+(bundle and prediction digests) are equal. A run that fails its checks
+or raises in a parse stops the script. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -33,14 +34,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def sign_test_p(wins: int, losses: int) -> float:
-    """The exact two-sided sign-test p of `wins` against `losses`: the
-    chance, when each pair is a fair coin, of a split at least as uneven."""
-    n = wins + losses
-    if not n:
-        return 1.0
-    tail = sum(math.comb(n, i) for i in range(max(wins, losses), n + 1))
-    return min(1.0, 2 * tail / 2 ** n)
+# the sign test comes from `stats.py` beside this script, loaded by file
+# path, as this script itself is by its tests
+_SPEC = importlib.util.spec_from_file_location("stats", ROOT / "scripts"
+                                               / "stats.py")
+stats = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(stats)
+sign_test_p = stats.sign_test_p
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:

@@ -27,14 +27,6 @@ from .corpus import (
     dump_corpus,
     load_corpus,
 )
-from .evaluation import (
-    Metrics,
-    Mode,
-    canonicalize,
-    cross_validate,
-    equations_equal,
-    evaluate,
-)
 from .pipeline import (
     ModelBundle,
     ParseResult,
@@ -46,6 +38,18 @@ from .treeparse import CkyDecoder, DEFAULT_LEXICON
 from .variables import coreference_label, enumerate_variable_candidates
 
 __version__ = "0.1.0"
+
+# evaluation's names, imported on first use: a parse never needs them
+_EVALUATION = ("Metrics", "Mode", "canonicalize", "cross_validate",
+               "equations_equal", "evaluate")
+
+
+def __getattr__(name: str):
+    if name in _EVALUATION:
+        from . import evaluation
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnnotatedExample",

@@ -15,7 +15,6 @@ from dataclasses import asdict, fields
 
 from .core import Span
 from .corpus import AnnotatedSentence, load_corpus, sentence_from_json
-from .evaluation import cross_validate, evaluate
 from .pipeline import ModelBundle, PipelineConfig, train_bundle
 
 
@@ -123,6 +122,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import evaluate  # off the parse path
     bundle = ModelBundle.load(args.model)
     examples = load_corpus(args.corpus)
     _emit(evaluate(bundle, examples).to_json())
@@ -130,6 +130,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from .evaluation import cross_validate  # off the parse path
     config = _config_from_args(args)
     examples = load_corpus(args.corpus)
     metrics = cross_validate(examples, args.folds, args.seed, config)

@@ -172,12 +172,11 @@ class TokenTable:
 
     `columns` looks each of a sentence's tokens up once, and every stage's
     window totals are slice sums of the two columns it builds; no window
-    name is built. The weights are copied in: a table compiled from
-    weights that change afterwards is stale, and must be compiled again,
-    and with it what the decoders compiled from the same weights into
-    `constants` (see `constant`)."""
+    name is built. The weights are copied in, once: a model's weights are
+    read-only, so a bundle compiles its table on its first parse and
+    keeps it."""
 
-    __slots__ = ("words", "tags", "pairs", "fields", "bias", "constants")
+    __slots__ = ("words", "tags", "pairs", "fields", "bias")
 
     def __init__(self, sources):
         """`sources`: pairs of a packed table (`feature -> packed weight`,
@@ -185,7 +184,6 @@ class TokenTable:
         scores. A table read for two templates is iterated once."""
         sources = list(sources)
         self.fields = {}
-        self.constants = {}
         shift = self.bias = 0
         for table, templates in sources:
             width = _HEADROOM + max((abs(value).bit_length()
@@ -225,15 +223,6 @@ class TokenTable:
         pairs = self.pairs
         return (sum(map(self.words.get, words, repeat(0)))
                 + sum(map(pairs.get, zip(words, words[1:]), repeat(0))))
-
-    def constant(self, key, compile, *args):
-        """`compile(*args)`, called on the first read of the key: what a
-        decoder compiles from the weights this table was compiled from,
-        kept for as long as the table is."""
-        value = self.constants.get(key)
-        if value is None:
-            value = self.constants[key] = compile(*args)
-        return value
 
     def columns(self, sentence: AnnotatedSentence) -> TokenColumns:
         """The sentence's `TokenColumns`: each token is lowercased once,

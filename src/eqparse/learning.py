@@ -36,6 +36,11 @@ averaged weights are unpacked into flat `name|label` weights once, at
 the end of training. The flat helpers (`tagged`, `subtract`,
 `add_scaled`) serve the untagged features and the tests' reference
 learner.
+
+A trained or loaded model is a value: `LinearModel` is frozen and its
+`Weights` are read-only, so the packed table a decoder reads, and what
+the decoder compiles from it (`PackedTable.constant`), are built once.
+Only the learner's running table changes in place.
 """
 
 from __future__ import annotations
@@ -87,8 +92,7 @@ class PackedTable(dict):
     reads the spare slot above the others, which holds no weight.
 
     Built from flat weights, the width is the bit length of the largest
-    |weight| of a labeled name plus 41, or `width` if that is wider; `add`
-    keeps it as long as every weight `fits`.
+    |weight| of a labeled name plus 41, or `width` if that is wider.
     """
 
     def __init__(self, weights: FeatureVector, width: int = 0):
@@ -107,10 +111,8 @@ class PackedTable(dict):
         self.bias = self.half  # the half offset of every slot
         self.constants = {}  # see `constant`
         for feature, label, value in labeled:
-            self.add(feature, label, value)
-
-    def fits(self, value: int) -> bool:
-        return abs(value).bit_length() + _HEADROOM <= self.width
+            self[feature] = (dict.get(self, feature, 0)
+                             + (value << self.slot(label)))
 
     def slot(self, label: str) -> int:
         """The label's shift, giving it the spare slot if it has none."""
@@ -120,11 +122,6 @@ class PackedTable(dict):
             self.spare += self.width
             self.bias += self.half << self.spare
         return shift
-
-    def add(self, feature: str, label: str, delta: int) -> None:
-        """Add delta to the feature's weight under the label, giving the
-        label the spare slot if it has none; the sum must fit."""
-        self[feature] = dict.get(self, feature, 0) + (delta << self.slot(label))
 
     def fields(self, packed: int):
         """(label, value) of each non-zero field of one packed integer,
@@ -159,11 +156,11 @@ class PackedTable(dict):
             - self.half
 
     def constant(self, key, compile, *args):
-        """`compile(*args)`, called on the first read of the key since the
-        weights last changed: what a decoder compiles from the weights
-        alone, as `TokenTable.constant` keeps it for a parse. Whatever
-        changes the weights drops them: a `Weights` item assignment, and
-        the learner's update."""
+        """`compile(*args)`, called on the first read of the key: what a
+        decoder compiles from the weights alone, on the names path and
+        the token columns path alike, kept with the table. A `Weights`'
+        table never changes; the learner's update changes its running
+        table in place, and empties them."""
         value = self.constants.get(key)
         if value is None:
             value = self.constants[key] = compile(*args)
@@ -172,10 +169,8 @@ class PackedTable(dict):
     def slots(self, labels) -> tuple:
         """(bias, mask, half, each label's shift, in their order): what a
         decoder reads a total's `score` under the labels with, inline,
-        as `(((total + bias) >> shift) & mask) - half`. A decoder called
-        directly looks them up once per version of the weights
-        (`constant`), and a bundle's parse once per token table
-        (`TokenTable.constant`)."""
+        as `(((total + bias) >> shift) & mask) - half`. A decoder looks
+        them up once per table (`constant`)."""
         return (self.bias, self.mask, self.half, *map(self.shift, labels))
 
 
@@ -189,17 +184,12 @@ def packed_of(weights: FeatureVector) -> PackedTable:
 class Weights(dict):
     """Flat `name -> weight` dict that also keeps its `PackedTable`, so a
     decoder reads a feature's weight under every label with one lookup:
-    the weights a trained or loaded model holds.
-
-    The table is built on first use of `packed` and kept in step by item
-    assignment, the only mutator allowed; every other one raises. A
-    weight too wide for the table's slots lays the table out again.
-    `changes` counts the assignments, so what is compiled from the
-    weights (a bundle's `TokenTable`) can tell when it is stale.
+    the weights a trained or loaded model holds. They are read-only, so
+    the table, built on first use of `packed`, and what the decoders
+    compile from it (`PackedTable.constant`) never go stale.
     """
 
     _packed = None
-    changes = 0
 
     @property
     def packed(self) -> PackedTable:
@@ -207,29 +197,16 @@ class Weights(dict):
             self._packed = PackedTable(self)
         return self._packed
 
-    def __setitem__(self, name: str, value: int) -> None:
-        self.changes += 1
-        old = dict.get(self, name, 0)
-        super().__setitem__(name, value)
-        packed = self._packed
-        if packed is None:
-            return
-        packed.constants.clear()  # untagged weights are compiled too
-        feature, bar, label = name.rpartition("|")
-        if not bar:
-            return
-        if packed.fits(value):
-            packed.add(feature, label, value - old)
-        else:
-            self._packed = PackedTable(self)
-
-    def __reduce__(self):  # a copy builds its own table, never shares it
+    def __reduce__(self):
+        # a copy is built from the items, so it builds its own table; the
+        # default would set the items one by one, which is refused
         return Weights, (dict(self),)
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("Weights change only by item assignment")
+        raise TypeError("Weights are read-only")
 
-    __delitem__ = pop = popitem = clear = update = setdefault = __ior__ = _refuse
+    __setitem__ = __delitem__ = pop = popitem = clear = update = \
+        setdefault = __ior__ = _refuse
 
 
 def subtract(a: FeatureVector, b: FeatureVector) -> FeatureVector:
@@ -246,7 +223,7 @@ class TrainConfig:
     max_outer_iters: int = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearModel:
     weights: FeatureVector = field(default_factory=dict)
     config: TrainConfig = field(default_factory=TrainConfig)
@@ -299,7 +276,9 @@ def config_from_json(cls, raw: str, where: str):
 
 def model_from_text(text: str, first_line: int = 1) -> LinearModel:
     """Inverse of model_to_text. Errors give the 1-based line number,
-    counting `text` as starting at line `first_line`."""
+    counting `text` as starting at line `first_line`. A weight must be
+    written as `model_to_text` writes it, and a feature listed once, so
+    that a model that loads saves back to the same text."""
     lines = text.split("\n")
     if lines[0] != MODEL_HEADER:
         raise ValueError(f"line {first_line}: not a model file (bad header)")
@@ -318,6 +297,11 @@ def model_from_text(text: str, first_line: int = 1) -> LinearModel:
             raise ValueError(f"line {lineno}: malformed weight line "
                              f"{line!r}, expected feature<TAB>integer "
                              "weight") from None
+        if raw != str(value):
+            raise ValueError(f"line {lineno}: weight {raw!r} of {name!r} "
+                             f"is not written as {value}")
+        if name in weights:
+            raise ValueError(f"line {lineno}: feature {name!r} listed twice")
         weights[name] = value
     return LinearModel(Weights(weights), config)
 

@@ -10,7 +10,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -26,7 +25,6 @@ from .core import (
     sort_triggers,
 )
 from .corpus import AnnotatedSentence, TokenTable
-from .evaluation import gold_relevance, gold_tree_instance
 from .learning import (
     LinearModel,
     SupersetExample,
@@ -149,39 +147,40 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
+    """The three stages' trained models and the shared config: a value.
+    A model whose weights are a plain mapping is copied into one with
+    `Weights` when the bundle is built."""
+
     relevance_model: LinearModel
     variable_model: LinearModel
     tree_model: LinearModel
     config: PipelineConfig
 
     def __post_init__(self):
-        self._decoder = self.config.tree_decoder()
-        # (the models' weights, their `changes`, the TokenTable compiled
-        # from them), set on the first parse
-        self._compiled = None
+        for name in ("relevance_model", "variable_model", "tree_model"):
+            model = getattr(self, name)
+            if not isinstance(model.weights, Weights):
+                object.__setattr__(self, name, LinearModel(
+                    Weights(model.weights), model.config))
+        object.__setattr__(self, "_decoder", self.config.tree_decoder())
+        object.__setattr__(self, "_table", None)  # see `_columns`
 
     def _columns(self, sentence: AnnotatedSentence):
         """The sentence's `TokenTable.columns` under the three models'
-        window weights. The table is compiled on first use, not at load,
-        and again once a model's weights are replaced or assigned to, so
-        the decoders' constants it keeps (`TokenTable.constant`) go with
-        it; None when a model's weights are a plain dict, whose changes
-        cannot be seen, so its decoder totals names instead."""
-        weights = [model.weights for model in (
-            self.relevance_model, self.variable_model, self.tree_model)]
-        compiled = self._compiled
-        if (compiled is None
-                or not all(map(operator.is_, weights, compiled[0]))
-                or [w.changes for w in weights] != compiled[1]):
-            if not all(isinstance(w, Weights) for w in weights):
-                return None
-            table = TokenTable(zip((w.packed for w in weights),
-                                   _MODEL_TEMPLATES))
-            compiled = self._compiled = (weights,
-                                         [w.changes for w in weights], table)
-        return compiled[2].columns(sentence)
+        window weights. The table is compiled once, on the first parse,
+        not at load; the weights are read-only, so it never goes
+        stale."""
+        table = self._table
+        if table is None:
+            table = TokenTable(zip(
+                (model.weights.packed for model in (
+                    self.relevance_model, self.variable_model,
+                    self.tree_model)),
+                _MODEL_TEMPLATES))
+            object.__setattr__(self, "_table", table)
+        return table.columns(sentence)
 
     # prediction ---------------------------------------------------------
     # each reads the stages' token windows from the compiled token table
@@ -351,6 +350,7 @@ def _variable_instances(examples, decoder: VariableDecoder):
 def _tree_instances(examples, golds, decoder: CkyDecoder):
     """(prepared input, gold tree) of each example whose gold tree the
     decoder reaches; golds are the examples' `gold_relevance`."""
+    from .evaluation import gold_tree_instance  # off the parse path
     out = []
     for ex, gold in zip(examples, golds):
         instance = gold_tree_instance(ex, gold)
@@ -376,6 +376,7 @@ def train_bundle(examples, config: PipelineConfig = PipelineConfig()) -> ModelBu
     """
     if not examples:
         raise ValueError("empty training corpus")
+    from .evaluation import gold_relevance  # off the parse path
     tcfg = config.train_config()
     window = config.window
     # each gold equation is parsed, and its relevance derived, once

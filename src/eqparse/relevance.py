@@ -230,21 +230,22 @@ class RelevanceDecoder:
     def decode(self, x, weights, gold: RelevanceAssignment | None = None,
                cost_unit: int = 1, columns=None) -> RelevanceAssignment:
         """With `columns`, the sentence's `TokenTable.columns` compiled
-        from the weights, the windows and phrases are read from them, what
-        depends on the weights alone is compiled once per table, and no
-        name is built; without, it is compiled once per version of the
-        weights (`PackedTable.constant`)."""
+        from the weights, the windows and phrases are read from them and
+        no name is built. What depends on the weights alone is compiled
+        once per packed table (`PackedTable.constant`): on this path
+        every k's count weights at once, on the names path each k's
+        row as it is first read."""
         x = self.prepare(x)
         k = len(x.quantities)
+        packed = packed_of(weights)
         if columns is None:
-            packed = packed_of(weights)
             slots = packed.constant(RelevanceDecoder, packed.slots, _BITS)
             totals = list(map(packed.total, x.names))
             counts = packed.constant((RelevanceDecoder, k), _count_row,
                                      weights, k)
         else:
-            slots, small, only, by_k = columns.table.constant(
-                RelevanceDecoder, _compile, weights)
+            slots, small, only, by_k = packed.constant(
+                (RelevanceDecoder, "columns"), _compile, weights)
             totals = x.column_totals(columns, small, only)
             counts = by_k.get(k) or [0] * (k + 1)
         bias, mask, half, off_at, on_at = slots

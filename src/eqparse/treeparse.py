@@ -625,19 +625,17 @@ class CkyDecoder:
         +cost_unit. Syntactic conformance can exhaust the space; the chart
         then runs again without it. With `columns`, the sentence's
         `TokenTable.columns` compiled from the weights, the part windows
-        are read from them, what depends on the weights alone is compiled
-        once per table, and no part name is built; without, that is
-        compiled once per version of the weights
+        are read from them and no part name is built. What depends on the
+        weights alone is compiled once per packed table
         (`PackedTable.constant`)."""
         x = self.prepare(x)
         packed = packed_of(weights)
         triggers, locs, values = x.triggers, x.locs, x.values
         n = len(triggers)
         at, split = _part_totals(x, packed, columns)
-        bias, mask, half, number, root, internal, pinned = (
-            packed if columns is None else columns.table).constant(
-                (CkyDecoder, self.use_lexicon, self.lexicon_as_features),
-                self._compile, packed)
+        bias, mask, half, number, root, internal, pinned = packed.constant(
+            (CkyDecoder, self.use_lexicon, self.lexicon_as_features),
+            self._compile, packed)
         # without the lexicon no rule is read and every field has no bits
         rules = ()
         left = token = mid = right = [0] * (n + 1)

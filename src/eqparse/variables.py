@@ -265,10 +265,9 @@ class VariableDecoder:
     def decode(self, sentence, weights, gold: VariableCandidate | None = None,
                cost_unit: int = 1, columns=None) -> VariableCandidate:
         """With `columns`, the sentence's `TokenTable.columns` compiled
-        from the weights, the windows are read from them, the labels'
-        slots are looked up once per table, and no window name is
-        built; without, the slots are looked up once per version of the
-        weights (`PackedTable.constant`)."""
+        from the weights, the windows are read from them and no window
+        name is built. The labels' slots are looked up once per packed
+        table (`PackedTable.constant`)."""
         x = self.prepare(sentence)
         m = len(x.chunks)
         if not m:
@@ -283,8 +282,7 @@ class VariableDecoder:
             costs = {label: cost_unit * cost
                      for label, cost in _label_costs(gold).items()}
         packed = packed_of(weights)
-        slots = (packed if columns is None else columns.table).constant(
-            VariableDecoder, packed.slots, _LABELS)
+        slots = packed.constant(VariableDecoder, packed.slots, _LABELS)
         totals = (list(map(packed.total, x.names)) if columns is None
                   else x.column_totals(columns))
         bias, mask, half, single_at, pair_at, self_at = slots

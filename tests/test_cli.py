@@ -14,7 +14,7 @@ import pytest
 from eqparse import cli
 from eqparse.core import MAX_EQUATION_DEPTH
 from eqparse.corpus import example_to_json, load_corpus
-from eqparse.pipeline import PipelineConfig
+from eqparse.pipeline import ModelBundle, PipelineConfig
 
 from helpers import nested_equation
 
@@ -355,6 +355,21 @@ def weight_line_number(lines, section):
     return lines.index(section) + 4
 
 
+def with_digests(lines):
+    """The bundle lines with each section's footer line recomputed from
+    the section as it now reads, weight lines counted, so that no digest
+    check can refuse them."""
+    end = lines.index("[digests]")
+    cuts = [lines.index(marker)
+            for marker in ("[relevance]", "[variables]", "[tree]")] + [end]
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        section = "\n".join(lines[a + 1:b]) + "\n"
+        count = sum(1 for line in lines[a + 3:b] if line)
+        lines[end + 1 + i] = (f"{lines[a]}\t{count}\t"
+                              + hashlib.sha256(section.encode()).hexdigest())
+    return lines
+
+
 class TestDamagedBundle:
     def test_unknown_config_key(self, bundle_path, tmp_path, capsys):
         lines = bundle_path.read_text().split("\n")
@@ -398,6 +413,46 @@ class TestDamagedBundle:
         assert code == 2
         assert f"line {n}: malformed weight line" in err
 
+
+    @pytest.mark.parametrize("raw, value", [
+        (" 5", 5), ("5 ", 5), ("+5", 5), ("05", 5), ("1_0", 10),
+        ("\u0665", 5), ("-0", 0), ("5", None)],
+        ids=["space-before", "space-after", "plus", "leading-zero",
+             "underscore", "arabic-indic", "minus-zero", "canonical"])
+    def test_non_canonical_weight(self, bundle_path, tmp_path, capsys, raw,
+                                  value):
+        # `int` reads each of these, so only the canonical-form check
+        # refuses them: the section's digest is recomputed. The canonical
+        # control loads, and saves back to the same bytes
+        lines = bundle_path.read_text().split("\n")
+        n = weight_line_number(lines, "[tree]") + 3
+        name = lines[n - 1].split("\t")[0]
+        lines[n - 1] = f"{name}\t{raw}"
+        text = "\n".join(with_digests(lines))
+        code, out, err = parse_with_bundle(text, tmp_path, capsys)
+        if value is None:
+            assert code == 0
+            assert ModelBundle.from_text(text).to_text() == text
+            return
+        assert code == 2
+        assert (f"damaged.txt: line {n}: weight {raw!r} of {name!r} is not "
+                f"written as {value}") in err
+        assert out == ""
+
+    @pytest.mark.parametrize("other", [None, "7"], ids=["same", "other"])
+    def test_feature_listed_twice(self, bundle_path, tmp_path, capsys,
+                                  other):
+        # the later line would silently win: refused, digests recomputed
+        lines = bundle_path.read_text().split("\n")
+        n = weight_line_number(lines, "[variables]") + 2
+        name, value = lines[n - 1].split("\t")
+        lines.insert(n, f"{name}\t{other or value}")
+        code, out, err = parse_with_bundle("\n".join(with_digests(lines)),
+                                           tmp_path, capsys)
+        assert code == 2
+        assert f"damaged.txt: line {n + 1}: feature {name!r} listed twice" \
+            in err
+        assert out == ""
 
     def test_truncated_bundle(self, bundle_path, tmp_path, capsys):
         # the bundle minus its last 50 lines, as `head -n -50` leaves it

@@ -1,8 +1,10 @@
 """The token table a bundle parses through: every window total it reads
 equals the packed total of the window's names, a bundle's parse equals its
-stage decoders on raw inputs, the table follows the weights it was compiled
-from, and a parse after the first builds no window name."""
+stage decoders on raw inputs, a bundle is read-only and compiles its table
+once, from its own weights, and a parse after the first builds no window
+name."""
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from eqparse import relevance, treeparse, variables
+from eqparse import pipeline, relevance, treeparse, variables
 from eqparse.core import QuantityTrigger, Span, sort_triggers
 from eqparse.corpus import AnnotatedSentence, TokenTable, parse_value
 from eqparse.learning import LinearModel, Weights
@@ -68,13 +70,13 @@ def random_weights(rng: random.Random) -> Weights:
              for kind, values in keys.items() for key in values]
     names += ["tn_u", "tn=the", "_u=the", "tnum_left_smaller=1", "qq_small",
               "qq_only"]
-    weights = Weights()
+    weights = {}
     for name in rng.sample(names, len(names) // 3):
         value = rng.randint(-3, 3) or rng.choice((1, -1)) << rng.randrange(80)
         if rng.random() < 0.9:
             name = f"{name}|{rng.choice(LABELS)}"
         weights[name] = value
-    return weights
+    return Weights(weights)
 
 
 def test_column_totals_equal_packed_name_totals():
@@ -148,8 +150,7 @@ def test_small_value_check_equals_membership():
     # a quantity's column total adds `qq_small` exactly when
     # `value in (1, 2)`: for Fractions and for values as annotations give
     # them ("2.0", "4/2", 2.0), a lone quantity or one of several
-    weights = Weights()
-    weights["qq_small|r=1"] = 5
+    weights = Weights({"qq_small|r=1": 5})
     packed = weights.packed
     table = TokenTable([(packed, ("qn", "qq"))])
     sentence = AnnotatedSentence("a 7 b c", ("a", "7", "b", "c"),
@@ -177,13 +178,14 @@ def test_relevance_decode_reads_count_weights_by_name():
     rng = random.Random(24)
     decoder = RelevanceDecoder()
     for trial in range(200):
-        weights = random_weights(rng)
+        flat = dict(random_weights(rng))
         for c, k in product(range(5), range(1, 5)):
             if rng.random() < 0.5:
-                weights[f"qg_count={c}/{k}"] = rng.randint(-60, 60)
+                flat[f"qg_count={c}/{k}"] = rng.randint(-60, 60)
         for name in ("qg_count=01/2", "qg_count=\u0661/2",
                      "qg_count=1/2|r=1", "qg_count=3/2", "qg_count=1/02"):
-            weights[name] = rng.choice((-1000, 1000))
+            flat[name] = rng.choice((-1000, 1000))
+        weights = Weights(flat)
         table = TokenTable([(weights.packed, ("qn", "qq"))])
         sentence = random_sentence(rng, 1 + trial % 8)
         x = decoder.prepare(
@@ -288,20 +290,38 @@ def assert_parses_as_oracle(bundle: ModelBundle, sentences) -> int:
     return trees
 
 
+def counting_tables(monkeypatch) -> list:
+    """Record each `TokenTable` a bundle compiles; returns the record."""
+    built = []
+
+    def counted(sources):
+        built.append(TokenTable(sources))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "TokenTable", counted)
+    return built
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 def test_bundle_parses_as_its_stage_decoders(config, synthetic_corpus,
-                                             multiplier_corpus):
-    # on the shipped corpora and on both workloads' held-out seeds 1-3
+                                             multiplier_corpus, monkeypatch):
+    # on the shipped corpora and on both workloads' held-out seeds 1-3;
+    # each bundle compiles one token table, on its first parse
+    built = counting_tables(monkeypatch)
     config = PipelineConfig(**config)
     shipped = synthetic_corpus + multiplier_corpus
     bundle = train_bundle(shipped, config)
+    assert built == []
     assert assert_parses_as_oracle(
         bundle, [ex.sentence for ex in shipped]) == len(shipped)
-    for name, seed in product(("families", "distractors"), (1, 2, 3)):
+    assert built == [bundle._table]
+    for i, (name, seed) in enumerate(product(("families", "distractors"),
+                                             (1, 2, 3))):
         train, sentences = _held_out(name, seed)
         bundle = train_bundle(train, config)
         assert assert_parses_as_oracle(bundle, sentences) >= 0.9 * len(
             sentences)
+        assert len(built) == i + 2 and built[-1] is bundle._table
 
 
 @pytest.fixture(scope="module")
@@ -312,72 +332,104 @@ def shipped_bundle_text(request):
                         PipelineConfig(use_lexicon=False)).to_text()
 
 
-def _flip_everything(bundle: ModelBundle, sentences) -> None:
-    """Assign weights that change most parses: each word of the sentences
-    pulls every quantity into the equation, every NP to the pair label,
-    and every tree node to `-` (no lexicon pins it), through
-    `Weights.__setitem__`."""
-    words = {token.lower() for s in sentences for token in s.tokens}
-    for word in sorted(words):
-        bundle.relevance_model.weights[f"qn_u={word}|r=1"] = 10 ** 6
-        bundle.variable_model.weights[f"vp_u={word}|t=1s=0"] = 10 ** 6
-        bundle.tree_model.weights[f"tn_u={word}|o=-lr"] = 10 ** 6
+def _flipped(bundle: ModelBundle, sentences) -> ModelBundle:
+    """The bundle with weights that change most parses: each word of the
+    sentences pulls every quantity into the equation, every NP to the
+    pair label, and every tree node to `-` (no lexicon pins it). Its
+    models' weights are plain dicts, which the bundle copies."""
+    words = sorted({token.lower() for s in sentences for token in s.tokens})
+    models = []
+    for model, name in ((bundle.relevance_model, "qn_u={}|r=1"),
+                        (bundle.variable_model, "vp_u={}|t=1s=0"),
+                        (bundle.tree_model, "tn_u={}|o=-lr")):
+        weights = dict(model.weights)
+        weights.update((name.format(word), 10 ** 6) for word in words)
+        models.append(LinearModel(weights, model.config))
+    return ModelBundle(*models, bundle.config)
 
 
-def test_weights_set_after_a_parse_are_read(shipped_bundle_text,
-                                            synthetic_corpus):
-    sentences = [ex.sentence for ex in synthetic_corpus]
+def test_a_bundle_is_read_only(shipped_bundle_text, synthetic_corpus):
+    # after a parse, its models' weights refuse assignment, and its fields
+    # and its models' fields refuse rebinding; it then parses as before
     bundle = ModelBundle.from_text(shipped_bundle_text)
+    sentences = [ex.sentence for ex in synthetic_corpus]
     before = [_bundle_parse(bundle, s) for s in sentences]
-    _flip_everything(bundle, sentences)
-    after = [_bundle_parse(bundle, s) for s in sentences]
-    assert after == [_oracle_parse(bundle, s) for s in sentences]
-    assert sum(a != b for a, b in zip(after, before)) >= len(sentences) // 2
-    # a weight too wide for the packed slots lays the table out again
-    bundle.tree_model.weights["tn_u=the|o=+"] = 1 << 300
-    assert_parses_as_oracle(bundle, sentences)
-    bundle.tree_model.weights["tn_u=the|o=+"] = 0
-    assert_parses_as_oracle(bundle, sentences)
-    # so are replaced weights and models, and plain dict weights
-    bundle.tree_model.weights = Weights(bundle.tree_model.weights)
-    bundle.tree_model.weights["tn_u=the|o=*"] = 10 ** 7
-    assert_parses_as_oracle(bundle, sentences)
-    bundle.variable_model = LinearModel(dict(bundle.variable_model.weights))
-    assert_parses_as_oracle(bundle, sentences)
-    bundle.variable_model.weights["vp_u=number|t=0s=0"] = 10 ** 8
-    assert_parses_as_oracle(bundle, sentences)
+    for model in (bundle.relevance_model, bundle.variable_model,
+                  bundle.tree_model):
+        with pytest.raises(TypeError):
+            model.weights["tn_u=the|o=-lr"] = 10 ** 6
+        for owner in (model, bundle):
+            for field in dataclasses.fields(owner):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(owner, field.name, getattr(owner, field.name))
+    assert [_bundle_parse(bundle, s) for s in sentences] == before
+    assert bundle.to_text() == shipped_bundle_text
 
 
-def test_weights_of_compiled_constants_set_after_a_parse_are_read(
-        synthetic_corpus, multiplier_corpus):
-    # each weight a decode compiles once per table, assigned after a parse,
-    # is read by the next: the count, `qq_small` and `qq_only` weights, the
-    # number and lexicon-agreement features, and a label the tree model
-    # had not seen, which takes the spare slot that `o=/rl` (no weight in
-    # this bundle) reads
+def test_plain_dict_models_parse_as_weights(shipped_bundle_text,
+                                            synthetic_corpus,
+                                            multiplier_corpus):
+    # a bundle built from plain dict weights copies them into `Weights`
+    # and parses as one built from the same weights as `Weights`, here
+    # with a weight too wide for the trained slots and a label no model
+    # had seen
+    sentences = [ex.sentence for ex in synthetic_corpus + multiplier_corpus]
+    loaded = ModelBundle.from_text(shipped_bundle_text)
+    models = (loaded.relevance_model, loaded.variable_model,
+              loaded.tree_model)
+    flat = [dict(model.weights) for model in models]
+    flat[2].update({"tn_u=the|o=+": 1 << 300, "tn_u=the|o=*": 10 ** 7})
+    plain = ModelBundle(*(LinearModel(weights, model.config)
+                          for weights, model in zip(flat, models)),
+                        loaded.config)
+    packed = ModelBundle(*(LinearModel(Weights(weights), model.config)
+                           for weights, model in zip(flat, models)),
+                         loaded.config)
+    for model, weights in zip((plain.relevance_model, plain.variable_model,
+                               plain.tree_model), flat):
+        assert type(model.weights) is Weights and model.weights == weights
+    assert plain == packed and plain.to_text() == packed.to_text()
+    assert [_bundle_parse(plain, s) for s in sentences] \
+        == [_bundle_parse(packed, s) for s in sentences] \
+        != [_bundle_parse(loaded, s) for s in sentences]
+    assert_parses_as_oracle(plain, sentences)
+
+
+def test_weights_of_compiled_constants_are_read(synthetic_corpus,
+                                                multiplier_corpus):
+    # each weight a decode compiles once per packed table, set in a
+    # bundle built after another's parse, is read by the new bundle: the
+    # count, `qq_small` and `qq_only` weights, the number and
+    # lexicon-agreement features, and a label the tree model had not
+    # seen, which takes the spare slot that `o=/rl` (no weight in this
+    # bundle) reads. The first bundle's parses stay its own
     examples = synthetic_corpus + multiplier_corpus
     sentences = [ex.sentence for ex in examples]
-    bundle = train_bundle(examples, PipelineConfig(lexicon_as_features=True))
-    assert_parses_as_oracle(bundle, sentences)
-    before = [_bundle_parse(bundle, s) for s in sentences]
-    for model, name, value in (
-            (bundle.relevance_model, "qg_count=2/3", 10 ** 9),
-            (bundle.relevance_model, "qq_small|r=1", -10 ** 9),
-            (bundle.relevance_model, "qq_only|r=0", 10 ** 9),
-            (bundle.tree_model, "tnum_left_smaller=1|o=+", 10 ** 9),
-            (bundle.tree_model, "lex_agree=1|o=-rl", 10 ** 10),
-            (bundle.tree_model, "tn_u=the|o=new", 10 ** 6)):
+    first = train_bundle(examples, PipelineConfig(lexicon_as_features=True))
+    assert_parses_as_oracle(first, sentences)
+    before = [_bundle_parse(first, s) for s in sentences]
+    bundle = first
+    for field, name, value in (
+            ("relevance_model", "qg_count=2/3", 10 ** 9),
+            ("relevance_model", "qq_small|r=1", -10 ** 9),
+            ("relevance_model", "qq_only|r=0", 10 ** 9),
+            ("tree_model", "tnum_left_smaller=1|o=+", 10 ** 9),
+            ("tree_model", "lex_agree=1|o=-rl", 10 ** 10),
+            ("tree_model", "tn_u=the|o=new", 10 ** 6)):
         assert "o=/rl" not in bundle.tree_model.weights.packed.shifts
-        model.weights[name] = value
+        model = getattr(bundle, field)
+        bundle = dataclasses.replace(bundle, **{field: LinearModel(
+            {**model.weights, name: value}, model.config)})
         assert_parses_as_oracle(bundle, sentences)
     assert [_bundle_parse(bundle, s) for s in sentences] != before
+    assert [_bundle_parse(first, s) for s in sentences] == before
 
 
 def test_bundles_in_one_process_share_no_table(shipped_bundle_text,
                                                synthetic_corpus,
                                                multiplier_corpus):
-    # a trained and a loaded bundle parse alike; a change to the loaded
-    # one's weights is read by it alone
+    # a trained and a loaded bundle parse alike; a bundle built from the
+    # loaded one's weights, changed, parses by them alone
     examples = synthetic_corpus + multiplier_corpus
     sentences = [ex.sentence for ex in examples]
     trained = train_bundle(examples, PipelineConfig(use_lexicon=False))
@@ -385,17 +437,18 @@ def test_bundles_in_one_process_share_no_table(shipped_bundle_text,
     assert trained.to_text() == shipped_bundle_text
     first = [_bundle_parse(trained, s) for s in sentences]
     assert [_bundle_parse(loaded, s) for s in sentences] == first
-    _flip_everything(loaded, sentences)
-    assert_parses_as_oracle(loaded, sentences)
+    flipped = _flipped(loaded, sentences)
+    assert_parses_as_oracle(flipped, sentences)
     assert [_bundle_parse(trained, s) for s in sentences] == first
-    assert [_bundle_parse(loaded, s) for s in sentences] != first
+    assert [_bundle_parse(loaded, s) for s in sentences] == first
+    assert [_bundle_parse(flipped, s) for s in sentences] != first
     # bundles loaded and dropped one after another, with weights that
-    # parse differently and none assigned to, reuse memory and so the ids
-    # of their objects: each parses by its own weights
-    texts = [shipped_bundle_text, loaded.to_text()]
+    # parse differently, reuse memory and so the ids of their objects:
+    # each parses by its own weights
+    texts = [shipped_bundle_text, flipped.to_text()]
     assert [_bundle_parse(ModelBundle.from_text(text), s)
             for text in texts for s in sentences[:6]] \
-        == first[:6] + [_bundle_parse(loaded, s) for s in sentences[:6]]
+        == first[:6] + [_bundle_parse(flipped, s) for s in sentences[:6]]
     for trial in range(20):
         bundle = ModelBundle.from_text(texts[trial % 2])
         assert_parses_as_oracle(bundle, sentences[:6])
@@ -405,7 +458,7 @@ def test_bundles_in_one_process_share_no_table(shipped_bundle_text,
 def test_no_table_is_found_by_id(shipped_bundle_text, synthetic_corpus):
     # an id is reused once its object is freed, so a table looked up by
     # the id of a bundle or of its weights could be another's: loading,
-    # parsing and changing a bundle never call `id`
+    # parsing and rebuilding a bundle never call `id`
     calls = []
 
     def profile(frame, event, arg):
@@ -417,7 +470,7 @@ def test_no_table_is_found_by_id(shipped_bundle_text, synthetic_corpus):
         bundle = ModelBundle.from_text(shipped_bundle_text)
         for ex in synthetic_corpus:
             _bundle_parse(bundle, ex.sentence)
-        _flip_everything(bundle, [synthetic_corpus[0].sentence])
+        bundle = _flipped(bundle, [synthetic_corpus[0].sentence])
         _bundle_parse(bundle, synthetic_corpus[0].sentence)
     finally:
         sys.setprofile(None)

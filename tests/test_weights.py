@@ -1,7 +1,7 @@
 """Packed label rows: the `Weights` dict's second view, one integer per
 feature holding its weight under every label, against the dict rows it
-replaced; and the decoders that score through it against brute force on
-sparse weights."""
+replaced; `Weights` are read-only; and the decoders that score through
+the table against brute force on sparse weights."""
 
 import copy
 import pickle
@@ -108,20 +108,21 @@ class TestWeights:
         assert Weights(flat).packed == PackedTable(flat)
 
     def test_flat_view_is_the_dict(self):
-        weights = Weights({"a|x": 1})
-        weights["b|y"] = 2
+        weights = Weights({"a|x": 1, "b|y": 2})
         assert weights == {"a|x": 1, "b|y": 2}
         assert dot(weights, {"a|x": 3, "b|y": 1}) == 5
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                         lambda w: pickle.loads(pickle.dumps(w))])
     def test_a_copy_keeps_its_own_rows(self, copier):
+        # a copy builds its own table, which keeps its own constants
         weights = Weights({"a|x": 1})
         packed = weights.packed
+        packed.constant("key", list)
         other = copier(weights)
         assert type(other) is Weights and other == weights
-        other["a|y"] = 2
-        assert unpacked(other.packed, "xy") == {"a": {"x": 1, "y": 2}}
+        assert other.packed is not packed and other.packed == packed
+        assert other.packed.constants == {}
         assert weights.packed is packed
         assert unpacked(packed, "xy") == {"a": {"x": 1}}
 
@@ -129,12 +130,8 @@ class TestWeights:
         assert PackedTable({}).width == 41
         assert PackedTable({"a|x": -8, "b|y": 7, "wide": 2 ** 90}).width \
             == 4 + 41
-        weights = Weights({"a|x": 3})
-        packed = weights.packed
-        weights["b|x"] = -3  # fits: the table is kept
-        assert weights.packed is packed and packed.width == 43
-        weights["a|y"] = -(2 ** 64)  # outgrows it: laid out again
-        assert weights.packed is not packed
+        assert Weights({"a|x": 3, "b|x": -3}).packed.width == 43
+        weights = Weights({"a|x": 3, "b|x": -3, "a|y": -(2 ** 64)})
         assert weights.packed.width == 65 + 41
         assert_packs(weights, [["a", "b", "a"]])
 
@@ -170,19 +167,20 @@ class TestWeights:
 
 names = st.text(alphabet="ab|", max_size=4)
 values = st.integers(-3, 3)
+MUTATORS = ["setitem", "add_scaled", "pop", "popitem", "clear", "update",
+            "setdefault", "delitem", "ior"]
 operations = st.lists(st.one_of(
-    st.tuples(st.just("set"), names, values),
-    st.tuples(st.just("add_scaled"), st.dictionaries(names, values, max_size=4),
-              st.integers(-2, 2)),
     st.tuples(st.just("rows")),
-    st.tuples(st.just("other"), st.sampled_from(
-        ["pop", "popitem", "clear", "update", "setdefault", "delitem",
-         "ior"]), names, values),
+    st.tuples(st.sampled_from(MUTATORS), names, values),
 ), max_size=30)
 
 
-def other_mutator(weights, which, name, value):
-    if which == "pop":
+def mutate(weights, which, name, value):
+    if which == "setitem":
+        weights[name] = value
+    elif which == "add_scaled":
+        add_scaled(weights, {name: value}, 1)
+    elif which == "pop":
         weights.pop(name)
     elif which == "popitem":
         weights.popitem()
@@ -198,33 +196,32 @@ def other_mutator(weights, which, name, value):
         weights |= {name: value}
 
 
+@pytest.mark.parametrize("which", MUTATORS)
+def test_every_mutator_raises(which):
+    weights = Weights({"a|x": 1, "b": 2})
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(weights, which, "a|x", 3)
+    assert weights == {"a|x": 1, "b": 2}
+
+
 @given(st.dictionaries(names, values, max_size=6), operations)
 def test_rows_stay_in_step(initial, ops):
-    # item assignment (add_scaled's too) updates a built table in place,
-    # or lays it out again wider; any other mutator raises and changes
-    # neither view
+    # every mutator raises and changes neither view, before the table is
+    # built and after, so the table once built is the one kept
     weights = Weights(initial)
     packed = None
     for op, *args in ops:
-        if op == "set":
-            weights[args[0]] = args[1]
-        elif op == "add_scaled":
-            add_scaled(weights, *args)
-        elif op == "rows":
+        if op == "rows":
             packed = weights.packed
         else:
-            before = dict(weights)
             with pytest.raises(TypeError):
-                other_mutator(weights, *args)
-            assert weights == before
+                mutate(weights, op, *args)
+            assert weights == initial
         if packed is not None:
-            # replaced only by a wider layout
-            assert (weights.packed is packed
-                    or weights.packed.width > packed.width)
-            packed = weights.packed
+            assert weights.packed is packed
             labels = set(packed.shifts) | {"unseen"}
             assert unpacked(packed, labels) == nonzero(
-                reference_rows(dict(weights)))
+                reference_rows(initial))
     assert_packs(weights)
 
 
@@ -242,18 +239,18 @@ multisets = st.lists(st.lists(st.one_of(features, st.just("none")),
                                                      max_size=3),
               st.integers(-3, 3), multisets)), max_size=12))
 def test_packed_totals_match_label_rows(initial, ops):
-    # the table is built first, so labels are first seen midway, and a
-    # wide weight makes it lay itself out again; after each change, the
-    # total of a multiset of names reads under every label what the dict
-    # rows sum, many copies of a name included
-    weights = Weights(initial)
-    assert_packs(weights, [["a", "a", "b"]])
+    # each version of the weights, a change apart, some wide enough to
+    # widen the slots: the total of a multiset of names in its table
+    # reads under every label what the dict rows sum, many copies of a
+    # name included
+    flat = dict(initial)
+    assert_packs(Weights(flat), [["a", "a", "b"]])
     for op, *args, sets in ops:
         if op == "set":
-            weights[args[0]] = args[1]
+            flat[args[0]] = args[1]
         else:
-            add_scaled(weights, *args)
-        assert_packs(weights, [*sets, ["a"] * 5000 + ["c"] * 77])
+            add_scaled(flat, *args)
+        assert_packs(Weights(flat), [*sets, ["a"] * 5000 + ["c"] * 77])
 
 
 def test_tagged_counts_each_occurrence_under_its_label():
@@ -429,8 +426,9 @@ class TestSparseWeights:
 
 def test_decoders_recompile_once_the_weights_change():
     # a decode compiles what it reads of the weights alone once per
-    # version of them (`PackedTable.constant`): after each assignment,
-    # labeled or untagged, it decodes as a fresh copy of the weights does
+    # packed table (`PackedTable.constant`): each version of the weights,
+    # one assignment apart, labeled or untagged, decodes as a plain dict
+    # of them does, and so does the version before it, decoded again
     rng = random.Random(73)
     sentence, triggers = random_tree_instance(rng, 4)
     quantities = tuple(sentence_quantities(sentence))
@@ -446,11 +444,14 @@ def test_decoders_recompile_once_the_weights_change():
                     for name in decoder.features(x, y)})
     untagged = [name for name in names if "|" not in name]
     assert untagged
-    weights = Weights()
+    flat, previous = {}, Weights()
     for step in range(60):
+        weights = Weights(flat)
         for decoder, x, space in cases:
             gold = rng.choice(space)
-            assert decoder.decode(x, weights, gold=gold) == decoder.decode(
-                x, Weights(dict(weights)), gold=gold)
-        weights[rng.choice(untagged if step % 3 == 0 else names)] = (
+            for version in (weights, previous):
+                assert decoder.decode(x, version, gold=gold) \
+                    == decoder.decode(x, dict(version), gold=gold)
+        previous = weights
+        flat[rng.choice(untagged if step % 3 == 0 else names)] = (
             rng.randint(-3, 3))
